@@ -73,10 +73,6 @@ _EQUIV_CLASSES = {
 }
 
 
-class AssertionFailed(Exception):
-    """A declared run-level assertion did not hold (exit code 1)."""
-
-
 # --- configuration -------------------------------------------------------------
 
 _CONFIG_SCHEMA = {
@@ -123,6 +119,13 @@ def load_config(path: str) -> dict:
 
 def _cfg(config: dict, section: str, key: str, default):
     return config.get(section, {}).get(key, default)
+
+
+def _opt(args, config: dict, section: str, key: str, default):
+    """An option from the command line if given (0 and "" count), else from
+    the config, else the default."""
+    value = getattr(args, key)
+    return value if value is not None else _cfg(config, section, key, default)
 
 
 def _resolve_out_dir(args, config: dict) -> Path:
@@ -198,12 +201,10 @@ def cmd_catalog(args, config: dict) -> int:
 
 def cmd_verify(args, config: dict) -> int:
     loss_list = _parse_loss_list(
-        args.losses or _cfg(config, "verify", "losses",
-                            ",".join(VERIFY_LOSSES)))
-    n_measures = args.measures or _cfg(config, "verify", "measures", 100)
-    seed = args.seed if args.seed is not None else _cfg(config, "verify",
-                                                        "seed", 0)
-    tol = args.tol or _cfg(config, "verify", "tol", 1e-6)
+        _opt(args, config, "verify", "losses", ",".join(VERIFY_LOSSES)))
+    n_measures = _opt(args, config, "verify", "measures", 100)
+    seed = _opt(args, config, "verify", "seed", 0)
+    tol = _opt(args, config, "verify", "tol", 1e-6)
     out_dir = _resolve_out_dir(args, config)
 
     all_pass = True
@@ -247,7 +248,7 @@ def cmd_verify(args, config: dict) -> int:
 
 
 def cmd_equiv(args, config: dict) -> int:
-    tol = args.tol or _cfg(config, "equiv", "tol", 1e-6)
+    tol = _opt(args, config, "equiv", "tol", 1e-6)
     out_dir = _resolve_out_dir(args, config)
     names = list(_EQUIV_CLASSES)
     lines = ["f1,f2,c,a,b,residual,verdict"]
@@ -278,24 +279,27 @@ def cmd_equiv(args, config: dict) -> int:
 
 
 def cmd_erm(args, config: dict) -> int:
-    loss_list = _parse_loss_list(
-        args.losses or _cfg(config, "erm", "losses", "hinge"))
-    n_text = args.n or _cfg(config, "erm", "n", "100,1000,10000")
+    loss_list = _parse_loss_list(_opt(args, config, "erm", "losses", "hinge"))
+    n_text = _opt(args, config, "erm", "n", "100,1000,10000")
     try:
         n_list = [int(s) for s in str(n_text).split(",") if s.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad sample-size list: {n_text!r}") from exc
-    n_seeds = args.seeds or _cfg(config, "erm", "seeds", 20)
-    seed_base = (args.seed_base if args.seed_base is not None
-                 else _cfg(config, "erm", "seed_base", 0))
-    grid_n = args.grid or _cfg(config, "erm", "grid", 101)
-    bound = args.bound or _cfg(config, "erm", "bound", 4.0)
-    timings = args.timings or _cfg(config, "erm", "timings", False)
+    n_seeds = _opt(args, config, "erm", "seeds", 20)
+    if n_seeds < 1:
+        raise ConfigError(f"need at least one replicate seed, got {n_seeds}")
+    seed_base = _opt(args, config, "erm", "seed_base", 0)
+    grid_n = _opt(args, config, "erm", "grid", 101)
+    bound = _opt(args, config, "erm", "bound", 4.0)
+    timings = _opt(args, config, "erm", "timings", False)
     src = _source_from(args, config)
+    try:
+        fc = erm.FunctionClassSpec(gamma_bound=bound,
+                                   thresholds=erm.threshold_grid(src, grid_n))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out_dir = _resolve_out_dir(args, config)
 
-    fc = erm.FunctionClassSpec(gamma_bound=bound,
-                               thresholds=erm.threshold_grid(src, grid_n))
     for phi in loss_list:
         if not phi.convex:
             raise NonConvexLoss(f"{phi.name} is not convex (B1 violated)")
@@ -316,7 +320,7 @@ def cmd_erm(args, config: dict) -> int:
         print(f"erm {phi.name}: medians [{med_text}] "
               f"{'nonincreasing' if monotone else 'NOT monotone'}")
 
-    mismatch = args.mismatch or _cfg(config, "erm", "mismatch", "")
+    mismatch = _opt(args, config, "erm", "mismatch", "")
     if mismatch:
         if mismatch not in _DIVERGENCE_ALIASES:
             raise ConfigError(f"unknown divergence name: {mismatch!r}")
@@ -333,7 +337,7 @@ def cmd_erm(args, config: dict) -> int:
               f"t_var={wit.t_opt_1!r} t_alt={wit.t_opt_2!r} "
               f"bayes_gap={wit.bayes_gap!r}")
 
-    lemma2_n = args.lemma2 or _cfg(config, "erm", "lemma2", 0)
+    lemma2_n = _opt(args, config, "erm", "lemma2", 0)
     if lemma2_n:
         hinge = losses.catalog_loss("hinge")
         fit = equivalence.variational_family_check(
@@ -401,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
                                           "variational objective")
     p_erm.add_argument("--lemma2", type=int,
                        help="random draws for the excess-risk inequality")
-    p_erm.add_argument("--timings", action="store_true",
+    p_erm.add_argument("--timings", action="store_true", default=None,
                        help="include runtime_ms column (breaks byte-"
                             "reproducibility)")
     return parser
@@ -423,9 +427,6 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args, config)
-    except AssertionFailed as exc:
-        print(f"assertion failed: {exc}", file=sys.stderr)
-        return EXIT_ASSERTION
     except (ConfigError, NonConvexLoss) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,8 +4,10 @@ A divergence generator f (convex, lower semicontinuous, +inf below 0) is
 linked to margin losses through Psi(beta) = f*(-beta), where f* is the
 Legendre transform.  This module computes f* and Psi either from analytic
 closed forms attached to a generator or by numeric supremum over an adaptive
-grid, locates the domain bounds beta1/beta2 and the fixed point u* of Psi,
-checks the decreasing/involution/fixed-point conditions that characterize
+grid; Psi and the conjugates evaluate a whole array in one batched scan (a
+blocked discrete Legendre transform, cf. Lucet 1997).  It also locates the
+domain bounds beta1/beta2 and the fixed point u* of Psi, checks the
+decreasing/involution/fixed-point conditions that characterize
 loss-realizable divergences, and rebuilds Psi directly from a loss through
 the sublevel-set inverse.
 """
@@ -14,18 +16,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import GridTooNarrow, NoFixedPoint
-from .optimize import bisect_predicate, bisect_root, golden_min
+from .optimize import bisect_predicate, bisect_root
 
 INF = math.inf
 
 _PROBE_CAP = 2.0 ** 40  # beyond this a bound is reported as +/- inf
 _WIDEN_CAP = 1e9
+_BLOCK = 1 << 16  # elements per block of a batched grid scan
+_ZOOM_ROUNDS, _ZOOM_PTS = 11, 33  # each round shrinks the bracket 16-fold
 
 
 def _as_float_array(x) -> tuple[np.ndarray, bool]:
@@ -95,33 +98,74 @@ class GridSpec:
 DEFAULT_GRID = GridSpec()
 
 
-def _sup_linear_minus(f: Generator, v: float, grid: GridSpec) -> float:
-    """sup_u (u*v - f(u)) by adaptive grid scan plus golden refinement.
+def _scan(pts: np.ndarray, fpts: np.ndarray,
+          vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise argmax and max of v*pts - fpts for each v, NaN read as -inf.
 
-    Returns +inf when the objective keeps climbing at the widening cap.
+    The (len(vs), len(pts)) objective is written in row blocks of at most
+    _BLOCK elements into one buffer.
     """
-    halfline = f.halfline
+    rows = max(1, _BLOCK // pts.size)
+    buf = np.empty((min(rows, vs.size), pts.size))
+    idx = np.empty(vs.size, dtype=np.intp)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for s in range(0, vs.size, rows):
+            b = buf[:min(rows, vs.size - s)]
+            np.multiply(vs[s:s + rows, None], pts, out=b)
+            np.subtract(b, fpts, out=b)
+            b[np.isnan(b)] = -INF
+            idx[s:s + len(b)] = np.argmax(b, axis=1)
+        best = vs * pts[idx] - fpts[idx]
+    return idx, np.where(np.isnan(best), -INF, best)
+
+
+def _sup_batch(f: Generator, vs: np.ndarray, grid: GridSpec,
+               cache: dict) -> np.ndarray:
+    """sup_u (u*v - f(u)) for each v of a 1-D array, in one batched pass.
+
+    Each widening level's grid and f on it are computed once and kept in
+    ``cache`` (owned by the caller).  Only rows whose maximizer sits on a
+    grid edge move on to the next, ten times wider level; rows still on the
+    edge at _WIDEN_CAP are +inf, rows with f = +inf on the whole grid -inf.
+    All other rows are refined together by a bracket zoom around their grid
+    maximizer, each round one call of f on every row.  Every step works row
+    by row, so a row's value does not depend on the rest of the batch.
+    """
+    out = np.empty(vs.size)
+    lo, hi = np.empty(vs.size), np.empty(vs.size)
+    todo = np.arange(vs.size)
     top = grid.hi
-    while True:
-        pts = grid.points(halfline, top)
-        with np.errstate(all="ignore"):
-            vals = pts * v - f(pts)
-        vals = np.where(np.isnan(vals), -INF, vals)
-        if np.all(vals == -INF):
-            return -INF  # f identically +inf on the grid: degenerate
-        i = int(np.argmax(vals))
-        at_hi = i == len(pts) - 1
-        at_lo = (i == 0) and not halfline
-        if at_hi or at_lo:
-            if top >= _WIDEN_CAP:
-                return INF
-            top *= 10.0
-            continue
-        lo_b = pts[max(i - 1, 0)]
-        hi_b = pts[min(i + 1, len(pts) - 1)]
-        _, neg_best = golden_min(lambda u: -(u * v - f(u)), lo_b, hi_b,
-                                 tol=1e-13)
-        return max(float(vals[i]), -neg_best)
+    while todo.size:
+        if top not in cache:
+            pts = grid.points(f.halfline, top)
+            cache[top] = pts, f(pts)
+        pts, fpts = cache[top]
+        idx, out[todo] = _scan(pts, fpts, vs[todo])
+        lo[todo] = pts[np.maximum(idx - 1, 0)]
+        hi[todo] = pts[np.minimum(idx + 1, pts.size - 1)]
+        edge = (idx == pts.size - 1) | ((idx == 0) & (not f.halfline))
+        todo = todo[edge & (out[todo] > -INF)]
+        if top >= _WIDEN_CAP:
+            out[todo] = INF
+            break
+        top *= 10.0
+
+    rows = np.flatnonzero(np.isfinite(out))
+    if not rows.size:
+        return out
+    v, a, b, best = vs[rows, None], lo[rows], hi[rows], out[rows]
+    r, frac = np.arange(rows.size), np.linspace(0.0, 1.0, _ZOOM_PTS)
+    for _ in range(_ZOOM_ROUNDS):
+        us = a[:, None] + (b - a)[:, None] * frac
+        with np.errstate(invalid="ignore", over="ignore"):
+            vals = v * us - f(us.ravel()).reshape(us.shape)
+        vals[np.isnan(vals)] = -INF
+        j = np.argmax(vals, axis=1)
+        best = np.maximum(best, vals[r, j])
+        a = us[r, np.maximum(j - 1, 0)]
+        b = us[r, np.minimum(j + 1, _ZOOM_PTS - 1)]
+    out[rows] = best
+    return out
 
 
 def conjugate(f: Generator, grid: GridSpec | None = None) -> Generator:
@@ -129,47 +173,34 @@ def conjugate(f: Generator, grid: GridSpec | None = None) -> Generator:
 
     Closed-form generators with an attached analytic conjugate use it
     directly.  Tabulated generators take the supremum over their own nodes
-    (exact for piecewise-linear f) and raise GridTooNarrow when the
-    maximizing node sits on the table boundary.  Anything else falls back to
-    the adaptive numeric supremum.
+    (exact for piecewise-linear f) and raise GridTooNarrow, naming the first
+    offending v, when the maximizing node sits on the table boundary.
+    Anything else falls back to the adaptive numeric supremum.  The tabulated
+    and numeric routes evaluate a whole array in one batched scan.
     """
     spec = grid or DEFAULT_GRID
     if f.conjugate_fn is not None:
-        fstar = f.conjugate_fn
-
-        def eval_analytic(v):
-            arr, scalar = _as_float_array(v)
-            with np.errstate(all="ignore"):
-                out = np.asarray(fstar(arr), dtype=float)
-            return float(out) if scalar else out
-
-        return Generator(fn=eval_analytic, name=f"{f.name}*", halfline=False)
+        return Generator(fn=f.conjugate_fn, name=f"{f.name}*",
+                         halfline=False)
 
     if f.table is not None:
         us, vals = f.table
 
         def eval_table(v):
-            arr, scalar = _as_float_array(v)
-            flat = arr.reshape(-1)
-            out = np.empty(flat.shape)
-            for k, vv in enumerate(flat):
-                scores = us * vv - vals
-                i = int(np.argmax(scores))
-                if i in (0, len(us) - 1):
-                    raise GridTooNarrow(
-                        f"maximizer for v={vv} lies on the table boundary")
-                out[k] = scores[i]
-            out = out.reshape(arr.shape)
-            return float(out) if scalar else out
+            flat = v.reshape(-1)
+            idx, out = _scan(us, vals, flat)
+            edge = (idx == 0) | (idx == us.size - 1)
+            if edge.any():
+                raise GridTooNarrow(f"maximizer for v={flat[np.argmax(edge)]}"
+                                    " lies on the table boundary")
+            return out.reshape(v.shape)
 
         return Generator(fn=eval_table, name=f"{f.name}*", halfline=False)
 
+    cache: dict = {}
+
     def eval_numeric(v):
-        arr, scalar = _as_float_array(v)
-        flat = arr.reshape(-1)
-        out = np.array([_sup_linear_minus(f, float(vv), spec) for vv in flat])
-        out = out.reshape(arr.shape)
-        return float(out) if scalar else out
+        return _sup_batch(f, v.reshape(-1), spec, cache).reshape(v.shape)
 
     return Generator(fn=eval_numeric, name=f"{f.name}*", halfline=False)
 
@@ -180,9 +211,10 @@ class PsiFunction:
 
     Decreasing and convex; +inf below beta1; involutive on (beta1, beta2)
     with Psi(u_star) = u_star when the generator is loss-realizable.
+    ``fn`` maps an array of betas to the array of values in one call.
     """
 
-    fn: Callable[[float], float]
+    fn: Callable[[np.ndarray], np.ndarray]
     beta1: float
     beta2: float
     u_star: float
@@ -190,27 +222,20 @@ class PsiFunction:
 
     def __call__(self, beta):
         arr, scalar = _as_float_array(beta)
-        if scalar:
-            return float(self.fn(float(arr)))
-        flat = arr.reshape(-1)
-        return np.array([float(self.fn(float(b))) for b in flat]).reshape(arr.shape)
+        out = np.asarray(self.fn(arr), dtype=float)
+        return float(out) if scalar else out
 
 
-def _psi_eval(f: Generator, numeric: bool, grid: GridSpec) -> Callable[[float], float]:
-    if f.conjugate_fn is not None and not numeric:
-        fstar = f.conjugate_fn
+def _psi_eval(f: Generator, numeric: bool, grid: GridSpec) -> Callable:
+    """Psi(beta) = f*(-beta) for a scalar or an array, one conjugate call.
 
-        def eval_closed(beta: float) -> float:
-            with np.errstate(all="ignore"):
-                return float(fstar(np.asarray(-beta, dtype=float)))
-
-        return eval_closed
-
-    @lru_cache(maxsize=8192)
-    def eval_numeric(beta: float) -> float:
-        return _sup_linear_minus(f, -beta, grid)
-
-    return eval_numeric
+    Without a closed form in use, the conjugate is the adaptive numeric one
+    (never the tabulated one), and it never reads ``conjugate_fn``.
+    """
+    if numeric or f.conjugate_fn is None:
+        f = Generator(f.fn, name=f.name, halfline=f.halfline)
+    fstar = conjugate(f, grid)
+    return lambda beta: fstar(-np.asarray(beta, dtype=float))
 
 
 def _locate_beta1(psi: Callable[[float], float]) -> float:
@@ -394,8 +419,7 @@ def check_theorem1_conditions(psi: PsiFunction, tol: float,
     checks.append(ConditionCheck("decreasing_convex", res_i <= tol, wit_i,
                                  max(res_i, 0.0)))
 
-    inv = np.array([psi(psi(float(b))) for b in grid])
-    inv_res = np.abs(inv - grid)
+    inv_res = np.abs(psi(vals) - grid)
     inv_res = np.where(np.isnan(inv_res), INF, inv_res)
     k = int(np.argmax(inv_res))
     checks.append(ConditionCheck("involution", bool(inv_res[k] <= tol),
@@ -461,7 +485,8 @@ def psi_tilde_from_loss(phi) -> PsiFunction:
             return INF
         return float(phi(-r))
 
-    return PsiFunction(fn=fn, beta1=float(beta1), beta2=float(beta2),
+    return PsiFunction(fn=np.vectorize(fn, otypes=[float]),
+                       beta1=float(beta1), beta2=float(beta2),
                        u_star=float(phi(0.0)), name=f"PsiTilde[{phi.name}]")
 
 

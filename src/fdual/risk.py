@@ -21,10 +21,6 @@ INF = math.inf
 # O(log(mu/pi)) of the origin
 _BRACKET_BASE = 50.0
 
-CLOSED_FORM_NAMES = ("zero_one", "hinge", "exponential", "least_squares",
-                     "logistic")
-
-
 def phi_risk(phi: SurrogateLoss, gamma: np.ndarray, m: JointMeasure) -> float:
     """sum_z phi(gamma_z) mu_z + phi(-gamma_z) pi_z."""
     g = np.asarray(gamma, dtype=float)

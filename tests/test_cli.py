@@ -133,6 +133,37 @@ class TestErm:
                                 str(tmp_path)], capsys)
         assert code == 2
 
+    def test_zero_seeds_is_usage_error(self, tmp_path, capsys):
+        # an explicit 0 is a value, not "unset": it must not become 20 seeds
+        code, _, err = run_cli(["erm", "--seeds", "0", "--n", "100",
+                                "--grid", "11", "--out", str(tmp_path)],
+                               capsys)
+        assert code == 2
+        assert "replicate" in err
+        assert not (tmp_path / "erm_consistency.csv").exists()
+
+    def test_nonpositive_bound_is_usage_error(self, tmp_path, capsys):
+        for bound in ("0", "-1.5"):
+            code, _, err = run_cli(["erm", "--bound", bound, "--n", "100",
+                                    "--seeds", "2", "--grid", "11", "--out",
+                                    str(tmp_path)], capsys)
+            assert code == 2
+            assert "gamma_bound must be positive" in err
+
+    def test_zero_on_command_line_overrides_config(self, tmp_path, capsys):
+        cfg = tmp_path / "lemma.cfg"
+        cfg.write_text("[erm]\nlemma2 = 3\n")
+        code, out, _ = run_cli(["erm", "--config", str(cfg), "--lemma2", "0",
+                                "--n", "100", "--seeds", "2", "--grid", "11",
+                                "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert "lemma2:" not in out
+        code, out, _ = run_cli(["erm", "--config", str(cfg), "--n", "100",
+                                "--seeds", "2", "--grid", "11", "--out",
+                                str(tmp_path)], capsys)
+        assert code == 0
+        assert "lemma2: worst lhs-rhs" in out
+
     def test_mismatch_witness_file(self, tmp_path, capsys):
         code, out, _ = run_cli(["erm", "--losses", "hinge", "--n", "100",
                                 "--seeds", "2", "--grid", "11",

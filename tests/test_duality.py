@@ -9,7 +9,7 @@ from fdual.duality import (Generator, check_convex_sampled,
                            check_theorem1_conditions, conjugate, phi_inverse,
                            psi_from_f, psi_tilde_from_loss)
 from fdual.errors import GridTooNarrow, NoFixedPoint
-from fdual.losses import catalog_generator, catalog_loss
+from fdual.losses import catalog_generator, catalog_loss, induced_generator
 
 INF = math.inf
 
@@ -51,6 +51,25 @@ class TestConjugate:
         assert fstar(0.0) == pytest.approx(1.0, abs=1e-12)  # sup u*0-(u^2-2u)
         with pytest.raises(GridTooNarrow):
             fstar(50.0)
+
+    def test_numeric_batch_widens_only_the_edge_row(self):
+        f = catalog_generator("exponential")
+        fstar = conjugate(Generator(f.fn, name=f.name))  # strip closed form
+        # f*(v) = -1/v, maximized at u = 1/v^2: beyond grid.hi = 1e3 at -0.01
+        vs = np.array([-0.5, -1.0, -0.01, -2.0])
+        got = fstar(vs)
+        np.testing.assert_allclose(got, -1.0 / vs, rtol=1e-10)
+        assert got[2] == fstar(-0.01)
+
+    def test_table_batch_matches_nodes_and_names_first_bad_v(self):
+        us = np.linspace(0.0, 4.0, 41)
+        fstar = conjugate(Generator.from_table(us, us ** 2 - 2 * us))
+        vs = np.array([[-1.0, 0.0], [0.5, 3.0]])
+        ref = [max(us * v - (us ** 2 - 2 * us)) for v in vs.ravel()]
+        np.testing.assert_array_equal(fstar(vs), np.reshape(ref, (2, 2)))
+        # 60 and -50 both put the maximizer on a table end; 60 comes first
+        with pytest.raises(GridTooNarrow, match=r"v=60\.0 "):
+            fstar(np.array([[0.0, 60.0], [-50.0, 1.0]]))
 
     def test_biconjugation_recovers_catalog(self):
         us = np.geomspace(5e-2, 50.0, 1000)
@@ -109,6 +128,39 @@ class TestPsiFromF:
             psi = psi_from_f(catalog_generator(name), numeric=True)
             grid = np.linspace(0.05, min(psi.beta2 - 1e-3, 12.0), 200)
             np.testing.assert_allclose(psi(grid), closed(grid), atol=1e-6)
+
+    @pytest.mark.parametrize("name, numeric", [("hinge", True),
+                                               ("logistic", True),
+                                               ("sym_kl", False)])
+    def test_batch_equals_scalar_calls_bitwise(self, name, numeric):
+        psi = psi_from_f(catalog_generator(name), numeric=numeric)
+        # interior points, points below beta1 (+inf at the widening cap for
+        # hinge), and maximizers far beyond grid.hi (logistic near 0)
+        betas = np.concatenate([np.linspace(-1.0, 3.0, 21), [1e-4, 25.0]])
+        batch = psi(betas)
+        single = np.array([psi(float(b)) for b in betas])
+        assert batch.view(np.int64).tolist() == single.view(np.int64).tolist()
+        # a row's value does not depend on what else is in the batch
+        assert psi(betas[::-1])[::-1].tobytes() == batch.tobytes()
+        assert psi(betas[3:5].reshape(1, 2)).tobytes() == batch[3:5].tobytes()
+
+    def test_numeric_route_never_calls_the_closed_form(self):
+        def trap(v):
+            raise AssertionError("closed form used on the numeric route")
+
+        f = catalog_generator("hinge")
+        psi = psi_from_f(Generator(f.fn, name=f.name, conjugate_fn=trap),
+                         numeric=True)
+        assert psi(np.array([0.5, 1.5])) == pytest.approx([1.5, 0.5],
+                                                          abs=1e-9)
+        assert check_theorem1_conditions(psi, tol=1e-6).all_pass
+
+    def test_fully_numeric_route_matches_closed_form(self):
+        # loss -> induced generator -> numeric Psi, no closed form anywhere
+        psi = psi_from_f(induced_generator(catalog_loss("hinge")))
+        grid = np.linspace(1e-3, 2.0 - 1e-3, 1000)
+        np.testing.assert_allclose(psi(grid), 2.0 - grid, atol=1e-4)
+        assert psi.u_star == pytest.approx(1.0, abs=1e-6)
 
     def test_no_fixed_point_for_degenerate_generator(self):
         lin = Generator(lambda u: 2.0 * np.asarray(u, dtype=float),
