@@ -47,12 +47,13 @@ class SurrogateLoss:
 
     def __call__(self, alpha):
         arr = np.asarray(alpha, dtype=float)
-        scalar = arr.ndim == 0
         with np.errstate(all="ignore"):
             vals = np.asarray(self.fn(arr), dtype=float)
         # losses are +inf at alpha = -inf by convention
-        vals = np.where(np.isneginf(arr), INF, vals)
-        return float(vals) if scalar else vals
+        if arr.ndim == 0:
+            return INF if arr == -INF else float(vals)
+        neg = arr == -INF
+        return np.where(neg, INF, vals) if neg.any() else vals
 
     @property
     def u_star(self) -> float:
@@ -117,7 +118,7 @@ def _phi_logistic(a):
 
 
 def _phi_least_squares(a):
-    return (1.0 - a) ** 2
+    return np.square(1.0 - a)
 
 
 def _phi_sym_kl(a):
@@ -387,15 +388,19 @@ def _min_objective_dense(phi: SurrogateLoss, u_arr: np.ndarray,
     grid = np.linspace(-bracket, bracket, _DENSE_N)
     phi_pos = phi(grid)
     phi_neg = phi(-grid)
-    out = np.empty_like(u_arr)
+    # scan the grid one u at a time in one reused buffer, then refine every
+    # u's best grid cell in one golden search
+    lo, hi, best = (np.empty_like(u_arr) for _ in range(3))
+    vals = np.empty_like(grid)
     for k, uu in enumerate(u_arr):
-        vals = phi_neg + phi_pos * uu
+        np.multiply(phi_pos, uu, out=vals)
+        vals += phi_neg
         i = int(np.argmin(vals))
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, len(grid) - 1)]
-        _, refined = golden_min(lambda a: float(phi(-a) + phi(a) * uu), lo, hi)
-        out[k] = min(float(vals[i]), refined)
-    return out
+        lo[k] = grid[max(i - 1, 0)]
+        hi[k] = grid[min(i + 1, len(grid) - 1)]
+        best[k] = vals[i]
+    _, refined = golden_min(lambda a: phi(-a) + phi(a) * u_arr, lo, hi)
+    return np.where(refined < best, refined, best)
 
 
 def induced_generator(phi: SurrogateLoss) -> Generator:

@@ -16,40 +16,47 @@ INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 
 
-def golden_min(f: Callable[[float], float], lo: float, hi: float,
-               tol: float = 1e-10, max_iter: int = 200) -> tuple[float, float]:
-    """Minimize a unimodal scalar function on [lo, hi].
+def golden_min(f: Callable[[np.ndarray], np.ndarray], lo, hi,
+               tol: float = 1e-10, max_iter: int = 200):
+    """Minimize unimodal functions on [lo, hi], elementwise over arrays.
 
-    Returns (argmin, value).  On a flat plateau any plateau point may be
-    returned; the value is still the minimum.
+    ``f`` maps an array of points, shaped like ``lo``, to their objective
+    values.  Every element follows the scalar golden-section recurrence,
+    reusing one interior point per round, and is frozen once its bracket is
+    within ``tol``; each round makes one call of ``f`` on the whole array.
+    A bracket already within ``tol`` reports its midpoint.  Returns
+    (argmin, value), as floats for scalar bounds.  On a flat plateau any
+    plateau point may be returned; the value is still the minimum.
     """
-    a, b = float(lo), float(hi)
+    a = np.asarray(lo, dtype=float)
+    b = np.asarray(hi, dtype=float)
     h = b - a
-    if h <= tol:
-        m = 0.5 * (a + b)
-        return m, f(m)
-    c = a + INVPHI2 * h
-    d = a + INVPHI * h
+    mid = 0.5 * (a + b)
+    tiny = h <= tol
+    c = np.where(tiny, mid, a + INVPHI2 * h)
+    d = np.where(tiny, mid, a + INVPHI * h)
     yc = f(c)
     yd = f(d)
     for _ in range(max_iter):
-        if h <= tol:
+        active = ~(h <= tol)
+        if not active.any():
             break
-        if yc < yd:
-            b = d
-            d, yd = c, yc
-            h = b - a
-            c = a + INVPHI2 * h
-            yc = f(c)
-        else:
-            a = c
-            c, yc = d, yd
-            h = b - a
-            d = a + INVPHI * h
-            yd = f(d)
-    if yc < yd:
-        return c, yc
-    return d, yd
+        left = yc < yd
+        na = np.where(left, a, c)
+        nb = np.where(left, d, b)
+        nh = nb - na
+        x = np.where(left, na + INVPHI2 * nh, na + INVPHI * nh)
+        y = f(x)
+        new = (na, nb, nh, np.where(left, x, d), np.where(left, y, yd),
+               np.where(left, c, x), np.where(left, yc, y))
+        a, b, h, c, yc, d, yd = (np.where(active, n, o) for n, o in
+                                 zip(new, (a, b, h, c, yc, d, yd)))
+    left = yc < yd
+    arg = np.where(left, c, d)
+    val = np.where(left, yc, yd)
+    if arg.ndim == 0:
+        return float(arg), float(val)
+    return arg, val
 
 
 def golden_min_vec(f: Callable[[np.ndarray], np.ndarray],
@@ -59,42 +66,52 @@ def golden_min_vec(f: Callable[[np.ndarray], np.ndarray],
     """Elementwise golden-section minimization over [lo_i, hi_i].
 
     ``f`` maps an array of points to the array of objective values, one
-    independent unimodal problem per element.  Both interior points are
-    re-evaluated each round; with vectorized objectives the extra call is
-    cheaper than per-element bookkeeping.
+    independent unimodal problem per element, and must broadcast over a
+    leading axis: each round evaluates both interior points in one call on
+    ``np.stack((c, d))``, of shape ``(2,) + lo.shape``.  Returns the final
+    bracket midpoints and their values.
     """
-    a = np.asarray(lo, dtype=float).copy()
-    b = np.asarray(hi, dtype=float).copy()
+    a = np.asarray(lo, dtype=float)
+    b = np.asarray(hi, dtype=float)
     for _ in range(max_iter):
         h = b - a
         if np.all(h <= tol):
             break
         c = a + INVPHI2 * h
         d = a + INVPHI * h
-        left = f(c) < f(d)
+        y = f(np.stack((c, d)))
+        left = y[0] < y[1]
         b = np.where(left, d, b)
         a = np.where(left, a, c)
     mid = 0.5 * (a + b)
     return mid, f(mid)
 
 
-def bisect_predicate(pred: Callable[[float], bool], lo: float, hi: float,
-                     tol: float = 1e-10, max_iter: int = 200) -> float:
-    """Smallest x in [lo, hi] with pred(x) true, assuming pred is monotone
-    (false then true).  Requires pred(hi) true; pred(lo) may be anything.
+def bisect_predicate(pred: Callable[[np.ndarray], np.ndarray], lo, hi,
+                     tol: float = 1e-10, max_iter: int = 200):
+    """Smallest x in [lo, hi] with pred(x) true, elementwise over arrays,
+    assuming pred is monotone (false then true).  Requires pred(hi) true;
+    pred(lo) may be anything, and an element with pred(lo) true reports lo.
+
+    ``pred`` maps an array of points, shaped like ``lo``, to booleans.
+    Every element follows the scalar bisection and is frozen once its
+    bracket is within ``tol``; each round makes one call of ``pred``.
+    Returns a float for scalar bounds.
     """
-    a, b = float(lo), float(hi)
-    if pred(a):
-        return a
+    a = np.asarray(lo, dtype=float)
+    b = np.asarray(hi, dtype=float)
+    at_lo = np.asarray(pred(a), dtype=bool)
+    active = ~at_lo
     for _ in range(max_iter):
-        if b - a <= tol:
+        active = active & ~(b - a <= tol)
+        if not active.any():
             break
         m = 0.5 * (a + b)
-        if pred(m):
-            b = m
-        else:
-            a = m
-    return b
+        p = np.asarray(pred(m), dtype=bool)
+        b = np.where(active & p, m, b)
+        a = np.where(active & ~p, m, a)
+    out = np.where(at_lo, a, b)
+    return float(out) if out.ndim == 0 else out
 
 
 def bisect_root(f: Callable[[float], float], lo: float, hi: float,

@@ -224,7 +224,7 @@ def test_criterion_07_consistency_experiment():
         "the seeds from n=1000 on and the median excess saturates at "
         "exactly 0, leaving nothing left to decrease strictly. Mean excess "
         "does decrease strictly (1.4e-2, 1.9e-3, 1.6e-4 in the "
-        "pre-registered run); see the notes ledger for the analysis.")
+        "pre-registered run); see the Tests section of README.md.")
 
 
 def test_criterion_08_mismatch_witness_and_erm_floor():

@@ -11,7 +11,7 @@ from fdual.losses import (GLink, SurrogateLoss, catalog_generator,
                           catalog_link, catalog_loss, check_A3,
                           check_calibration_convex, check_calibration_general,
                           curve_csv, f_from_loss, loss_from_f,
-                          RECIPE_LINKS)
+                          LOSS_NAMES, RECIPE_LINKS)
 
 INF = math.inf
 
@@ -35,6 +35,18 @@ class TestCatalogValues:
         for name in ("hinge", "exponential", "logistic", "least_squares",
                      "sym_kl", "eq10_nonconvex"):
             assert catalog_loss(name)(-INF) == INF
+
+    def test_negative_infinity_inside_an_array(self):
+        vals = catalog_loss("hinge")(np.array([-INF, 0.5, INF]))
+        assert vals.tolist() == [INF, 0.5, 0.0]
+
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_scalar_and_array_calls_agree_bitwise(self, name):
+        phi = catalog_loss(name)
+        xs = np.random.default_rng(5).uniform(-60.0, 60.0, 4000)
+        arr = phi(xs)
+        assert all(phi(float(x)) == arr[k] for k, x in enumerate(xs))
+        assert all(phi(xs[k:k + 1])[0] == arr[k] for k in range(0, 4000, 97))
 
     def test_u_star_is_value_at_zero(self):
         for name in ("hinge", "exponential", "least_squares"):
@@ -210,6 +222,15 @@ class TestA3:
             lambda a: (1.0 + np.asarray(a, dtype=float)) ** 2,
             "mirrored_square", True, False, -1.0, 0.0)
         assert check_A3(mirrored_sq)
+
+
+class TestLinkCalls:
+    @pytest.mark.parametrize("name", sorted(set(RECIPE_LINKS.values())))
+    def test_scalar_and_array_calls_agree_bitwise(self, name):
+        g = catalog_link(name)
+        xs = np.random.default_rng(6).uniform(-30.0, 30.0, 4000)
+        arr = g(xs)
+        assert all(g(float(x)) == arr[k] for k, x in enumerate(xs))
 
 
 class TestLinkValidation:

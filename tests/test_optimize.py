@@ -1,0 +1,213 @@
+"""The array search kernels against the scalar recurrences they batch.
+
+The oracles below are the scalar golden-section and bisection loops and the
+two-call ``golden_min_vec`` round; the kernels must reproduce them bit for
+bit, element by element.
+"""
+
+import numpy as np
+
+from fdual.optimize import (INVPHI, INVPHI2, bisect_predicate, golden_min,
+                            golden_min_vec)
+
+
+def scalar_golden(f, lo, hi, tol=1e-10, max_iter=200):
+    a, b = float(lo), float(hi)
+    h = b - a
+    if h <= tol:
+        m = 0.5 * (a + b)
+        return m, f(m)
+    c = a + INVPHI2 * h
+    d = a + INVPHI * h
+    yc = f(c)
+    yd = f(d)
+    for _ in range(max_iter):
+        if h <= tol:
+            break
+        if yc < yd:
+            b = d
+            d, yd = c, yc
+            h = b - a
+            c = a + INVPHI2 * h
+            yc = f(c)
+        else:
+            a = c
+            c, yc = d, yd
+            h = b - a
+            d = a + INVPHI * h
+            yd = f(d)
+    if yc < yd:
+        return c, yc
+    return d, yd
+
+
+def scalar_bisect(pred, lo, hi, tol=1e-10, max_iter=200):
+    a, b = float(lo), float(hi)
+    if pred(a):
+        return a
+    for _ in range(max_iter):
+        if b - a <= tol:
+            break
+        m = 0.5 * (a + b)
+        if pred(m):
+            b = m
+        else:
+            a = m
+    return b
+
+
+def two_call_golden_vec(f, lo, hi, tol=1e-10, max_iter=200):
+    a = np.asarray(lo, dtype=float).copy()
+    b = np.asarray(hi, dtype=float).copy()
+    for _ in range(max_iter):
+        h = b - a
+        if np.all(h <= tol):
+            break
+        c = a + INVPHI2 * h
+        d = a + INVPHI * h
+        left = f(c) < f(d)
+        b = np.where(left, d, b)
+        a = np.where(left, a, c)
+    mid = 0.5 * (a + b)
+    return mid, f(mid)
+
+
+def _same(x, y):
+    return np.asarray(x, dtype=float).tobytes() == \
+        np.asarray(y, dtype=float).tobytes()
+
+
+# brackets of widths 1e-11 (already within tol) to 40, so elements converge
+# in different rounds; centres off the bracket midpoints
+LO = np.array([-3.0, 0.2, -40.0, 1.0, -1.0, 5.0, 2.0])
+HI = np.array([4.0, 0.2 + 1e-11, 0.0, 1.0 + 3e-10, 9.0, 6.5, 30.0])
+CENTRE = np.array([0.7, 0.2, -13.0, 1.0, 8.9, 5.0, 2.0 + 1e-3])
+
+
+class TestGoldenMin:
+    def test_array_equals_scalar_recurrence(self):
+        def f(x):
+            return np.cosh(x - CENTRE) + 0.1 * np.square(np.square(x - CENTRE))
+
+        arg, val = golden_min(f, LO, HI)
+        for z in range(LO.size):
+            def fz(x, z=z):
+                d = x - CENTRE[z]
+                return float(np.cosh(d) + 0.1 * np.square(np.square(d)))
+            a, v = scalar_golden(fz, LO[z], HI[z])
+            assert _same(arg[z], a) and _same(val[z], v), z
+
+    def test_elements_converge_in_different_rounds(self):
+        evals = []
+        for z in range(LO.size):
+            n = [0]
+
+            def fz(x, z=z, n=n):
+                n[0] += 1
+                return abs(x - CENTRE[z])
+            scalar_golden(fz, LO[z], HI[z], tol=1e-6)
+            evals.append(n[0])
+        assert len(set(evals)) > 2
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            return np.abs(x - CENTRE)
+
+        golden_min(f, LO, HI, tol=1e-6)
+        assert calls[0] == max(evals)
+
+    def test_bracket_within_tol_reports_midpoint(self):
+        lo = np.array([1.0, -2.0])
+        hi = np.array([1.0 + 1e-11, 2.0])
+        arg, val = golden_min(lambda x: np.square(x - 0.5), lo, hi)
+        assert _same(arg[0], 0.5 * (lo[0] + hi[0]))
+        assert _same(val[0], np.square(arg[0] - 0.5))
+        a, v = scalar_golden(lambda x: np.square(x - 0.5), lo[1], hi[1])
+        assert _same(arg[1], a) and _same(val[1], v)
+
+    def test_scalar_bounds_give_floats(self):
+        arg, val = golden_min(lambda x: np.square(x - 0.3), -1.0, 2.0)
+        assert type(arg) is float and type(val) is float
+        a, v = scalar_golden(lambda x: np.square(x - 0.3), -1.0, 2.0)
+        assert _same(arg, a) and _same(val, v)
+
+    def test_max_iter_caps_each_element(self):
+        arg, _ = golden_min(lambda x: np.square(x - CENTRE), LO, HI, max_iter=7)
+        for z in range(LO.size):
+            a, _ = scalar_golden(lambda x, z=z: np.square(x - CENTRE[z]),
+                                 LO[z], HI[z], max_iter=7)
+            assert _same(arg[z], a), z
+
+
+class TestGoldenMinVec:
+    def test_one_call_per_round_on_stacked_points(self):
+        shapes = []
+
+        def f(x):
+            shapes.append(x.shape)
+            return np.square(x - CENTRE)
+
+        golden_min_vec(f, LO, HI)
+        assert shapes[-1] == LO.shape
+        assert set(shapes[:-1]) == {(2,) + LO.shape}
+
+    def test_matches_two_call_loop(self):
+        mu = np.array([0.3, 0.1, 1e-9, 0.25, 0.05, 0.2, 0.1])
+        pi = np.array([0.1, 0.4, 0.3, 0.25, 0.2, 1e-12, 0.2])
+
+        def objective(alpha):
+            return np.logaddexp(0.0, -alpha) * mu + \
+                np.logaddexp(0.0, alpha) * pi
+
+        got = golden_min_vec(objective, -60.0 + 0 * mu, 60.0 + 0 * mu)
+        want = two_call_golden_vec(objective, -60.0 + 0 * mu, 60.0 + 0 * mu)
+        assert _same(got[0], want[0]) and _same(got[1], want[1])
+
+
+class TestBisectPredicate:
+    def test_array_equals_scalar_bisection(self):
+        roots = np.array([0.7, 0.2, -13.0, 1.0, 8.9, 6.0, 29.0])
+
+        def pred(x):
+            return x >= roots
+
+        got = bisect_predicate(pred, LO, HI, tol=1e-12)
+        for z in range(LO.size):
+            want = scalar_bisect(lambda x, z=z: x >= roots[z], LO[z], HI[z],
+                                 tol=1e-12)
+            assert _same(got[z], want), z
+
+    def test_pred_true_at_lo_reports_lo(self):
+        lo = np.array([-1.0, 0.0, 2.0])
+        hi = np.array([1.0, 1.0, 3.0])
+        calls = [0]
+
+        def pred(x):
+            calls[0] += 1
+            return x >= np.array([-5.0, 0.5, 2.0])
+
+        got = bisect_predicate(pred, lo, hi)
+        assert got[0] == -1.0 and got[2] == 2.0
+        evals = [0]
+
+        def pred1(x):
+            evals[0] += 1
+            return x >= 0.5
+
+        assert _same(got[1], scalar_bisect(pred1, 0.0, 1.0))
+        assert calls[0] == evals[0]
+
+    def test_bracket_within_tol_reports_hi(self):
+        lo = np.array([-1.0, 0.0])
+        hi = np.array([-1.0 + 1e-13, 1.0])
+        got = bisect_predicate(lambda x: x >= 0.25, lo, hi, tol=1e-12)
+        assert got[0] == hi[0]
+        assert _same(got[1], scalar_bisect(lambda x: x >= 0.25, 0.0, 1.0,
+                                           tol=1e-12))
+
+    def test_scalar_bounds_give_a_float(self):
+        got = bisect_predicate(lambda x: x * x >= 2.0, 0.0, 2.0, tol=1e-12)
+        assert type(got) is float
+        assert _same(got, scalar_bisect(lambda x: x * x >= 2.0, 0.0, 2.0,
+                                        tol=1e-12))

@@ -2,16 +2,78 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fdual.errors import InfiniteRisk, MismatchedPair
-from fdual.losses import catalog_generator, catalog_loss
+from fdual.losses import LOSS_NAMES, catalog_generator, catalog_loss
 from fdual.measures import (JointMeasure, Priors, bayes_risk, f_divergence,
                             named_divergence, random_measure)
-from fdual.risk import (RiskReport, closed_form_discriminant,
+from fdual.risk import (RiskReport, closed_form_discriminant, min_per_bin,
                         optimal_phi_risk, phi_risk, verify_correspondence,
                         zero_one_risk)
+from test_optimize import scalar_bisect, scalar_golden
 
 CONVEX_NAMES = ("hinge", "exponential", "logistic", "least_squares", "sym_kl")
+
+
+def scalar_tie_rule(phi, m, args, vals):
+    """The per-bin scalar tie-rule loop that the masked pass replaced."""
+    args = args.copy()
+    for z in range(m.z_count):
+        a, v = float(args[z]), float(vals[z])
+        slack = 1e-12 * (1.0 + abs(v))
+
+        def on_plateau(x, z=z, v=v, slack=slack):
+            return float(phi(x) * m.mu[z] + phi(-x) * m.pi[z]) <= v + slack
+
+        probe = a - 1e-6 * (1.0 + abs(a))
+        if on_plateau(probe):
+            lo = a - 1.0
+            while on_plateau(lo) and a - lo < 2.0 ** 20:
+                lo = a - 2.0 * (a - lo)
+            args[z] = scalar_bisect(on_plateau, lo, a, tol=1e-12)
+    return args
+
+
+def scalar_dense_min(phi, mu, pi):
+    """The per-bin grid scan plus scalar golden refinement that
+    min_per_bin's non-convex branch batched."""
+    b = 50.0 + np.abs(np.log(mu / pi))
+    args = np.empty_like(mu)
+    vals = np.empty_like(mu)
+    grid_unit = np.linspace(-1.0, 1.0, 20001)
+    for z in range(mu.size):
+        grid = grid_unit * float(b[z])
+        obj = phi(grid) * mu[z] + phi(-grid) * pi[z]
+        i = int(np.argmin(obj))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+        arg, val = scalar_golden(
+            lambda a: float(phi(a) * mu[z] + phi(-a) * pi[z]), lo, hi)
+        if obj[i] <= val:
+            arg, val = float(grid[i]), float(obj[i])
+        args[z], vals[z] = arg, val
+    return args, vals
+
+
+def _plateau_measures():
+    half = Priors(0.5, 0.5)
+    return [JointMeasure([0.25, 0.25], [0.25, 0.25], half),
+            JointMeasure([0.1, 0.4], [0.1, 0.4], half),
+            JointMeasure([0.2, 0.3], [0.4, 0.1], half),
+            JointMeasure([0.3, 0.2 - 1e-12, 1e-12], [0.3, 0.1, 0.1], half)]
+
+
+def _extreme_measure(q, pi_w, log_ratios, swap):
+    """Bins whose mass ratios mu_z / pi_z reach down to about 1e-12: every
+    bin but the last gets ratio (p/q) 10**r, the last takes the rest."""
+    pr = Priors.from_q(q)
+    pi = pr.q * np.asarray(pi_w) / np.sum(pi_w)
+    mu = pr.p / pr.q * pi[:-1] * 10.0 ** np.asarray(log_ratios)
+    mu = np.append(mu, pr.p - mu.sum())
+    if swap:
+        return JointMeasure(pi, mu, Priors(pr.q, pr.p))
+    return JointMeasure(mu, pi, pr)
 
 
 class TestPhiRisk:
@@ -88,6 +150,45 @@ class TestOptimalPhiRisk:
             assert v_mix >= lam * v1 + (1 - lam) * v2 - 1e-10
 
 
+class TestTieRule:
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_matches_scalar_loop_on_random_measures(self, name, rng):
+        phi = catalog_loss(name)
+        for k in range(12):
+            m = random_measure(rng, 2 + k % 7)
+            args, vals = min_per_bin(phi, m.mu, m.pi)
+            _, gamma = optimal_phi_risk(phi, m)
+            want = scalar_tie_rule(phi, m, args, vals)
+            assert gamma.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ("hinge", "zero_one", "eq10_nonconvex"))
+    def test_matches_scalar_loop_on_plateaus(self, name):
+        phi = catalog_loss(name)
+        for m in _plateau_measures():
+            args, vals = min_per_bin(phi, m.mu, m.pi)
+            _, gamma = optimal_phi_risk(phi, m)
+            want = scalar_tie_rule(phi, m, args, vals)
+            assert gamma.tobytes() == want.tobytes()
+
+    def test_unbounded_plateau_stops_at_the_doubling_cap(self):
+        m = JointMeasure([0.2, 0.3], [0.4, 0.1], Priors(0.5, 0.5))
+        args, _ = min_per_bin(catalog_loss("zero_one"), m.mu, m.pi)
+        _, gamma = optimal_phi_risk(catalog_loss("zero_one"), m)
+        assert 2.0 ** 20 <= args[0] - gamma[0] <= 2.0 ** 21
+
+
+class TestMinPerBinNonConvex:
+    @pytest.mark.parametrize("name", ("zero_one", "eq10_nonconvex"))
+    def test_matches_scalar_refinement_per_bin(self, name, rng):
+        phi = catalog_loss(name)
+        measures = [random_measure(rng, 2 + k % 7) for k in range(8)]
+        for m in measures + _plateau_measures():
+            args, vals = min_per_bin(phi, m.mu, m.pi)
+            want_args, want_vals = scalar_dense_min(phi, m.mu, m.pi)
+            assert args.tobytes() == want_args.tobytes()
+            assert vals.tobytes() == want_vals.tobytes()
+
+
 class TestClosedFormDiscriminants:
     def test_exponential_half_log_ratio(self, m_standard):
         gamma = closed_form_discriminant("exponential", m_standard)
@@ -127,6 +228,19 @@ class TestCorrespondence:
             m = random_measure(rng, int(rng.integers(2, 9)))
             opt, _ = optimal_phi_risk(phi, m)
             assert abs(opt + f_divergence(f, m)) <= 1e-6
+
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    @given(q=st.floats(0.15, 0.85),
+           pi_w=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=8),
+           data=st.data(), swap=st.booleans())
+    def test_identity_at_extreme_mass_ratios(self, name, q, pi_w, data, swap):
+        # criterion 01's identity at its 1e-6, per-bin ratios down to 1e-12
+        log_ratios = data.draw(st.lists(st.floats(-12.0, 0.0),
+                                        min_size=len(pi_w) - 1,
+                                        max_size=len(pi_w) - 1))
+        m = _extreme_measure(q, pi_w, log_ratios, swap)
+        opt, _ = optimal_phi_risk(catalog_loss(name), m)
+        assert abs(opt + f_divergence(catalog_generator(name), m)) <= 1e-6
 
     def test_report_contents(self, m_standard):
         rep = verify_correspondence(catalog_loss("hinge"),
