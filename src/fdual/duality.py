@@ -29,6 +29,7 @@ _PROBE_CAP = 2.0 ** 40  # beyond this a bound is reported as +/- inf
 _WIDEN_CAP = 1e9
 _BLOCK = 1 << 16  # elements per block of a batched grid scan
 _ZOOM_ROUNDS, _ZOOM_PTS = 11, 33  # each round shrinks the bracket 16-fold
+_TAIL = np.array([1e4, 1e6, 1e8, 1e10])  # chord nodes for the recession slope
 
 
 def _as_float_array(x) -> tuple[np.ndarray, bool]:
@@ -209,9 +210,11 @@ def conjugate(f: Generator, grid: GridSpec | None = None) -> Generator:
 class PsiFunction:
     """Psi(beta) = f*(-beta) with its domain bounds and fixed point.
 
-    Decreasing and convex; +inf below beta1; involutive on (beta1, beta2)
-    with Psi(u_star) = u_star when the generator is loss-realizable.
-    ``fn`` maps an array of betas to the array of values in one call.
+    Decreasing and convex; +inf below beta1 = -f'_inf (may be -inf);
+    involutive on (beta1, beta2) with Psi(u_star) = u_star when the generator
+    is loss-realizable.  ``fn`` maps an array of betas to the array of values
+    in one call.  A numeric Psi is also +inf where its maximizer lies beyond
+    _WIDEN_CAP (numeric exponential Psi(1e-5), truly 1e5).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -238,27 +241,23 @@ def _psi_eval(f: Generator, numeric: bool, grid: GridSpec) -> Callable:
     return lambda beta: fstar(-np.asarray(beta, dtype=float))
 
 
-def _locate_beta1(psi: Callable[[float], float]) -> float:
-    finite_at = None
-    for k in range(42):
-        for cand in ((0.0,) if k == 0 else (2.0 ** (k - 1), -(2.0 ** (k - 1)))):
-            if math.isfinite(psi(cand)):
-                finite_at = cand
-                break
-        if finite_at is not None:
-            break
-    if finite_at is None:
-        raise NoFixedPoint("Psi has no finite value on the probe range")
-    prev = finite_at
-    step = 1.0
-    while step <= _PROBE_CAP:
-        cand = finite_at - step
-        if not math.isfinite(psi(cand)):
-            return bisect_predicate(lambda b: math.isfinite(psi(b)), cand, prev,
-                                    tol=1e-10)
-        prev = cand
-        step *= 2.0
-    return -INF
+def _locate_beta1(f: Callable) -> float:
+    """beta1 = -f'_inf = -lim f(u)/u: dom f* is bounded by the recession
+    slope (Rockafellar 1970, Sec. 8 and Thm 13.3), so f is read, never Psi.
+
+    Chord slopes between the _TAIL nodes rise (f is convex).  Increments that
+    fail to decay (the test of _locate_beta2) with a positive last slope mean
+    a 1-coercive f and beta1 = -inf.  A sequence still <= 0 is read as
+    converging (slowly for -u**0.9) and Aitken-extrapolated.
+    """
+    fs = np.asarray(f(_TAIL), dtype=float)
+    s0, s1, s2 = np.diff(fs) / np.diff(_TAIL)
+    d0, d1 = s1 - s0, s2 - s1
+    if d0 > 1e-7 * (1.0 + abs(s1)) and d1 >= 0.2 * d0 and s2 > 0.0:
+        return -INF
+    if d1 == d0:  # an affine tail, or no decay to extrapolate
+        return float(0.0 - s2)
+    return float(d1 * d1 / (d1 - d0) - s2)
 
 
 def _locate_beta2(f: Generator, psi: Callable[[float], float],
@@ -299,7 +298,7 @@ def _locate_beta2(f: Generator, psi: Callable[[float], float],
     return INF
 
 
-def _locate_fixed_point(psi: Callable[[float], float],
+def _locate_fixed_point(psi: Callable[[np.ndarray], np.ndarray],
                         beta1: float, beta2: float) -> float:
     def s(beta: float) -> float:
         return psi(beta) - beta
@@ -318,12 +317,10 @@ def _locate_fixed_point(psi: Callable[[float], float],
         hi += max(1.0, abs(hi))
         steps += 1
         if steps > 60 or (math.isfinite(beta2) and hi > beta2 + 2.0):
-            if math.isfinite(beta2) and s(beta2 - 1e-9) > 0.0:
+            if not math.isfinite(beta2) or s(beta2 - 1e-9) > 0.0:
                 raise NoFixedPoint("no sign change of Psi(beta) - beta "
                                    "inside (beta1, beta2)")
-            if not math.isfinite(beta2) and steps > 60:
-                raise NoFixedPoint("Psi(beta) - beta has no sign change")
-            hi = beta2 - 1e-9 if math.isfinite(beta2) else hi
+            hi = beta2 - 1e-9
             break
     return bisect_root(s, lo, hi, tol=1e-12)
 
@@ -334,13 +331,16 @@ def psi_from_f(f: Generator, numeric: bool = False,
 
     ``numeric=True`` forces the adaptive-supremum route even when the
     generator carries an analytic conjugate (used to validate the numeric
-    machinery against closed forms).  Raises NoFixedPoint when
+    machinery against closed forms).  beta1 = -f'_inf comes from the
+    recession slope of f (-inf for sym_kl).  The fixed-point bisection needs
+    the numeric Psi's +inf beyond _WIDEN_CAP (just above beta1) to order
+    Psi(beta) - beta > 0 correctly.  Raises NoFixedPoint when
     Psi(beta) - beta has no sign change, i.e. the divergence is not
     realizable by a decreasing convex loss.
     """
     spec = grid or DEFAULT_GRID
     ev = _psi_eval(f, numeric, spec)
-    beta1 = _locate_beta1(ev)
+    beta1 = _locate_beta1(f)
     beta2 = _locate_beta2(f, ev, beta1)
     u_star = _locate_fixed_point(ev, beta1, beta2)
     if not (beta1 < u_star < beta2):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .duality import _locate_beta1
 from .errors import DegenerateFit
 from .measures import (JointMeasure, Priors, Quantizer, SourceSpec,
                        bayes_risk, induce_measures, with_priors)
@@ -96,12 +97,11 @@ def symmetry_check(f, u_grid: np.ndarray | None = None,
     return bool(np.max(gap) <= tol)
 
 
-def coercivity_check(f, slope: float = 1.0) -> bool:
-    """True when f(U)/U keeps growing and clears the reference slope:
-    the superlinear (1-coercive) generators, whose realizing losses are
-    unbounded below."""
-    ratios = [float(f(u)) / u for u in (1e2, 1e4, 1e6)]
-    return ratios[0] < ratios[1] < ratios[2] and ratios[2] > slope
+def coercivity_check(f) -> bool:
+    """True for the 1-coercive generators, whose recession slope
+    lim f(u)/u is +inf (beta1 = -inf: Psi is finite on the whole line) and
+    whose realizing losses are unbounded below."""
+    return _locate_beta1(f) == -np.inf
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import numpy as np
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+_LOOKAHEAD = 4  # bisection levels bisect_root evaluates per call (15 points)
 
 
 def golden_min(f: Callable[[np.ndarray], np.ndarray], lo, hi,
@@ -114,17 +115,30 @@ def bisect_predicate(pred: Callable[[np.ndarray], np.ndarray], lo, hi,
     return float(out) if out.ndim == 0 else out
 
 
-def bisect_root(f: Callable[[float], float], lo: float, hi: float,
+def bisect_root(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
                 tol: float = 1e-10, max_iter: int = 200) -> float:
-    """Root of a decreasing function with f(lo) > 0 > f(hi)."""
+    """Root of a decreasing function with f(lo) > 0 > f(hi).
+
+    ``f`` maps an array of points to their values, element by element.  One
+    call evaluates the midpoints of the next _LOOKAHEAD bisection levels and
+    the scalar recurrence descends them: the result is the scalar
+    bisection's, bit for bit.
+    """
     a, b = float(lo), float(hi)
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm > 0.0:
-            a = m
-        else:
-            b = m
+    steps = 0
+    while steps < max_iter and not b - a <= tol:
+        los, his, mids = np.array([a]), np.array([b]), []
+        for _ in range(_LOOKAHEAD):  # heap order: node i splits into 2i+1, 2i+2
+            mids.append(0.5 * (los + his))
+            los = np.stack((los, mids[-1]), 1).ravel()
+            his = np.stack((mids[-1], his), 1).ravel()
+        pts = np.concatenate(mids)
+        vals = f(pts)
+        node = 0
+        while node < pts.size and steps < max_iter and not b - a <= tol:
+            if vals[node] > 0.0:
+                a, node = float(pts[node]), 2 * node + 2
+            else:
+                b, node = float(pts[node]), 2 * node + 1
+            steps += 1
     return 0.5 * (a + b)

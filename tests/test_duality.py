@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fdual.duality import (Generator, check_convex_sampled,
+from fdual import duality
+from fdual.duality import (Generator, _locate_beta1, check_convex_sampled,
                            check_theorem1_conditions, conjugate, phi_inverse,
                            psi_from_f, psi_tilde_from_loss)
 from fdual.errors import GridTooNarrow, NoFixedPoint
@@ -95,7 +96,49 @@ class TestConjugate:
         assert np.all(s1(vs) >= s2(vs) - 1e-12)
 
 
+# beta2 (pinned bit for bit) and u* of the bridge generators
+BRIDGE_VALUES = {
+    "hinge": (2.0, 1.0),
+    "exponential": (INF, 1.0),
+    "least_squares": (3.9999999999999605, 1.0),
+    "logistic": (INF, math.log(2.0)),
+    "sym_kl": (INF, 0.0),
+}
+
+
+def counted_psi_from_f(monkeypatch, f, **kw):
+    """psi_from_f(f) and the number of calls of its Psi evaluator."""
+    calls = [0]
+    make = duality._psi_eval
+
+    def counting(*args):
+        ev = make(*args)
+
+        def wrapped(beta):
+            calls[0] += 1
+            return ev(beta)
+        return wrapped
+
+    monkeypatch.setattr(duality, "_psi_eval", counting)
+    return psi_from_f(f, **kw), calls[0]
+
+
 class TestPsiFromF:
+    @pytest.mark.parametrize("numeric", [False, True])
+    @pytest.mark.parametrize("name", list(BRIDGE_VALUES))
+    def test_bridge_bounds_fixed_point_and_psi_calls(self, monkeypatch, name,
+                                                     numeric):
+        beta2, u_star = BRIDGE_VALUES[name]
+        psi, calls = counted_psi_from_f(monkeypatch, catalog_generator(name),
+                                        numeric=numeric)
+        if name == "sym_kl":
+            assert psi.beta1 == -INF
+        else:
+            assert abs(psi.beta1) <= 1e-9
+        assert psi.beta2 == beta2
+        assert abs(psi.u_star - u_star) <= 1e-12
+        assert calls <= 16
+
     def test_clipped_min_bounds_and_fixed_point(self):
         psi = psi_from_f(catalog_generator("hinge"))
         assert psi.beta1 == pytest.approx(0.0, abs=1e-6)
@@ -155,18 +198,53 @@ class TestPsiFromF:
                                                           abs=1e-9)
         assert check_theorem1_conditions(psi, tol=1e-6).all_pass
 
-    def test_fully_numeric_route_matches_closed_form(self):
+    def test_fully_numeric_route_matches_closed_form(self, monkeypatch):
         # loss -> induced generator -> numeric Psi, no closed form anywhere
-        psi = psi_from_f(induced_generator(catalog_loss("hinge")))
+        psi, calls = counted_psi_from_f(
+            monkeypatch, induced_generator(catalog_loss("hinge")))
+        assert abs(psi.beta1) <= 1e-9
+        assert psi.beta2 == 2.0000000000310667
+        assert psi.u_star == pytest.approx(1.0, abs=1e-6)
+        assert calls <= 16
         grid = np.linspace(1e-3, 2.0 - 1e-3, 1000)
         np.testing.assert_allclose(psi(grid), 2.0 - grid, atol=1e-4)
-        assert psi.u_star == pytest.approx(1.0, abs=1e-6)
 
     def test_no_fixed_point_for_degenerate_generator(self):
         lin = Generator(lambda u: 2.0 * np.asarray(u, dtype=float),
                         name="linear")
         with pytest.raises(NoFixedPoint):
             psi_from_f(lin)
+
+
+def _arr(u):
+    return np.asarray(u, dtype=float)
+
+
+class TestRecessionSlope:
+    """beta1 = -f'_inf against analytic recession slopes lim f(u)/u."""
+
+    @pytest.mark.parametrize("f, slope, tol", [
+        (catalog_generator("hinge"), 0.0, 0.0),            # -2 min(u, 1)
+        (catalog_generator("exponential"), 0.0, 1e-9),     # -2 sqrt(u)
+        (catalog_generator("least_squares"), 0.0, 1e-9),   # -4u / (u + 1)
+        (catalog_generator("logistic"), 0.0, 1e-9),        # capacitory
+        (lambda u: -np.log1p(_arr(u)), 0.0, 1e-9),
+        # its chord slopes rise by 10**-0.2 per node: a naive decay test
+        # reads divergence
+        (lambda u: -_arr(u) ** 0.9, 0.0, 1e-6),
+        (lambda u: _arr(u) - 2.0 * np.sqrt(_arr(u)), 1.0, 1e-9),
+    ])
+    def test_finite_slopes(self, f, slope, tol):
+        assert abs(-_locate_beta1(f) - slope) <= tol
+
+    @pytest.mark.parametrize("f", [
+        lambda u: _arr(u) ** 2,
+        lambda u: _arr(u) * np.log(_arr(u)),
+        catalog_generator("sym_kl"),
+        catalog_generator("kl"),
+    ])
+    def test_superlinear_slopes_are_infinite(self, f):
+        assert _locate_beta1(f) == -INF
 
 
 class TestTheorem1Conditions:

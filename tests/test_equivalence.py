@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fdual.duality import psi_from_f
 from fdual.equivalence import (affine_fit, coercivity_check, dominance_check,
                                symmetry_check, variational_family_check)
 from fdual.errors import DegenerateFit
@@ -124,6 +125,15 @@ class TestCoercivity:
     @pytest.mark.parametrize("name", ["hinge", "exponential", "logistic"])
     def test_bounded_below_losses_are_not_coercive(self, name):
         assert not coercivity_check(catalog_generator(name))
+
+    @pytest.mark.parametrize("name", ["zero_one", "hinge", "eq10_nonconvex",
+                                      "exponential", "least_squares",
+                                      "logistic", "sym_kl", "kl"])
+    def test_coercive_exactly_when_psi_is_finite_everywhere(self, name):
+        # 1-coercive <=> recession slope +inf <=> beta1 = -inf
+        f = catalog_generator(name)
+        assert coercivity_check(f) == (psi_from_f(f).beta1 == -np.inf)
+        assert coercivity_check(f) == (name in ("sym_kl", "kl"))
 
     def test_coercive_generator_has_unbounded_loss(self):
         # the loss realizing the symmetric-KL generator dives to -inf

@@ -1,14 +1,16 @@
 """The array search kernels against the scalar recurrences they batch.
 
-The oracles below are the scalar golden-section and bisection loops and the
-two-call ``golden_min_vec`` round; the kernels must reproduce them bit for
-bit, element by element.
+The oracles below are the scalar golden-section and bisection loops, the
+two-call ``golden_min_vec`` round and the scalar root bisection; the kernels
+must reproduce them bit for bit, element by element.
 """
+
+import math
 
 import numpy as np
 
-from fdual.optimize import (INVPHI, INVPHI2, bisect_predicate, golden_min,
-                            golden_min_vec)
+from fdual.optimize import (INVPHI, INVPHI2, bisect_predicate, bisect_root,
+                            golden_min, golden_min_vec)
 
 
 def scalar_golden(f, lo, hi, tol=1e-10, max_iter=200):
@@ -54,6 +56,20 @@ def scalar_bisect(pred, lo, hi, tol=1e-10, max_iter=200):
         else:
             a = m
     return b
+
+
+def scalar_bisect_root(f, lo, hi, tol=1e-10, max_iter=200):
+    a, b = float(lo), float(hi)
+    for _ in range(max_iter):
+        if b - a <= tol:
+            break
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if fm > 0.0:
+            a = m
+        else:
+            b = m
+    return 0.5 * (a + b)
 
 
 def two_call_golden_vec(f, lo, hi, tol=1e-10, max_iter=200):
@@ -211,3 +227,67 @@ class TestBisectPredicate:
         assert type(got) is float
         assert _same(got, scalar_bisect(lambda x: x * x >= 2.0, 0.0, 2.0,
                                         tol=1e-12))
+
+
+class TestBisectRoot:
+    @staticmethod
+    def _levels(f, lo, hi, **kw):
+        """The scalar loop's result and its number of halvings."""
+        n = [0]
+
+        def counted(x):
+            n[0] += 1
+            return f(x)
+        return scalar_bisect_root(counted, lo, hi, **kw), n[0]
+
+    @staticmethod
+    def _lookahead(f, lo, hi, **kw):
+        calls = []
+
+        def batched(x):
+            calls.append(x.shape)
+            return f(x)
+        return bisect_root(batched, lo, hi, **kw), calls
+
+    def test_random_brackets_match_scalar_loop(self, rng):
+        for _ in range(200):
+            root = float(rng.uniform(-50.0, 50.0))
+            lo = root - float(rng.uniform(1e-9, 100.0))
+            hi = root + float(rng.uniform(1e-9, 100.0))
+            tol = float(10.0 ** rng.uniform(-13, -2))
+
+            def f(x, root=root):
+                return np.tanh(root - np.asarray(x)) ** 3
+
+            want, levels = self._levels(f, lo, hi, tol=tol)
+            got, calls = self._lookahead(f, lo, hi, tol=tol)
+            assert _same(got, want)
+            # one call per four levels, each on the 15 midpoints of the tree
+            assert len(calls) == math.ceil(levels / 4)
+            assert set(calls) <= {(15,)}
+
+    def test_non_monotone_function_follows_the_same_path(self):
+        def f(x):
+            x = np.asarray(x)
+            return np.sin(7.0 * x) + 0.3 * np.cos(31.0 * x) - 0.1 * x
+
+        for lo, hi in ((-3.0, 4.0), (0.1, 9.7), (-20.0, 1.0)):
+            want, levels = self._levels(f, lo, hi, tol=1e-12)
+            got, calls = self._lookahead(f, lo, hi, tol=1e-12)
+            assert _same(got, want)
+            assert len(calls) == math.ceil(levels / 4)
+
+    def test_bracket_within_tol_makes_no_call(self):
+        got, calls = self._lookahead(lambda x: 1.0 - x, 1.0, 1.0 + 1e-13,
+                                     tol=1e-12)
+        assert calls == [] and _same(got, 0.5 * (1.0 + (1.0 + 1e-13)))
+
+    def test_max_iter_stops_mid_lookahead(self):
+        def f(x):
+            return 0.3 - np.asarray(x)
+
+        for max_iter in (1, 6, 9):
+            want, levels = self._levels(f, 0.0, 1.0, max_iter=max_iter)
+            got, calls = self._lookahead(f, 0.0, 1.0, max_iter=max_iter)
+            assert levels == max_iter and _same(got, want)
+            assert len(calls) == math.ceil(max_iter / 4)
