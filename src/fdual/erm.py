@@ -23,12 +23,12 @@ import numpy as np
 
 from .equivalence import variational_family_check
 from .errors import (EmptySample, IncompatibleQuantizer, NonConvexLoss,
-                     NotVariationalFamily, NoWitnessFound)
+                     NotVariationalFamily, NoWitnessFound, ZeroMassBin)
 from .losses import SurrogateLoss, induced_generator
 from .measures import (BinnedSource, Priors, Quantizer, SourceSpec,
                        TableQuantizer, ThresholdQuantizer, UniformPairSource,
-                       bayes_risk, induce_measures)
-from .optimize import golden_min_vec
+                       induce_measures, threshold_masses)
+from .optimize import weighted_min
 from .risk import min_per_bin, phi_risk, zero_one_risk
 
 INF = math.inf
@@ -154,19 +154,12 @@ def empirical_phi_risk(phi: SurrogateLoss, gamma: np.ndarray, q: Quantizer,
 
 def _gamma_step(phi: SurrogateLoss, w_pos: np.ndarray, w_neg: np.ndarray,
                 bound: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bin minimization of the empirical objective over [-B, B]; bins
-    with no mass get gamma = 0 (predicts the negative class)."""
-
-    def objective(alpha):
-        return phi(alpha) * w_pos + phi(-alpha) * w_neg
-
-    lo = np.full(w_pos.shape, -bound)
-    hi = np.full(w_pos.shape, bound)
-    gam, val = golden_min_vec(objective, lo, hi)
+    """Per-bin minimization of the empirical objective over [-B, B]
+    (``weighted_min``); bins with no mass get gamma = 0 (predicts the
+    negative class)."""
+    gam, val, _ = weighted_min(phi, w_pos, w_neg, bound)
     empty = (w_pos + w_neg) == 0.0
-    gam = np.where(empty, 0.0, gam)
-    val = np.where(empty, 0.0, val)
-    return gam, val
+    return np.where(empty, 0.0, gam), np.where(empty, 0.0, val)
 
 
 @dataclass(frozen=True)
@@ -272,14 +265,8 @@ def _population_weights(q: Quantizer, src: SourceSpec
     degenerate family members (letters with no mass) can still be scored;
     they only ever come out worse, never better."""
     if isinstance(q, ThresholdQuantizer):
-        if not isinstance(src, UniformPairSource):
-            raise IncompatibleQuantizer("threshold quantizers apply only to "
-                                        "uniform-pair sources")
-        p, q_ = src.priors.p, src.priors.q
-        t = q.t
-        mu = np.array([p * (t - src.a), p * (src.c - t)]) / (src.c - src.a)
-        pi = np.array([q_ * t, q_ * (src.b - t)]) / src.b
-        return mu, pi
+        mu, pi = threshold_masses(src, q.t)
+        return mu[0], pi[0]
     if isinstance(q, TableQuantizer):
         if not isinstance(src, BinnedSource):
             raise IncompatibleQuantizer("table quantizers apply only to "
@@ -289,26 +276,20 @@ def _population_weights(q: Quantizer, src: SourceSpec
     raise IncompatibleQuantizer(f"unknown quantizer kind: {type(q).__name__}")
 
 
-def _family_quantizers(fc: FunctionClassSpec, src: SourceSpec):
+def optimal_family_bayes(fc: FunctionClassSpec, src: SourceSpec) -> float:
+    """Least Bayes risk over the quantizer family (per-bin Bayes rule)."""
     if fc.thresholds is not None:
-        for t in fc.thresholds:
-            yield ThresholdQuantizer(float(t))
-        return
+        mu, pi = threshold_masses(src, fc.thresholds)
+        return float(np.minimum(mu, pi).sum(axis=1).min())
     k = int(fc.table_bins)
     nb = src.n_bins
     if k ** nb > 100_000:
         raise ValueError("table family too large to sweep exhaustively")
+    best = INF
     for assign in itertools.product(range(k), repeat=nb):
         rows = np.zeros((nb, k))
         rows[np.arange(nb), list(assign)] = 1.0
-        yield TableQuantizer(rows)
-
-
-def optimal_family_bayes(fc: FunctionClassSpec, src: SourceSpec) -> float:
-    """Least Bayes risk over the quantizer family (per-bin Bayes rule)."""
-    best = INF
-    for q in _family_quantizers(fc, src):
-        mu, pi = _population_weights(q, src)
+        mu, pi = _population_weights(TableQuantizer(rows), src)
         best = min(best, float(np.minimum(mu, pi).sum()))
     return best
 
@@ -349,9 +330,7 @@ def _thresholds_with(q: ThresholdQuantizer, src: UniformPairSource,
 def _optimal_phi_sweep(phi: SurrogateLoss, src: UniformPairSource,
                        ts: np.ndarray) -> np.ndarray:
     """Optimal phi-risk per threshold, one vectorized per-bin sweep."""
-    p, q_ = src.priors.p, src.priors.q
-    mu = np.column_stack([p * (ts - src.a), p * (src.c - ts)]) / (src.c - src.a)
-    pi = np.column_stack([q_ * ts, q_ * (src.b - ts)]) / src.b
+    mu, pi = threshold_masses(src, ts)
     _, vals = min_per_bin(phi, mu.ravel(), pi.ravel())
     return vals.reshape(mu.shape).sum(axis=1)
 
@@ -381,9 +360,10 @@ def lemma2_gap(phi: SurrogateLoss, gamma: np.ndarray, q: ThresholdQuantizer,
             "the inequality is exercised only for a = b "
             f"(got a={fit.a:.3e}, b={fit.b:.3e})")
     ts = _thresholds_with(q, src, thresholds)
-    bayes = np.array([bayes_risk(induce_measures(ThresholdQuantizer(t), src))
-                      for t in ts])
-    r01_star = float(bayes.min())
+    mu, pi = threshold_masses(src, ts)
+    if np.any(mu <= 0.0) or np.any(pi <= 0.0):
+        raise ZeroMassBin("a threshold outside (a, b) empties a bin")
+    r01_star = float(np.minimum(mu, pi).sum(axis=1).min())
     m_q = induce_measures(q, src)
     lhs = 0.5 * fit.c * (zero_one_risk(gamma, m_q) - r01_star)
     rphi_star = float(_optimal_phi_sweep(phi, src, ts).min())
@@ -509,10 +489,7 @@ def quantizer_mismatch(f1, f2,
     best: MismatchWitness | None = None
     for src in (sources if sources is not None else default_mismatch_grid()):
         ts = threshold_grid(src, n_thresholds)
-        p, q_ = src.priors.p, src.priors.q
-        mu = np.column_stack([p * (ts - src.a),
-                              p * (src.c - ts)]) / (src.c - src.a)
-        pi = np.column_stack([q_ * ts, q_ * (src.b - ts)]) / src.b
+        mu, pi = threshold_masses(src, ts)
         ratios = mu / pi
         i1 = (pi * np.asarray(f1(ratios), dtype=float)).sum(axis=1)
         i2 = (pi * np.asarray(f2(ratios), dtype=float)).sum(axis=1)

@@ -41,6 +41,10 @@ class Unbounded(FdualError):
     """A 1-D infimum diverges to -inf."""
 
 
+class NanObjective(FdualError):
+    """A per-element minimization met a NaN objective value."""
+
+
 class InfiniteRisk(FdualError):
     """A risk sum contains a +inf term."""
 

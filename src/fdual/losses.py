@@ -18,15 +18,12 @@ import numpy as np
 from .duality import (Generator, PsiFunction, check_convex_sampled,
                       check_theorem1_conditions, psi_from_f)
 from .errors import BadLink, NotConvex, Unbounded, UnrealizableDivergence
-from .optimize import bisect_predicate, golden_min, golden_min_vec
+from .optimize import BRACKET, bisect_predicate, weighted_min
 
 INF = math.inf
 
 LOSS_NAMES = ("zero_one", "hinge", "exponential", "logistic",
               "least_squares", "sym_kl", "eq10_nonconvex")
-
-CONVEX_CATALOG = ("hinge", "exponential", "logistic", "least_squares",
-                  "sym_kl")
 
 
 @dataclass(frozen=True)
@@ -333,74 +330,35 @@ def catalog_link(name: str) -> GLink:
 
 # --- forward map: loss -> generator ------------------------------------------
 
-_BRACKET = 50.0
 _DENSE_N = 100_000
 
 
-def f_from_loss(phi: SurrogateLoss, u, bracket: float = _BRACKET):
+def f_from_loss(phi: SurrogateLoss, u):
     """Generator value f(u) = -inf_alpha(phi(-alpha) + phi(alpha) u).
 
-    Accepts a scalar or an array of nonnegative u.  Convex losses use
-    golden-section search on [-bracket, bracket] (expanded when the minimizer
-    presses against the edge); non-convex losses use a dense grid with local
-    refinement.  Raises Unbounded if the infimum diverges.
+    Accepts a scalar or an array of nonnegative u, and minimizes with
+    ``weighted_min`` at weights (u, 1) on [-BRACKET, BRACKET].  For a convex
+    loss the bracket doubles while a minimizer sits on its edge and the
+    values still move; a non-convex loss is scanned once (its minimizer
+    sets, such as zero_one's half-lines, may reach the edge).  Raises
+    Unbounded if the infimum diverges.
     """
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    scalar = np.asarray(u, dtype=float).ndim == 0
     if np.any(u_arr < 0.0):
         raise ValueError("u must be nonnegative")
-
-    if phi.convex:
-        vals = _min_objective_convex(phi, u_arr, bracket)
-    else:
-        vals = _min_objective_dense(phi, u_arr, bracket)
-    out = -vals
-    return float(out[0]) if scalar else out
-
-
-def _min_objective_convex(phi: SurrogateLoss, u_arr: np.ndarray,
-                          bracket: float) -> np.ndarray:
-    b = bracket
-    prev = None
+    b, prev = BRACKET, None
     for _ in range(12):
-        lo = np.full_like(u_arr, -b)
-        hi = np.full_like(u_arr, b)
-
-        def objective(alpha):
-            return phi(-alpha) + phi(alpha) * u_arr
-
-        arg, val = golden_min_vec(objective, lo, hi)
-        near_edge = np.any(b - np.abs(arg) < 1e-6 * b)
-        if not near_edge:
-            return val
-        if prev is not None and np.all(np.abs(val - prev)
-                                       <= 1e-12 * (1.0 + np.abs(prev))):
-            return val  # infimum approached asymptotically, value settled
-        prev = val
+        _, vals, at_edge = weighted_min(phi, u_arr, 1.0, b, _DENSE_N)
+        # an infimum approached asymptotically settles as the bracket grows
+        settled = prev is not None and np.all(
+            np.abs(vals - prev) <= 1e-12 * (1.0 + np.abs(prev)))
+        if not (phi.convex and at_edge.any()) or settled:
+            return float(-vals[0]) if np.ndim(u) == 0 else -vals
+        prev = vals
         b *= 2.0
-    # every expansion left the minimizer at the edge with the value still
+    # every expansion left a minimizer at the edge with the value still
     # falling: the infimum is -inf
     raise Unbounded("objective of the forward map diverges to -inf")
-
-
-def _min_objective_dense(phi: SurrogateLoss, u_arr: np.ndarray,
-                         bracket: float) -> np.ndarray:
-    grid = np.linspace(-bracket, bracket, _DENSE_N)
-    phi_pos = phi(grid)
-    phi_neg = phi(-grid)
-    # scan the grid one u at a time in one reused buffer, then refine every
-    # u's best grid cell in one golden search
-    lo, hi, best = (np.empty_like(u_arr) for _ in range(3))
-    vals = np.empty_like(grid)
-    for k, uu in enumerate(u_arr):
-        np.multiply(phi_pos, uu, out=vals)
-        vals += phi_neg
-        i = int(np.argmin(vals))
-        lo[k] = grid[max(i - 1, 0)]
-        hi[k] = grid[min(i + 1, len(grid) - 1)]
-        best[k] = vals[i]
-    _, refined = golden_min(lambda a: phi(-a) + phi(a) * u_arr, lo, hi)
-    return np.where(refined < best, refined, best)
 
 
 def induced_generator(phi: SurrogateLoss) -> Generator:
@@ -495,9 +453,8 @@ def check_calibration_convex(phi: SurrogateLoss) -> bool:
 
 
 def check_calibration_general(phi: SurrogateLoss,
-                              pairs: Iterable[tuple[float, float]] | None = None,
-                              n_grid: int = 20001,
-                              bracket: float = _BRACKET) -> bool:
+                              pairs: Iterable[tuple[float, float]] | None = None
+                              ) -> bool:
     """Pointwise calibration by dense-grid minimization.
 
     For every weight pair (a, b) with a != b the restricted infimum over the
@@ -507,7 +464,7 @@ def check_calibration_general(phi: SurrogateLoss,
     if pairs is None:
         levels = [round(0.1 * k, 1) for k in range(1, 10)]
         pairs = [(x, y) for x in levels for y in levels if x != y]
-    grid = np.linspace(-bracket, bracket, n_grid)
+    grid = np.linspace(-BRACKET, BRACKET, 20001)
     phi_pos = phi(grid)
     phi_neg = phi(-grid)
     for a, b in pairs:

@@ -189,30 +189,40 @@ def with_priors(src: SourceSpec, priors: Priors) -> SourceSpec:
     return replace(src, priors=priors)
 
 
-def induce_measures(q: Quantizer, src: SourceSpec) -> JointMeasure:
-    """Joint measures (mu, pi) over Z induced by routing the source through q.
-
-    For a threshold t on the uniform pair the closed forms are, with p and
-    q_ the priors:
+def threshold_masses(src: SourceSpec, ts) -> tuple[np.ndarray, np.ndarray]:
+    """Masses (mu, pi), each of shape (m, 2), that the thresholds ts induce
+    on a uniform pair; bin 0 lies below t.  With p and q_ the priors:
 
         mu = (p*(t-a)/(c-a),  p*(c-t)/(c-a))
         pi = (q_*t/b,         q_*(b-t)/b)
+
+    No positivity check: a threshold outside (a, b) gives a bin of zero or
+    negative mass.  Raises IncompatibleQuantizer unless src is a uniform pair.
+    """
+    if not isinstance(src, UniformPairSource):
+        raise IncompatibleQuantizer("threshold quantizers apply only to "
+                                    "uniform-pair sources")
+    t = np.asarray(ts, dtype=float).reshape(-1)
+    a, b, c = src.a, src.b, src.c
+    p, q_ = src.priors.p, src.priors.q
+    mu = np.column_stack([p * (t - a) / (c - a), p * (c - t) / (c - a)])
+    pi = np.column_stack([q_ * t / b, q_ * (b - t) / b])
+    return mu, pi
+
+
+def induce_measures(q: Quantizer, src: SourceSpec) -> JointMeasure:
+    """Joint measures (mu, pi) over Z induced by routing the source through q
+    (``threshold_masses`` for a threshold on the uniform pair).
 
     Raises ZeroMassBin if any induced bin mass is not strictly positive, and
     IncompatibleQuantizer on a quantizer/source kind mismatch.
     """
     if isinstance(q, ThresholdQuantizer):
-        if not isinstance(src, UniformPairSource):
-            raise IncompatibleQuantizer("threshold quantizers apply only to "
-                                        "uniform-pair sources")
-        a, b, c = src.a, src.b, src.c
-        t = q.t
-        if not (a < t < b):
-            raise ZeroMassBin(f"threshold {t} outside ({a}, {b}) empties a bin")
-        p, q_ = src.priors.p, src.priors.q
-        mu = np.array([p * (t - a) / (c - a), p * (c - t) / (c - a)])
-        pi = np.array([q_ * t / b, q_ * (b - t) / b])
-        return JointMeasure(mu, pi, src.priors)
+        mu, pi = threshold_masses(src, q.t)
+        if not (src.a < q.t < src.b):
+            raise ZeroMassBin(f"threshold {q.t} outside ({src.a}, {src.b}) "
+                              "empties a bin")
+        return JointMeasure(mu[0], pi[0], src.priors)
     if isinstance(q, TableQuantizer):
         if not isinstance(src, BinnedSource):
             raise IncompatibleQuantizer("table quantizers apply only to "

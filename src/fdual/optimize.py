@@ -1,8 +1,9 @@
-"""One-dimensional search primitives: golden-section minimization and bisection.
+"""One-dimensional search primitives: golden-section minimization, bisection
+and the per-element weighted minimization every module shares.
 
 Everything here works on plain floats or on numpy arrays elementwise, so the
-per-bin minimizations of the risk and ERM modules can run as single vectorized
-sweeps.  All routines are deterministic.
+per-bin minimizations of the risk, loss and ERM modules run as single
+vectorized sweeps.  All routines are deterministic.
 """
 
 from __future__ import annotations
@@ -12,9 +13,15 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import NanObjective
+
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 _LOOKAHEAD = 4  # bisection levels bisect_root evaluates per call (15 points)
+
+# base half-width of the brackets callers pass to weighted_min: minimizers of
+# catalog losses sit within O(log(w_pos/w_neg)) of the origin
+BRACKET = 50.0
 
 
 def golden_min(f: Callable[[np.ndarray], np.ndarray], lo, hi,
@@ -86,6 +93,59 @@ def golden_min_vec(f: Callable[[np.ndarray], np.ndarray],
         a = np.where(left, a, c)
     mid = 0.5 * (a + b)
     return mid, f(mid)
+
+
+def weighted_min(phi, w_pos, w_neg, b, dense_n: int = 20_001):
+    """Minimize phi(a)*w_pos + phi(-a)*w_neg per element on [-b, b].
+
+    The one per-element search of the package: the optimal risk takes it
+    per bin with weights (mu_z, pi_z), the forward map with (u, 1) and ERM
+    with the empirical weights.  Weights and half-widths broadcast together.
+    A convex ``phi`` (``phi.convex``) is searched by ``golden_min_vec``.  Any
+    other is scanned on the grid ``linspace(-1, 1, dense_n) * b``, with
+    phi(+-grid) evaluated once per distinct half-width; every element's best
+    grid cell is then refined by one array ``golden_min``, and the grid point
+    is kept when its value is ``<=`` the refined one.
+
+    Returns (args, vals, at_edge); at_edge marks arguments within 1e-6 b of
+    the bracket edge.  Raises NanObjective if any objective value is NaN.
+    """
+    w_pos, w_neg, b = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (w_pos, w_neg, b)))
+
+    def objective(a):
+        y = phi(a) * w_pos + phi(-a) * w_neg
+        # a NaN makes the sum NaN; so does inf - inf, hence the second test
+        if math.isnan(np.add.reduce(y, None)) and np.isnan(y).any():
+            raise NanObjective(f"the objective of {phi.name} is NaN")
+        return y
+
+    if phi.convex:
+        args, vals = golden_min_vec(objective, -b, b)
+        return args, vals, b - np.abs(args) < 1e-6 * b
+    # scan one element at a time in one reused buffer (an elements x grid
+    # matrix costs memory and time); grid points are unit[i] * h, computed
+    # where needed so that no grid array outlives phi's calls
+    lo, hi, grid_arg, grid_val = (np.empty(b.shape) for _ in range(4))
+    unit = np.linspace(-1.0, 1.0, dense_n)
+    for h in np.unique(b):
+        pos, neg = phi(unit * h), phi(unit * -h)
+        obj = np.empty(dense_n)
+        for k in np.flatnonzero(b == h):
+            wn = w_neg.flat[k]
+            np.multiply(pos, w_pos.flat[k], out=obj)
+            obj += neg if wn == 1.0 else neg * wn  # x * 1.0 == x exactly
+            i = int(np.argmin(obj))  # the first NaN, if there is one
+            lo.flat[k] = unit[max(i - 1, 0)] * h
+            hi.flat[k] = unit[min(i + 1, dense_n - 1)] * h
+            grid_arg.flat[k], grid_val.flat[k] = unit[i] * h, obj[i]
+    if np.isnan(grid_val).any():
+        raise NanObjective(f"the objective of {phi.name} is NaN on the grid")
+    args, vals = golden_min(objective, lo, hi)
+    on_grid = grid_val <= vals
+    args = np.where(on_grid, grid_arg, args)
+    vals = np.where(on_grid, grid_val, vals)
+    return args, vals, b - np.abs(args) < 1e-6 * b
 
 
 def bisect_predicate(pred: Callable[[np.ndarray], np.ndarray], lo, hi,

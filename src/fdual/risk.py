@@ -13,13 +13,10 @@ import numpy as np
 from .errors import InfiniteRisk, MismatchedPair
 from .losses import SurrogateLoss, f_from_loss
 from .measures import JointMeasure, bayes_risk, f_divergence
-from .optimize import bisect_predicate, golden_min, golden_min_vec
+from .optimize import BRACKET, bisect_predicate, weighted_min
 
 INF = math.inf
 
-# per-bin search bracket: minimizers of catalog losses sit within
-# O(log(mu/pi)) of the origin
-_BRACKET_BASE = 50.0
 
 def phi_risk(phi: SurrogateLoss, gamma: np.ndarray, m: JointMeasure) -> float:
     """sum_z phi(gamma_z) mu_z + phi(-gamma_z) pi_z."""
@@ -39,44 +36,21 @@ def zero_one_risk(gamma: np.ndarray, m: JointMeasure) -> float:
     return float(np.sum(np.where(g > 0.0, m.pi, m.mu)))
 
 
-def min_per_bin(phi: SurrogateLoss, mu: np.ndarray, pi: np.ndarray,
-                bound: float | np.ndarray | None = None
+def min_per_bin(phi: SurrogateLoss, mu: np.ndarray, pi: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimize phi(a)*mu_z + phi(-a)*pi_z independently per bin.
 
-    Golden-section for convex losses, dense grid with local refinement
-    otherwise.  Returns (argmins, values); on flat minimizer sets the argmin
-    is golden-section's deterministic interior point.
+    ``weighted_min`` on the per-bin bracket [-b_z, b_z], b_z = BRACKET +
+    |log(mu_z/pi_z)|.  Returns (argmins, values); on flat minimizer sets the
+    argmin is golden-section's deterministic interior point.
     """
     mu = np.asarray(mu, dtype=float)
     pi = np.asarray(pi, dtype=float)
-    if bound is None:
-        with np.errstate(divide="ignore"):
-            ratio = np.where(pi > 0, mu / np.maximum(pi, 1e-300), INF)
-        b = _BRACKET_BASE + np.abs(np.log(np.maximum(ratio, 1e-300)))
-    else:
-        b = np.broadcast_to(np.asarray(bound, dtype=float), mu.shape)
-
-    def objective(alpha):
-        return phi(alpha) * mu + phi(-alpha) * pi
-
-    if phi.convex:
-        return golden_min_vec(objective, -b, b)
-
-    # scan the grid one bin at a time (a bins x grid matrix costs memory and
-    # time), then refine every bin's best grid cell in one golden search
-    grid_unit = np.linspace(-1.0, 1.0, 20001)
-    lo, hi, grid_arg, grid_val = (np.empty_like(mu) for _ in range(4))
-    for z in range(mu.size):
-        grid = grid_unit * float(b[z])
-        obj = phi(grid) * mu[z] + phi(-grid) * pi[z]
-        i = int(np.argmin(obj))
-        lo[z], hi[z] = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-        grid_arg[z], grid_val[z] = grid[i], obj[i]
-    args, vals = golden_min(objective, lo, hi)
-    on_grid = grid_val <= vals
-    return (np.where(on_grid, grid_arg, args),
-            np.where(on_grid, grid_val, vals))
+    with np.errstate(divide="ignore"):
+        ratio = np.where(pi > 0, mu / np.maximum(pi, 1e-300), INF)
+    b = BRACKET + np.abs(np.log(np.maximum(ratio, 1e-300)))
+    args, vals, _ = weighted_min(phi, mu, pi, b)
+    return args, vals
 
 
 def optimal_phi_risk(phi: SurrogateLoss,

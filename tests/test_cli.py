@@ -1,4 +1,7 @@
+import hashlib
 from pathlib import Path
+
+import pytest
 
 from fdual.cli import main
 
@@ -203,3 +206,56 @@ class TestDeterminism:
         assert code1 == code2 == 0
         assert out1 == out2
         assert read_dir(d1) == read_dir(d2)
+
+
+class TestPinnedDigests:
+    """sha256 of every CSV and of stdout for criterion 10's three commands.
+
+    These pin the output bytes across refactors, not just across reruns.  A
+    change that alters the bits on purpose updates the digests here and
+    declares the change, with the old and new digests, in CHANGES.md.
+    """
+
+    COMMANDS = {
+        "verify": (["verify", "--measures", "20", "--losses",
+                    "hinge,exponential"], {
+            "stdout": "093ea0cd7d5cf7b486a8917c049bde7f"
+                      "68aa30fd2756b85a616fd762d65ca0ee",
+            "verify_checks.csv": "42b21db29a75bd2eb52538a63ce2cf45"
+                                 "508460d0de862f87d3ea163dadd75c14",
+            "verify_conditions.csv": "e019bed1dd666f0bddf739aa4f9854fd"
+                                     "5cccb47e7bfb06f9254352c8c6c07d8b",
+            "verify_correspondence.csv": "e60c3f7a9c267e3a76ee48e4950e04e5"
+                                         "779ddb3113196b72678e357ccc2c7d91",
+        }),
+        "erm": (["erm", "--losses", "hinge", "--n", "100,1000", "--seeds",
+                 "5", "--grid", "51", "--mismatch", "hellinger", "--lemma2",
+                 "25"], {
+            "stdout": "2a99baba78c585fe7fb5a991a7427c3a"
+                      "50986335d6afaec9d4fabf688f72867d",
+            "erm_consistency.csv": "2a56a3b5818897814dca94d9fafd69ad"
+                                   "33fee081cd5a47f45b74c9d8835ad782",
+            "erm_mismatch.csv": "09e3e28a53032ee9fd652ef20a4f84f1"
+                                "0ecd38ccd2ae8c2113ef5f115a635a6b",
+            "erm_summary.csv": "bd4c587acc6169ed783acefe21a4534b"
+                               "0aba060807382e6066cc690d97179ddc",
+        }),
+        "equiv": (["equiv"], {
+            "stdout": "341065860562f9632a1f2c660e21c434"
+                      "dd95c47e79d6e7f58f60e41b698be56c",
+            "equiv_pairs.csv": "6014f8e4f518182a6df59abe4aeab1e4"
+                               "0a7b37874620bf92f6ce1e3c39d2e3e0",
+            "equiv_varfam.csv": "a6d9955a9a93ab656cdaca6701dc0dff"
+                                "ab96d86f51f55ea3dd086d26dcf6d8bc",
+        }),
+    }
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_outputs_match_pinned_sha256(self, name, tmp_path, capsys):
+        argv, want = self.COMMANDS[name]
+        code, out, _ = run_cli(argv + ["--out", str(tmp_path)], capsys)
+        assert code == 0
+        got = {"stdout": hashlib.sha256(out.encode()).hexdigest()}
+        got.update((k, hashlib.sha256(v).hexdigest())
+                   for k, v in read_dir(tmp_path).items())
+        assert got == want

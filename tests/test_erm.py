@@ -7,8 +7,8 @@ from fdual.erm import (FunctionClassSpec, consistency_sweep,
                        generate_samples, joint_erm, lemma2_gap,
                        optimal_family_bayes, quantizer_mismatch,
                        threshold_grid)
-from fdual.errors import (EmptySample, NonConvexLoss, NotVariationalFamily,
-                          NoWitnessFound)
+from fdual.errors import (EmptySample, IncompatibleQuantizer, NonConvexLoss,
+                          NotVariationalFamily, NoWitnessFound, ZeroMassBin)
 from fdual.losses import catalog_generator, catalog_loss, induced_generator
 from fdual.measures import (BinnedSource, Priors, TableQuantizer,
                             ThresholdQuantizer, UniformPairSource, bayes_risk,
@@ -190,6 +190,20 @@ class TestExcessBayes:
         assert gap == pytest.approx(v, abs=1e-12)
 
 
+class TestOptimalFamilyBayes:
+    def test_threshold_family_equals_per_quantizer_loop(self, src_default,
+                                                        fc_default):
+        want = min(bayes_risk(induce_measures(ThresholdQuantizer(float(t)),
+                                              src_default))
+                   for t in fc_default.thresholds)
+        assert optimal_family_bayes(fc_default, src_default) == want
+
+    def test_threshold_family_needs_a_uniform_pair(self, fc_default):
+        src = BinnedSource([0.6, 0.4], [0.2, 0.8], Priors(0.5, 0.5))
+        with pytest.raises(IncompatibleQuantizer):
+            optimal_family_bayes(fc_default, src)
+
+
 class TestLemma2:
     def test_inequality_on_random_draws(self, rng):
         hinge = catalog_loss("hinge")
@@ -232,6 +246,15 @@ class TestLemma2:
         lhs, rhs = lemma2_gap(hinge, gamma, q, src_default, thresholds=ts)
         assert rhs == pytest.approx(2.0 * lhs, abs=1e-8)
         assert lhs > 0
+
+    def test_threshold_outside_the_overlap_empties_a_bin(self, src_default):
+        hinge = catalog_loss("hinge")
+        fit = variational_family_check(induced_generator(hinge))
+        for bad in (0.5, 2.0):
+            with pytest.raises(ZeroMassBin):
+                lemma2_gap(hinge, np.zeros(2),
+                           ThresholdQuantizer(1.5), src_default,
+                           thresholds=np.array([1.2, bad]), family_fit=fit)
 
     def test_non_member_rejected(self, src_default):
         q = ThresholdQuantizer(1.5)

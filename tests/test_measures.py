@@ -11,7 +11,7 @@ from fdual.measures import (BinnedSource, JointMeasure, Priors,
                             TableQuantizer, ThresholdQuantizer,
                             UniformPairSource, bayes_risk, f_divergence,
                             induce_measures, named_divergence,
-                            random_measure, with_priors)
+                            random_measure, threshold_masses, with_priors)
 
 
 def make_measure(mu, pi, p=0.5):
@@ -95,6 +95,38 @@ class TestInduceMeasures:
         src = BinnedSource([0.6, 0.4], [0.2, 0.8], Priors(0.5, 0.5))
         with pytest.raises(IncompatibleQuantizer):
             induce_measures(ThresholdQuantizer(1.5), src)
+
+
+class TestThresholdMasses:
+    def test_rows_equal_induced_measures_bitwise(self, rng):
+        for _ in range(20):
+            a = float(rng.uniform(0.2, 2.0))
+            b = a + float(rng.uniform(0.1, 2.0))
+            c = b + float(rng.uniform(0.1, 3.0))
+            pr = Priors.from_q(float(rng.uniform(0.05, 0.95)))
+            src = UniformPairSource(a, b, c, pr)
+            ts = np.sort(rng.uniform(a, b, 7))
+            mu, pi = threshold_masses(src, ts)
+            assert mu.shape == pi.shape == (7, 2)
+            for k, t in enumerate(ts):
+                m = induce_measures(ThresholdQuantizer(float(t)), src)
+                assert mu[k].tobytes() == m.mu.tobytes()
+                assert pi[k].tobytes() == m.pi.tobytes()
+
+    def test_scalar_threshold_is_one_row(self, src_default):
+        mu, pi = threshold_masses(src_default, 1.5)
+        assert mu.shape == pi.shape == (1, 2)
+
+    def test_no_positivity_check(self, src_default):
+        # outside (a, b) a bin goes empty or negative; callers that need
+        # strictly positive masses check themselves
+        mu, pi = threshold_masses(src_default, [0.5, 2.0])
+        assert mu[0, 0] < 0.0 and pi[1, 1] == 0.0
+
+    def test_needs_a_uniform_pair(self):
+        src = BinnedSource([0.6, 0.4], [0.2, 0.8], Priors(0.5, 0.5))
+        with pytest.raises(IncompatibleQuantizer):
+            threshold_masses(src, [0.5])
 
 
 class TestFDivergence:

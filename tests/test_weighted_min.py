@@ -1,0 +1,211 @@
+"""The one per-element minimization kernel, ``optimize.weighted_min``, and
+its thin wrappers ``risk.min_per_bin``, ``losses.f_from_loss`` and the ERM
+gamma step.
+
+The oracles below are frozen copies of the three routines the kernel
+replaced: the forward map's convex golden search with edge doubling, its
+dense grid scan with refinement, and the ERM gamma step.  The new routes
+must reproduce them bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from fdual.errors import NanObjective, Unbounded
+from fdual.erm import (FunctionClassSpec, _gamma_step, _table_counts,
+                       _threshold_weights, generate_samples, joint_erm,
+                       threshold_grid)
+from fdual.losses import LOSS_NAMES, SurrogateLoss, catalog_loss, f_from_loss
+from fdual.measures import BinnedSource, Priors
+from fdual.optimize import golden_min, golden_min_vec, weighted_min
+from fdual.risk import min_per_bin
+
+U_SETS = (np.geomspace(1e-2, 1e2, 21), np.geomspace(1e-6, 1e6, 301),
+          np.array([0.0]))
+
+
+def old_min_objective_convex(phi, u_arr, bracket=50.0):
+    b = bracket
+    prev = None
+    for _ in range(12):
+        lo = np.full_like(u_arr, -b)
+        hi = np.full_like(u_arr, b)
+
+        def objective(alpha):
+            return phi(-alpha) + phi(alpha) * u_arr
+
+        arg, val = golden_min_vec(objective, lo, hi)
+        near_edge = np.any(b - np.abs(arg) < 1e-6 * b)
+        if not near_edge:
+            return val
+        if prev is not None and np.all(np.abs(val - prev)
+                                       <= 1e-12 * (1.0 + np.abs(prev))):
+            return val
+        prev = val
+        b *= 2.0
+    raise Unbounded("objective of the forward map diverges to -inf")
+
+
+def old_min_objective_dense(phi, u_arr, bracket=50.0):
+    grid = np.linspace(-bracket, bracket, 100_000)
+    phi_pos = phi(grid)
+    phi_neg = phi(-grid)
+    lo, hi, best = (np.empty_like(u_arr) for _ in range(3))
+    vals = np.empty_like(grid)
+    for k, uu in enumerate(u_arr):
+        np.multiply(phi_pos, uu, out=vals)
+        vals += phi_neg
+        i = int(np.argmin(vals))
+        lo[k] = grid[max(i - 1, 0)]
+        hi[k] = grid[min(i + 1, len(grid) - 1)]
+        best[k] = vals[i]
+    _, refined = golden_min(lambda a: phi(-a) + phi(a) * u_arr, lo, hi)
+    return np.where(refined < best, refined, best)
+
+
+def old_f_from_loss(phi, u_arr):
+    if phi.convex:
+        return -old_min_objective_convex(phi, u_arr)
+    return -old_min_objective_dense(phi, u_arr)
+
+
+def old_gamma_step(phi, w_pos, w_neg, bound):
+    def objective(alpha):
+        return phi(alpha) * w_pos + phi(-alpha) * w_neg
+
+    lo = np.full(w_pos.shape, -bound)
+    hi = np.full(w_pos.shape, bound)
+    gam, val = golden_min_vec(objective, lo, hi)
+    empty = (w_pos + w_neg) == 0.0
+    gam = np.where(empty, 0.0, gam)
+    val = np.where(empty, 0.0, val)
+    return gam, val
+
+
+def _same(x, y):
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+def _nan_loss(convex):
+    """Hinge, except NaN for 0.5 < |a| < 3 (finite at ERM's +-4)."""
+    def fn(a):
+        bad = (np.abs(a) > 0.5) & (np.abs(a) < 3.0)
+        return np.where(bad, np.nan, np.maximum(0.0, 1.0 - a))
+    return SurrogateLoss(fn, "nan_hinge", convex=convex, decreasing=True,
+                         alpha_star=1.0, inf_value=0.0)
+
+
+class TestForwardMapOracle:
+    # sym_kl at u = 0 meets a NaN objective and now raises (test below)
+    @pytest.mark.parametrize("name,k", [
+        (name, k) for name in LOSS_NAMES for k in range(len(U_SETS))
+        if not (name == "sym_kl" and k == 2)])
+    def test_matches_old_routes_bit_for_bit(self, name, k):
+        phi = catalog_loss(name)
+        us = U_SETS[k]
+        assert _same(f_from_loss(phi, us), old_f_from_loss(phi, us))
+        assert f_from_loss(phi, float(us[-1])) == \
+            old_f_from_loss(phi, us[-1:])[0]
+
+    def test_sym_kl_at_zero_raises(self):
+        # inf_a e^a + a - 1 is -inf; the old golden search read the NaN of
+        # 0 * inf as "not smaller" and returned f(0) = 710.78
+        with pytest.raises(NanObjective), np.errstate(invalid="ignore"):
+            f_from_loss(catalog_loss("sym_kl"), 0.0)
+
+    def test_edge_doubling_matches_old_route(self):
+        # e^(a/40) + u e^(-a/40) is least at a = 20 log u = -138 for
+        # u = 1e-3: the bracket doubles 50 -> 100 -> 200 before it is inside
+        slow = SurrogateLoss(lambda a: np.exp(-np.asarray(a) / 40.0), "slow",
+                             convex=True, decreasing=True,
+                             alpha_star=math.inf, inf_value=0.0)
+        us = np.array([1e-3, 0.5, 2.0])
+        _, _, at_edge = weighted_min(slow, us, 1.0, 50.0)
+        assert at_edge.tolist() == [True, False, False]
+        got = f_from_loss(slow, us)
+        assert _same(got, old_f_from_loss(slow, us))
+        np.testing.assert_allclose(got, -2.0 * np.sqrt(us), rtol=1e-9)
+
+
+class TestGammaStepOracle:
+    def test_threshold_weights(self, src_default):
+        s = generate_samples(src_default, 300, 11)
+        w_pos, w_neg = _threshold_weights(s, threshold_grid(src_default, 51))
+        for name in ("hinge", "exponential", "logistic", "least_squares",
+                     "sym_kl"):
+            phi = catalog_loss(name)
+            got = _gamma_step(phi, w_pos.ravel(), w_neg.ravel(), 4.0)
+            want = old_gamma_step(phi, w_pos.ravel(), w_neg.ravel(), 4.0)
+            assert _same(got[0], want[0]) and _same(got[1], want[1])
+
+    def test_table_weights_with_empty_letters(self):
+        src = BinnedSource([0.5, 0.3, 0.15, 0.05], [0.05, 0.15, 0.3, 0.5],
+                           Priors(0.5, 0.5))
+        s = generate_samples(src, 500, 3)
+        c_pos, c_neg = _table_counts(s, src.n_bins)
+        rows = np.zeros((4, 3))
+        rows[[0, 1, 2, 3], [0, 0, 2, 2]] = 1.0  # letter 1 gets no mass
+        w_pos, w_neg = c_pos @ rows / s.n, c_neg @ rows / s.n
+        assert w_pos[1] == w_neg[1] == 0.0
+        for name in ("hinge", "exponential", "logistic"):
+            phi = catalog_loss(name)
+            got = _gamma_step(phi, w_pos, w_neg, 4.0)
+            want = old_gamma_step(phi, w_pos, w_neg, 4.0)
+            assert _same(got[0], want[0]) and _same(got[1], want[1])
+            assert got[0][1] == got[1][1] == 0.0
+
+
+class TestKernel:
+    def test_dense_grid_is_evaluated_once_per_half_width(self):
+        zero_one = catalog_loss("zero_one")
+        sizes = []
+
+        def fn(a):
+            sizes.append(np.size(a))
+            return zero_one.fn(a)
+
+        phi = SurrogateLoss(fn, "counted", convex=False, decreasing=True,
+                            alpha_star=0.0, inf_value=0.0)
+        mu = np.array([0.1, 0.2, 0.1, 0.4])
+        pi = np.array([0.2, 0.4, 0.3, 0.1])  # bins 0 and 1 share a ratio
+        min_per_bin(phi, mu, pi)
+        assert sizes.count(20_001) == 2 * 3
+        sizes.clear()
+        f_from_loss(phi, np.geomspace(1e-2, 1e2, 21))
+        assert sizes.count(100_000) == 2
+
+    def test_at_edge_marks_minimizers_on_the_bracket(self):
+        phi = catalog_loss("exponential")
+        args, vals, at_edge = weighted_min(phi, [0.0, 1.0], 1.0, 50.0)
+        assert at_edge.tolist() == [True, False]
+        assert args[0] == pytest.approx(-50.0, abs=1e-6)
+        assert vals[1] == pytest.approx(2.0, abs=1e-12)
+
+    def test_weights_broadcast(self):
+        phi = catalog_loss("logistic")
+        u = np.array([0.5, 2.0])
+        one = weighted_min(phi, u, 1.0, 50.0)
+        full = weighted_min(phi, u, np.ones(2), np.full(2, 50.0))
+        assert all(_same(x, y) for x, y in zip(one, full))
+
+
+class TestNanObjective:
+    @pytest.mark.parametrize("convex", (True, False))
+    def test_min_per_bin_raises(self, convex):
+        with pytest.raises(NanObjective):
+            min_per_bin(_nan_loss(convex), np.array([0.3, 0.2]),
+                        np.array([0.1, 0.4]))
+
+    @pytest.mark.parametrize("convex", (True, False))
+    def test_f_from_loss_raises(self, convex):
+        with pytest.raises(NanObjective):
+            f_from_loss(_nan_loss(convex), np.array([0.5, 2.0]))
+
+    def test_joint_erm_raises(self, src_default):
+        fc = FunctionClassSpec(gamma_bound=4.0,
+                               thresholds=threshold_grid(src_default, 11))
+        s = generate_samples(src_default, 200, 1)
+        with pytest.raises(NanObjective):
+            joint_erm(_nan_loss(True), s, fc)
