@@ -1,7 +1,7 @@
 """Margin losses and f-divergences: conjugate duality, risk identities,
 universal equivalence, and joint discriminant/quantizer ERM."""
 
-from .duality import (ConditionReport, Generator, GridSpec, PsiFunction,
+from .duality import (ConditionReport, Generator, PsiFunction,
                       check_theorem1_conditions, conjugate, phi_inverse,
                       psi_from_f, psi_tilde_from_loss)
 from .equivalence import (DominanceReport, EquivalenceReport, affine_fit,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BinnedSource", "ConditionReport", "ConsistencyTable", "DominanceReport",
     "EquivalenceReport", "ErmResult", "FunctionClassSpec", "GLink",
-    "Generator", "GridSpec", "JointMeasure", "MismatchWitness", "PsiFunction",
+    "Generator", "JointMeasure", "MismatchWitness", "PsiFunction",
     "Priors", "RiskReport", "SampleSet", "SurrogateLoss", "TableQuantizer",
     "ThresholdQuantizer", "UniformPairSource", "affine_fit", "bayes_risk",
     "catalog_generator", "catalog_link", "catalog_loss", "check_A3",

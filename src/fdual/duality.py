@@ -3,13 +3,13 @@
 A divergence generator f (convex, lower semicontinuous, +inf below 0) is
 linked to margin losses through Psi(beta) = f*(-beta), where f* is the
 Legendre transform.  This module computes f* and Psi either from analytic
-closed forms attached to a generator or by numeric supremum over an adaptive
-grid; Psi and the conjugates evaluate a whole array in one batched scan (a
-blocked discrete Legendre transform, cf. Lucet 1997).  It also locates the
-domain bounds beta1/beta2 and the fixed point u* of Psi, checks the
-decreasing/involution/fixed-point conditions that characterize
-loss-realizable divergences, and rebuilds Psi directly from a loss through
-the sublevel-set inverse.
+closed forms attached to a generator or by numeric supremum over a fixed
+grid, widened tenfold per level; Psi and the conjugates evaluate a whole
+array in one batched scan (a blocked discrete Legendre transform, cf. Lucet
+1997).  It also locates the domain bounds beta1/beta2 and the fixed point u*
+of Psi, checks the decreasing/involution/fixed-point conditions that
+characterize loss-realizable divergences, and rebuilds Psi directly from a
+loss through the sublevel-set inverse.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ _WIDEN_CAP = 1e9
 _BLOCK = 1 << 16  # elements per block of a batched grid scan
 _ZOOM_ROUNDS, _ZOOM_PTS = 11, 33  # each round shrinks the bracket 16-fold
 _TAIL = np.array([1e4, 1e6, 1e8, 1e10])  # chord nodes for the recession slope
+# numeric suprema scan _grid_points(top) for top = _GRID_TOP, ten times wider
+# per level up to _WIDEN_CAP
+_GRID_TOP, _GRID_HALF, _GRID_LO = 1e3, 10_000, 1e-9
+_COND_N, _COND_WINDOW = 201, 15.0  # Theorem 1 check grid on [-15, 15] at most
 
 
 def _as_float_array(x) -> tuple[np.ndarray, bool]:
@@ -77,26 +81,16 @@ class Generator:
         return cls(fn=interp, name=name, table=(us_a, vals_a))
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Search grid for numeric suprema: hybrid geometric + linear points."""
-
-    hi: float = 1e3
-    n: int = 20000
-    lo_geom: float = 1e-9
-
-    def points(self, halfline: bool, hi: float | None = None) -> np.ndarray:
-        top = self.hi if hi is None else hi
-        half = max(self.n // 2, 8)
-        geo = np.geomspace(self.lo_geom, top, half)
-        lin = np.linspace(0.0, top, half)
-        if halfline:
-            return np.unique(np.concatenate([[0.0], geo, lin]))
-        return np.unique(np.concatenate([-geo[::-1], [0.0], geo, lin,
-                                         -lin[::-1]]))
-
-
-DEFAULT_GRID = GridSpec()
+def _grid_points(halfline: bool, top: float) -> np.ndarray:
+    """Scan grid of one widening level: _GRID_HALF geometric points from
+    _GRID_LO and _GRID_HALF linear ones from 0, up to ``top`` (mirrored to
+    the negative side unless ``halfline``)."""
+    geo = np.geomspace(_GRID_LO, top, _GRID_HALF)
+    lin = np.linspace(0.0, top, _GRID_HALF)
+    if halfline:
+        return np.unique(np.concatenate([[0.0], geo, lin]))
+    return np.unique(np.concatenate([-geo[::-1], [0.0], geo, lin,
+                                     -lin[::-1]]))
 
 
 def _scan(pts: np.ndarray, fpts: np.ndarray,
@@ -120,25 +114,25 @@ def _scan(pts: np.ndarray, fpts: np.ndarray,
     return idx, np.where(np.isnan(best), -INF, best)
 
 
-def _sup_batch(f: Generator, vs: np.ndarray, grid: GridSpec,
-               cache: dict) -> np.ndarray:
+def _sup_batch(f: Generator, vs: np.ndarray, cache: dict) -> np.ndarray:
     """sup_u (u*v - f(u)) for each v of a 1-D array, in one batched pass.
 
-    Each widening level's grid and f on it are computed once and kept in
-    ``cache`` (owned by the caller).  Only rows whose maximizer sits on a
-    grid edge move on to the next, ten times wider level; rows still on the
-    edge at _WIDEN_CAP are +inf, rows with f = +inf on the whole grid -inf.
-    All other rows are refined together by a bracket zoom around their grid
-    maximizer, each round one call of f on every row.  Every step works row
-    by row, so a row's value does not depend on the rest of the batch.
+    Each widening level's points (``_grid_points``) and f on them are
+    computed once and kept in ``cache`` (owned by the caller).  Only rows
+    whose maximizer sits on a grid edge move on to the next, ten times wider
+    level; rows still on the edge at _WIDEN_CAP are +inf, rows with f = +inf
+    on the whole grid -inf.  All other rows are refined together by a
+    bracket zoom around their grid maximizer, each round one call of f on
+    every row.  Every step works row by row, so a row's value does not
+    depend on the rest of the batch.
     """
     out = np.empty(vs.size)
     lo, hi = np.empty(vs.size), np.empty(vs.size)
     todo = np.arange(vs.size)
-    top = grid.hi
+    top = _GRID_TOP
     while todo.size:
         if top not in cache:
-            pts = grid.points(f.halfline, top)
+            pts = _grid_points(f.halfline, top)
             cache[top] = pts, f(pts)
         pts, fpts = cache[top]
         idx, out[todo] = _scan(pts, fpts, vs[todo])
@@ -169,17 +163,16 @@ def _sup_batch(f: Generator, vs: np.ndarray, grid: GridSpec,
     return out
 
 
-def conjugate(f: Generator, grid: GridSpec | None = None) -> Generator:
+def conjugate(f: Generator) -> Generator:
     """Legendre transform f*(v) = sup_u (u*v - f(u)) as a new Generator.
 
     Closed-form generators with an attached analytic conjugate use it
     directly.  Tabulated generators take the supremum over their own nodes
     (exact for piecewise-linear f) and raise GridTooNarrow, naming the first
     offending v, when the maximizing node sits on the table boundary.
-    Anything else falls back to the adaptive numeric supremum.  The tabulated
-    and numeric routes evaluate a whole array in one batched scan.
+    Anything else falls back to the numeric supremum of ``_sup_batch``.  The
+    tabulated and numeric routes evaluate a whole array in one batched scan.
     """
-    spec = grid or DEFAULT_GRID
     if f.conjugate_fn is not None:
         return Generator(fn=f.conjugate_fn, name=f"{f.name}*",
                          halfline=False)
@@ -201,7 +194,7 @@ def conjugate(f: Generator, grid: GridSpec | None = None) -> Generator:
     cache: dict = {}
 
     def eval_numeric(v):
-        return _sup_batch(f, v.reshape(-1), spec, cache).reshape(v.shape)
+        return _sup_batch(f, v.reshape(-1), cache).reshape(v.shape)
 
     return Generator(fn=eval_numeric, name=f"{f.name}*", halfline=False)
 
@@ -229,15 +222,15 @@ class PsiFunction:
         return float(out) if scalar else out
 
 
-def _psi_eval(f: Generator, numeric: bool, grid: GridSpec) -> Callable:
+def _psi_eval(f: Generator, numeric: bool) -> Callable:
     """Psi(beta) = f*(-beta) for a scalar or an array, one conjugate call.
 
-    Without a closed form in use, the conjugate is the adaptive numeric one
+    Without a closed form in use, the conjugate is the numeric one
     (never the tabulated one), and it never reads ``conjugate_fn``.
     """
     if numeric or f.conjugate_fn is None:
         f = Generator(f.fn, name=f.name, halfline=f.halfline)
-    fstar = conjugate(f, grid)
+    fstar = conjugate(f)
     return lambda beta: fstar(-np.asarray(beta, dtype=float))
 
 
@@ -325,11 +318,10 @@ def _locate_fixed_point(psi: Callable[[np.ndarray], np.ndarray],
     return bisect_root(s, lo, hi, tol=1e-12)
 
 
-def psi_from_f(f: Generator, numeric: bool = False,
-               grid: GridSpec | None = None) -> PsiFunction:
+def psi_from_f(f: Generator, numeric: bool = False) -> PsiFunction:
     """Build Psi(beta) = f*(-beta) with located bounds and fixed point.
 
-    ``numeric=True`` forces the adaptive-supremum route even when the
+    ``numeric=True`` forces the numeric-supremum route even when the
     generator carries an analytic conjugate (used to validate the numeric
     machinery against closed forms).  beta1 = -f'_inf comes from the
     recession slope of f (-inf for sym_kl).  The fixed-point bisection needs
@@ -338,8 +330,7 @@ def psi_from_f(f: Generator, numeric: bool = False,
     Psi(beta) - beta has no sign change, i.e. the divergence is not
     realizable by a decreasing convex loss.
     """
-    spec = grid or DEFAULT_GRID
-    ev = _psi_eval(f, numeric, spec)
+    ev = _psi_eval(f, numeric)
     beta1 = _locate_beta1(f)
     beta2 = _locate_beta2(f, ev, beta1)
     u_star = _locate_fixed_point(ev, beta1, beta2)
@@ -381,20 +372,19 @@ class ConditionReport:
         return "\n".join(lines) + "\n"
 
 
-def check_theorem1_conditions(psi: PsiFunction, tol: float,
-                              n_grid: int = 201,
-                              window: float = 15.0) -> ConditionReport:
+def check_theorem1_conditions(psi: PsiFunction, tol: float) -> ConditionReport:
     """Check that Psi is decreasing and convex, involutive on the interior of
     its domain, and has an interior fixed point.
 
-    Failures are recorded in the report, never raised.  The interior grid is
-    clipped to [-window, window] so unbounded domains stay numerically tame;
-    endpoints are excluded because Psi may jump to +inf at beta1.
+    Failures are recorded in the report, never raised.  The 201-point
+    interior grid is clipped to [-15, 15] so unbounded domains stay
+    numerically tame; endpoints are excluded because Psi may jump to +inf at
+    beta1.
     """
     margin = 1e-3
-    lo = psi.beta1 + margin if math.isfinite(psi.beta1) else -window
-    hi = psi.beta2 - margin if math.isfinite(psi.beta2) else window
-    lo, hi = max(lo, -window), min(hi, window)
+    lo = psi.beta1 + margin if math.isfinite(psi.beta1) else -_COND_WINDOW
+    hi = psi.beta2 - margin if math.isfinite(psi.beta2) else _COND_WINDOW
+    lo, hi = max(lo, -_COND_WINDOW), min(hi, _COND_WINDOW)
     checks: list[ConditionCheck] = []
     if not lo < hi:
         nan = float("nan")
@@ -402,20 +392,17 @@ def check_theorem1_conditions(psi: PsiFunction, tol: float,
                  ("decreasing_convex", "involution", "fixed_point")]
         return ConditionReport(tuple(empty))
 
-    grid = np.linspace(lo, hi, n_grid)
+    grid = np.linspace(lo, hi, _COND_N)
     vals = psi(grid)
 
     diffs = np.diff(vals)
-    dec_res = float(np.max(diffs)) if diffs.size else 0.0
-    mid_res = 0.0
-    mid_wit = grid[0]
-    if n_grid >= 3:
-        gaps = vals[1:-1] - 0.5 * (vals[:-2] + vals[2:])
-        k = int(np.argmax(gaps))
-        mid_res = float(gaps[k])
-        mid_wit = float(grid[k + 1])
+    dec_res = float(np.max(diffs))
+    gaps = vals[1:-1] - 0.5 * (vals[:-2] + vals[2:])
+    k = int(np.argmax(gaps))
+    mid_res = float(gaps[k])
     res_i = max(dec_res, mid_res)
-    wit_i = float(grid[int(np.argmax(diffs)) + 1]) if dec_res >= mid_res else mid_wit
+    wit_i = float(grid[int(np.argmax(diffs)) + 1] if dec_res >= mid_res
+                  else grid[k + 1])
     checks.append(ConditionCheck("decreasing_convex", res_i <= tol, wit_i,
                                  max(res_i, 0.0)))
 
@@ -490,13 +477,13 @@ def psi_tilde_from_loss(phi) -> PsiFunction:
                        u_star=float(phi(0.0)), name=f"PsiTilde[{phi.name}]")
 
 
-def check_convex_sampled(f: Callable, grid: np.ndarray, tol: float = 1e-9) -> bool:
-    """Midpoint convexity test on a sampled grid."""
+def check_convex_sampled(f: Callable, grid: np.ndarray) -> bool:
+    """Midpoint convexity test on a sampled grid, with slack 1e-9."""
     grid = np.asarray(grid, dtype=float)
     vals = np.asarray(f(grid), dtype=float)
     mids = 0.5 * (grid[:-1] + grid[1:])
     vmids = np.asarray(f(mids), dtype=float)
     with np.errstate(invalid="ignore"):
-        ok = vmids <= 0.5 * (vals[:-1] + vals[1:]) + tol
+        ok = vmids <= 0.5 * (vals[:-1] + vals[1:]) + 1e-9
     ok = ok | ~np.isfinite(0.5 * (vals[:-1] + vals[1:]))
     return bool(np.all(ok))

@@ -19,14 +19,18 @@ import numpy as np
 from .duality import _locate_beta1
 from .errors import DegenerateFit
 from .measures import (JointMeasure, Priors, Quantizer, SourceSpec,
-                       bayes_risk, induce_measures, with_priors)
+                       induce_measures, quantizer_masses, with_priors)
 
 # 201 log-spaced points on [1e-2, 1e2]; the kink of min(u,1) at u=1 is
 # exactly on the grid
 FIT_GRID = np.geomspace(1e-2, 1e2, 201)
 
-DEFAULT_Q_GRID = np.linspace(0.05, 0.95, 19)
-DEFAULT_C_GRID = np.geomspace(0.1, 10.0, 25)
+# priors q and clip levels c of the dominance comparison
+Q_GRID = np.linspace(0.05, 0.95, 19)
+C_GRID = np.geomspace(0.1, 10.0, 25)
+# reports hand these arrays out; a write through one must not move the grid
+for _grid in (FIT_GRID, Q_GRID, C_GRID):
+    _grid.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -49,15 +53,15 @@ class EquivalenceReport:
                 f"{str(self.verdict).lower()}")
 
 
-def affine_fit(f1, f2, u_grid: np.ndarray | None = None,
-               tol: float = 1e-6) -> EquivalenceReport:
-    """Least-squares fit of f1 against (f2, u, 1) with max-error residual.
+def affine_fit(f1, f2, tol: float = 1e-6) -> EquivalenceReport:
+    """Least-squares fit of f1 against (f2, u, 1) on FIT_GRID with
+    max-error residual.
 
     Verdict is true when the fit is tight and the leading coefficient is
     positive.  Raises DegenerateFit when f2 is affine on the grid (the
     normal equations become singular).
     """
-    us = FIT_GRID if u_grid is None else np.asarray(u_grid, dtype=float)
+    us = FIT_GRID
     y = np.asarray(f1(us), dtype=float)
     cols = np.column_stack([np.asarray(f2(us), dtype=float), us,
                             np.ones_like(us)])
@@ -80,21 +84,18 @@ def _neg_min_u1(u):
     return -np.minimum(np.asarray(u, dtype=float), 1.0)
 
 
-def variational_family_check(f, u_grid: np.ndarray | None = None,
-                             tol: float = 1e-6) -> EquivalenceReport:
+def variational_family_check(f, tol: float = 1e-6) -> EquivalenceReport:
     """Membership test for f(u) = -c*min(u,1) + a*u + b with c > 0."""
-    return affine_fit(f, _neg_min_u1, u_grid=u_grid, tol=tol)
+    return affine_fit(f, _neg_min_u1, tol=tol)
 
 
-def symmetry_check(f, u_grid: np.ndarray | None = None,
-                   tol: float = 1e-9) -> bool:
-    """f(u) == u*f(1/u) on the grid: the divergence treats its two
-    arguments symmetrically, hence is realizable by a margin loss."""
-    us = FIT_GRID if u_grid is None else np.asarray(u_grid, dtype=float)
-    us = us[us > 0]
+def symmetry_check(f) -> bool:
+    """f(u) == u*f(1/u) within 1e-9 on FIT_GRID: the divergence treats its
+    two arguments symmetrically, hence is realizable by a margin loss."""
+    us = FIT_GRID
     gap = np.abs(np.asarray(f(us), dtype=float)
                  - us * np.asarray(f(1.0 / us), dtype=float))
-    return bool(np.max(gap) <= tol)
+    return bool(np.max(gap) <= 1e-9)
 
 
 def coercivity_check(f) -> bool:
@@ -108,10 +109,10 @@ def coercivity_check(f) -> bool:
 class DominanceReport:
     """Blackwell comparison of two quantizers on a common source.
 
-    Condition (a): Bayes risks compared under every prior in q_grid.
-    Condition (b): divergences of the class-conditionals under every
-    clipped-linear generator -min(u, c) for c in c_grid.  The two verdicts
-    must agree.
+    Condition (a): Bayes risks compared under every prior in q_grid
+    (Q_GRID).  Condition (b): divergences of the class-conditionals under
+    every clipped-linear generator -min(u, c) for c in c_grid (C_GRID).  The
+    two verdicts must agree, each read with slack 1e-12.
     """
 
     q_grid: np.ndarray
@@ -136,31 +137,34 @@ class DominanceReport:
         return "\n".join(lines) + "\n"
 
 
-def _clipped_divergences(m: JointMeasure, c_grid: np.ndarray) -> np.ndarray:
-    """I_f of the class-conditionals for f(u) = -min(u, c), per c."""
+def _clipped_divergences(m: JointMeasure) -> np.ndarray:
+    """I_f of the class-conditionals for f(u) = -min(u, c), per c of C_GRID."""
     p1, p_1 = m.conditionals()
-    return np.array([-float(np.minimum(p1, c * p_1).sum()) for c in c_grid])
+    return -np.minimum(p1, C_GRID[:, None] * p_1).sum(axis=1)
 
 
-def dominance_check(q1: Quantizer, q2: Quantizer, src: SourceSpec,
-                    q_grid: np.ndarray | None = None,
-                    c_grid: np.ndarray | None = None,
-                    eps: float = 1e-12) -> DominanceReport:
-    """Evaluate both sides of the Blackwell dominance equivalence."""
-    qs = DEFAULT_Q_GRID if q_grid is None else np.asarray(q_grid, dtype=float)
-    cs = DEFAULT_C_GRID if c_grid is None else np.asarray(c_grid, dtype=float)
-    b1 = np.empty_like(qs)
-    b2 = np.empty_like(qs)
-    for i, q in enumerate(qs):
-        priors = Priors.from_q(float(q))
-        b1[i] = bayes_risk(induce_measures(q1, with_priors(src, priors)))
-        b2[i] = bayes_risk(induce_measures(q2, with_priors(src, priors)))
+def dominance_check(q1: Quantizer, q2: Quantizer,
+                    src: SourceSpec) -> DominanceReport:
+    """Evaluate both sides of the Blackwell dominance equivalence.
+
+    Builds both induced measures first, so a quantizer that empties a bin
+    raises ZeroMassBin; each prior's Bayes risk then comes from the raw
+    masses of ``quantizer_masses``.
+    """
     m1 = induce_measures(q1, src)
     m2 = induce_measures(q2, src)
-    d1 = _clipped_divergences(m1, cs)
-    d2 = _clipped_divergences(m2, cs)
+    b1 = np.empty_like(Q_GRID)
+    b2 = np.empty_like(Q_GRID)
+    for i, q in enumerate(Q_GRID):
+        src_q = with_priors(src, Priors.from_q(float(q)))
+        b1[i] = np.minimum(*quantizer_masses(q1, src_q)).sum()
+        b2[i] = np.minimum(*quantizer_masses(q2, src_q)).sum()
+    d1 = _clipped_divergences(m1)
+    d2 = _clipped_divergences(m2)
+    eps = 1e-12
     dom_a = (bool(np.all(b1 <= b2 + eps)), bool(np.all(b2 <= b1 + eps)))
     dom_b = (bool(np.all(d1 >= d2 - eps)), bool(np.all(d2 >= d1 - eps)))
-    return DominanceReport(q_grid=qs, bayes_1=b1, bayes_2=b2, c_grid=cs,
-                           div_1=d1, div_2=d2, dominance_by_prior=dom_a,
+    return DominanceReport(q_grid=Q_GRID, bayes_1=b1, bayes_2=b2,
+                           c_grid=C_GRID, div_1=d1, div_2=d2,
+                           dominance_by_prior=dom_a,
                            dominance_by_divergence=dom_b)

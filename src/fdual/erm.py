@@ -27,7 +27,7 @@ from .errors import (EmptySample, IncompatibleQuantizer, NonConvexLoss,
 from .losses import SurrogateLoss, induced_generator
 from .measures import (BinnedSource, Priors, Quantizer, SourceSpec,
                        TableQuantizer, ThresholdQuantizer, UniformPairSource,
-                       induce_measures, threshold_masses)
+                       induce_measures, quantizer_masses, threshold_masses)
 from .optimize import weighted_min
 from .risk import min_per_bin, phi_risk, zero_one_risk
 
@@ -257,25 +257,6 @@ def _erm_table(phi: SurrogateLoss, s: SampleSet,
                      excess_bayes=excess, objective_trace=tuple(trace))
 
 
-def _population_weights(q: Quantizer, src: SourceSpec
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Induced per-letter masses as raw arrays.
-
-    Unlike induce_measures this does not insist on strict positivity, so
-    degenerate family members (letters with no mass) can still be scored;
-    they only ever come out worse, never better."""
-    if isinstance(q, ThresholdQuantizer):
-        mu, pi = threshold_masses(src, q.t)
-        return mu[0], pi[0]
-    if isinstance(q, TableQuantizer):
-        if not isinstance(src, BinnedSource):
-            raise IncompatibleQuantizer("table quantizers apply only to "
-                                        "binned sources")
-        return (src.priors.p * (src.pos_masses @ q.rows),
-                src.priors.q * (src.neg_masses @ q.rows))
-    raise IncompatibleQuantizer(f"unknown quantizer kind: {type(q).__name__}")
-
-
 def optimal_family_bayes(fc: FunctionClassSpec, src: SourceSpec) -> float:
     """Least Bayes risk over the quantizer family (per-bin Bayes rule)."""
     if fc.thresholds is not None:
@@ -289,14 +270,14 @@ def optimal_family_bayes(fc: FunctionClassSpec, src: SourceSpec) -> float:
     for assign in itertools.product(range(k), repeat=nb):
         rows = np.zeros((nb, k))
         rows[np.arange(nb), list(assign)] = 1.0
-        mu, pi = _population_weights(TableQuantizer(rows), src)
+        mu, pi = quantizer_masses(TableQuantizer(rows), src)
         best = min(best, float(np.minimum(mu, pi).sum()))
     return best
 
 
 def _excess_bayes(gamma: np.ndarray, q: Quantizer, src: SourceSpec,
                   fc: FunctionClassSpec) -> float:
-    mu, pi = _population_weights(q, src)
+    mu, pi = quantizer_masses(q, src)
     g = np.asarray(gamma, dtype=float)
     pair_risk = float(np.sum(np.where(g > 0.0, pi, mu)))
     return pair_risk - optimal_family_bayes(fc, src)
@@ -304,7 +285,7 @@ def _excess_bayes(gamma: np.ndarray, q: Quantizer, src: SourceSpec,
 
 def _population_phi_risk(phi: SurrogateLoss, gamma: np.ndarray, q: Quantizer,
                          src: SourceSpec) -> float:
-    mu, pi = _population_weights(q, src)
+    mu, pi = quantizer_masses(q, src)
     g = np.asarray(gamma, dtype=float)
     return float(np.sum(phi(g) * mu + phi(-g) * pi))
 
@@ -476,19 +457,18 @@ def default_mismatch_grid() -> list[UniformPairSource]:
     return sources
 
 
-def quantizer_mismatch(f1, f2,
-                       sources: list[UniformPairSource] | None = None,
-                       n_thresholds: int = 101) -> MismatchWitness:
-    """Search the source family for a witness where the f1- and f2-optimal
-    thresholds differ; among witnesses return the one with the largest
-    Bayes-risk gap between the two selections.
+def quantizer_mismatch(f1, f2) -> MismatchWitness:
+    """Search the sources of ``default_mismatch_grid`` for a witness where
+    the f1- and f2-optimal thresholds (101 per source) differ; among
+    witnesses return the one with the largest Bayes-risk gap between the two
+    selections.
 
     Raises NoWitnessFound when every searched source orders thresholds
     identically (expected for universally equivalent generators).
     """
     best: MismatchWitness | None = None
-    for src in (sources if sources is not None else default_mismatch_grid()):
-        ts = threshold_grid(src, n_thresholds)
+    for src in default_mismatch_grid():
+        ts = threshold_grid(src, 101)
         mu, pi = threshold_masses(src, ts)
         ratios = mu / pi
         i1 = (pi * np.asarray(f1(ratios), dtype=float)).sum(axis=1)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .duality import (Generator, PsiFunction, check_convex_sampled,
+from .duality import (Generator, check_convex_sampled,
                       check_theorem1_conditions, psi_from_f)
 from .errors import BadLink, NotConvex, Unbounded, UnrealizableDivergence
 from .optimize import BRACKET, bisect_predicate, weighted_min
@@ -73,17 +73,18 @@ class GLink:
             vals = np.asarray(self.fn(arr), dtype=float)
         return float(vals) if scalar else vals
 
-    def validate(self, span: float = 10.0, n: int = 201) -> None:
-        """Raise BadLink unless anchor, monotonicity, convexity and the
-        right derivative at the anchor all check out."""
+    def validate(self) -> None:
+        """Raise BadLink unless anchor, monotonicity, convexity (sampled at
+        201 points of [u_star, u_star + 10]) and the right derivative at the
+        anchor all check out."""
         if abs(self(self.u_star) - self.u_star) > 1e-12:
             raise BadLink(f"g({self.u_star}) != {self.u_star} "
                           f"(got {self(self.u_star)})")
-        grid = np.linspace(self.u_star, self.u_star + span, n)
+        grid = np.linspace(self.u_star, self.u_star + 10.0, 201)
         vals = self(grid)
         if np.any(np.diff(vals) < -1e-12):
             raise BadLink("link is not increasing on the sampled range")
-        if not check_convex_sampled(self, grid, tol=1e-9):
+        if not check_convex_sampled(self, grid):
             raise BadLink("link fails the sampled midpoint convexity test")
         h = 1e-6
         if (self(self.u_star + h) - self(self.u_star)) / h <= 0.0:
@@ -369,8 +370,7 @@ def induced_generator(phi: SurrogateLoss) -> Generator:
 
 # --- constructive map: (f, g) -> loss ----------------------------------------
 
-def loss_from_f(f: Generator, g: GLink, name: str | None = None,
-                psi: PsiFunction | None = None) -> SurrogateLoss:
+def loss_from_f(f: Generator, g: GLink) -> SurrogateLoss:
     """Build the decreasing-branch loss realizing the divergence of f.
 
         phi(alpha) = u*             at alpha = 0
@@ -381,8 +381,7 @@ def loss_from_f(f: Generator, g: GLink, name: str | None = None,
     fixed-point conditions and BadLink when g violates its contract at the
     fixed point of Psi.
     """
-    if psi is None:
-        psi = psi_from_f(f)
+    psi = psi_from_f(f)
     tol = 1e-6 if f.conjugate_fn is not None else 1e-4
     report = check_theorem1_conditions(psi, tol=tol)
     if not report.all_pass:
@@ -408,10 +407,10 @@ def loss_from_f(f: Generator, g: GLink, name: str | None = None,
     alpha_star = _recipe_alpha_star(g_anchored, u_star, psi.beta2)
     inf_value = -f(0.0) if math.isfinite(f(0.0)) else -INF
     probe = np.linspace(-6.0, 6.0, 401)
-    loss_name = name or f"recipe[{f.name},{g.name}]"
+    loss_name = f"recipe[{f.name},{g.name}]"
     tmp = SurrogateLoss(fn, loss_name, convex=True, decreasing=True,
                         alpha_star=alpha_star, inf_value=inf_value)
-    convex = check_convex_sampled(tmp, probe, tol=1e-9)
+    convex = check_convex_sampled(tmp, probe)
     decreasing = bool(np.all(np.diff(tmp(probe)) <= 1e-9))
     return SurrogateLoss(fn, loss_name, convex=convex, decreasing=decreasing,
                          alpha_star=alpha_star, inf_value=inf_value)
@@ -433,6 +432,10 @@ def _recipe_alpha_star(g: GLink, u_star: float, beta2: float) -> float:
 
 # --- calibration and shape checks --------------------------------------------
 
+_LEVELS = [round(0.1 * k, 1) for k in range(1, 10)]
+_CALIBRATION_PAIRS = [(x, y) for x in _LEVELS for y in _LEVELS if x != y]
+
+
 def check_calibration_convex(phi: SurrogateLoss) -> bool:
     """Convex-loss calibration test: differentiable at 0 with slope < 0.
 
@@ -452,24 +455,17 @@ def check_calibration_convex(phi: SurrogateLoss) -> bool:
     return slope < 0.0
 
 
-def check_calibration_general(phi: SurrogateLoss,
-                              pairs: Iterable[tuple[float, float]] | None = None
-                              ) -> bool:
+def check_calibration_general(phi: SurrogateLoss) -> bool:
     """Pointwise calibration by dense-grid minimization.
 
-    For every weight pair (a, b) with a != b the restricted infimum over the
-    wrong-sign margins must strictly exceed the infimum over the right-sign
-    margins.  Works for non-convex losses.
+    For every weight pair (a, b) of distinct levels 0.1, ..., 0.9 the
+    restricted infimum over the wrong-sign margins must strictly exceed the
+    infimum over the right-sign margins.  Works for non-convex losses.
     """
-    if pairs is None:
-        levels = [round(0.1 * k, 1) for k in range(1, 10)]
-        pairs = [(x, y) for x in levels for y in levels if x != y]
     grid = np.linspace(-BRACKET, BRACKET, 20001)
     phi_pos = phi(grid)
     phi_neg = phi(-grid)
-    for a, b in pairs:
-        if a == b:
-            continue
+    for a, b in _CALIBRATION_PAIRS:
         objective = a * phi_pos + b * phi_neg
         wrong = grid * (a - b) < 0.0
         right = ~wrong  # alpha*(a-b) >= 0, includes alpha = 0
@@ -480,16 +476,14 @@ def check_calibration_general(phi: SurrogateLoss,
     return True
 
 
-def check_A3(phi: SurrogateLoss,
-             eps_grid: Sequence[float] | None = None) -> bool:
+def check_A3(phi: SurrogateLoss) -> bool:
     """Negative deviations from the loss minimizer must cost at least as much
-    as positive ones; vacuously true when the minimizer is at +inf."""
+    as positive ones, at 25 log-spaced deviations in [1e-6, 10]; vacuously
+    true when the minimizer is at +inf."""
     if not math.isfinite(phi.alpha_star):
         return True
-    if eps_grid is None:
-        eps_grid = np.geomspace(1e-6, 10.0, 25)
     a = phi.alpha_star
-    for eps in eps_grid:
+    for eps in np.geomspace(1e-6, 10.0, 25):
         if phi(a - eps) < phi(a + eps) - 1e-12:
             return False
     return True

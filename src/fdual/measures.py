@@ -210,19 +210,18 @@ def threshold_masses(src: SourceSpec, ts) -> tuple[np.ndarray, np.ndarray]:
     return mu, pi
 
 
-def induce_measures(q: Quantizer, src: SourceSpec) -> JointMeasure:
-    """Joint measures (mu, pi) over Z induced by routing the source through q
-    (``threshold_masses`` for a threshold on the uniform pair).
+def quantizer_masses(q: Quantizer, src: SourceSpec
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-letter masses (mu, pi) that routing the source through q induces,
+    as raw arrays (``threshold_masses`` for a threshold on the uniform pair).
 
-    Raises ZeroMassBin if any induced bin mass is not strictly positive, and
-    IncompatibleQuantizer on a quantizer/source kind mismatch.
+    No positivity check, so degenerate quantizers (letters with no mass) can
+    still be scored.  Raises IncompatibleQuantizer on a quantizer/source kind
+    mismatch or a table whose row count is not the source's bin count.
     """
     if isinstance(q, ThresholdQuantizer):
         mu, pi = threshold_masses(src, q.t)
-        if not (src.a < q.t < src.b):
-            raise ZeroMassBin(f"threshold {q.t} outside ({src.a}, {src.b}) "
-                              "empties a bin")
-        return JointMeasure(mu[0], pi[0], src.priors)
+        return mu[0], pi[0]
     if isinstance(q, TableQuantizer):
         if not isinstance(src, BinnedSource):
             raise IncompatibleQuantizer("table quantizers apply only to "
@@ -230,10 +229,23 @@ def induce_measures(q: Quantizer, src: SourceSpec) -> JointMeasure:
         if q.n_bins != src.n_bins:
             raise IncompatibleQuantizer(
                 f"table has {q.n_bins} rows but the source has {src.n_bins} bins")
-        mu = src.priors.p * (src.pos_masses @ q.rows)
-        pi = src.priors.q * (src.neg_masses @ q.rows)
-        return JointMeasure(mu, pi, src.priors)
+        return (src.priors.p * (src.pos_masses @ q.rows),
+                src.priors.q * (src.neg_masses @ q.rows))
     raise IncompatibleQuantizer(f"unknown quantizer kind: {type(q).__name__}")
+
+
+def induce_measures(q: Quantizer, src: SourceSpec) -> JointMeasure:
+    """Joint measures (mu, pi) over Z induced by routing the source through q
+    (``quantizer_masses``).
+
+    Raises ZeroMassBin if any induced bin mass is not strictly positive, and
+    IncompatibleQuantizer on a quantizer/source kind mismatch.
+    """
+    mu, pi = quantizer_masses(q, src)
+    if isinstance(q, ThresholdQuantizer) and not (src.a < q.t < src.b):
+        raise ZeroMassBin(f"threshold {q.t} outside ({src.a}, {src.b}) "
+                          "empties a bin")
+    return JointMeasure(mu, pi, src.priors)
 
 
 def f_divergence(f: Callable[[np.ndarray], np.ndarray], m: JointMeasure) -> float:

@@ -68,22 +68,22 @@ def golden_min(f: Callable[[np.ndarray], np.ndarray], lo, hi,
 
 
 def golden_min_vec(f: Callable[[np.ndarray], np.ndarray],
-                   lo: np.ndarray, hi: np.ndarray,
-                   tol: float = 1e-10, max_iter: int = 200
+                   lo: np.ndarray, hi: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise golden-section minimization over [lo_i, hi_i].
 
     ``f`` maps an array of points to the array of objective values, one
     independent unimodal problem per element, and must broadcast over a
     leading axis: each round evaluates both interior points in one call on
-    ``np.stack((c, d))``, of shape ``(2,) + lo.shape``.  Returns the final
+    ``np.stack((c, d))``, of shape ``(2,) + lo.shape``.  Runs until every
+    bracket is within 1e-10, at most 200 rounds, and returns the final
     bracket midpoints and their values.
     """
     a = np.asarray(lo, dtype=float)
     b = np.asarray(hi, dtype=float)
-    for _ in range(max_iter):
+    for _ in range(200):
         h = b - a
-        if np.all(h <= tol):
+        if np.all(h <= 1e-10):
             break
         c = a + INVPHI2 * h
         d = a + INVPHI * h
@@ -108,16 +108,23 @@ def weighted_min(phi, w_pos, w_neg, b, dense_n: int = 20_001):
     is kept when its value is ``<=`` the refined one.
 
     Returns (args, vals, at_edge); at_edge marks arguments within 1e-6 b of
-    the bracket edge.  Raises NanObjective if any objective value is NaN.
+    the bracket edge.  Raises NanObjective if any objective value is NaN
+    other than a zero weight times an infinite loss, which counts as 0.
     """
     w_pos, w_neg, b = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (w_pos, w_neg, b)))
 
     def objective(a):
-        y = phi(a) * w_pos + phi(-a) * w_neg
+        pos, neg = phi(a), phi(-a)
+        y = pos * w_pos + neg * w_neg
         # a NaN makes the sum NaN; so does inf - inf, hence the second test
         if math.isnan(np.add.reduce(y, None)) and np.isnan(y).any():
-            raise NanObjective(f"the objective of {phi.name} is NaN")
+            # a term of zero weight is 0, also where phi is inf (0 * inf)
+            with np.errstate(invalid="ignore"):
+                y = (np.where(w_pos == 0.0, 0.0, pos * w_pos)
+                     + np.where(w_neg == 0.0, 0.0, neg * w_neg))
+            if np.isnan(y).any():
+                raise NanObjective(f"the objective of {phi.name} is NaN")
         return y
 
     if phi.convex:

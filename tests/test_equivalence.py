@@ -4,16 +4,38 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fdual.duality import psi_from_f
-from fdual.equivalence import (affine_fit, coercivity_check, dominance_check,
-                               symmetry_check, variational_family_check)
-from fdual.errors import DegenerateFit
+from fdual.equivalence import (C_GRID, Q_GRID, affine_fit, coercivity_check,
+                               dominance_check, symmetry_check,
+                               variational_family_check)
+from fdual.errors import DegenerateFit, ZeroMassBin
 from fdual.losses import catalog_generator, catalog_loss, induced_generator
 from fdual.measures import (BinnedSource, Priors, TableQuantizer,
-                            ThresholdQuantizer, UniformPairSource,
-                            f_divergence, induce_measures, random_measure)
+                            ThresholdQuantizer, UniformPairSource, bayes_risk,
+                            f_divergence, induce_measures, random_measure,
+                            with_priors)
 from fdual.risk import optimal_phi_risk
 
 REALIZABLE = ("hinge", "exponential", "least_squares", "logistic", "sym_kl")
+
+
+def old_dominance_sides(q1, q2, src):
+    """Frozen copy of the route dominance_check replaced: one induced
+    JointMeasure per quantizer and prior for the Bayes risks, and one
+    clipped divergence per c."""
+    b1 = np.empty_like(Q_GRID)
+    b2 = np.empty_like(Q_GRID)
+    for i, q in enumerate(Q_GRID):
+        priors = Priors.from_q(float(q))
+        b1[i] = bayes_risk(induce_measures(q1, with_priors(src, priors)))
+        b2[i] = bayes_risk(induce_measures(q2, with_priors(src, priors)))
+
+    def clipped(m):
+        p1, p_1 = m.conditionals()
+        return np.array([-float(np.minimum(p1, c * p_1).sum())
+                         for c in C_GRID])
+
+    return (b1, b2, clipped(induce_measures(q1, src)),
+            clipped(induce_measures(q2, src)))
 
 
 class TestAffineFit:
@@ -173,6 +195,48 @@ class TestDominance:
                               ThresholdQuantizer(1.9), src_default)
         assert rep.dominance_by_prior == (False, False)
         assert rep.agreement
+
+    def test_matches_old_route_bit_for_bit(self, rng):
+        cases = []
+        for _ in range(200):
+            a = float(rng.uniform(0.2, 2.0))
+            b = a + float(rng.uniform(0.1, 2.0))
+            c = b + float(rng.uniform(0.1, 3.0))
+            q = float(rng.uniform(0.15, 0.85))
+            src = UniformPairSource(a, b, c, Priors.from_q(q))
+            t1, t2 = (float(t) for t in rng.uniform(a, b, 2))
+            cases.append((ThresholdQuantizer(t1), ThresholdQuantizer(t2), src))
+        for k in range(30):
+            nb, z = 3 + k % 10, 2 + k % 11  # up to 12 letters per sum
+            pos, neg = rng.uniform(0.05, 1.0, (2, nb))
+            src = BinnedSource(pos / pos.sum(), neg / neg.sum(),
+                               Priors.from_q(float(rng.uniform(0.15, 0.85))))
+            rows = rng.uniform(0.05, 1.0, (2, nb, z))
+            q1, q2 = (TableQuantizer(r / r.sum(axis=1, keepdims=True))
+                      for r in rows)
+            cases.append((q1, q2, src))
+        for q1, q2, src in cases:
+            rep = dominance_check(q1, q2, src)
+            got = (rep.bayes_1, rep.bayes_2, rep.div_1, rep.div_2)
+            for x, y in zip(got, old_dominance_sides(q1, q2, src)):
+                assert x.tobytes() == y.tobytes()
+
+    def test_emptied_bin_still_raises(self, src_default):
+        with pytest.raises(ZeroMassBin):
+            dominance_check(ThresholdQuantizer(1.5), ThresholdQuantizer(2.0),
+                            src_default)
+        src = BinnedSource([0.6, 0.4], [0.2, 0.8], Priors(0.5, 0.5))
+        with pytest.raises(ZeroMassBin):
+            dominance_check(TableQuantizer(np.eye(2)),
+                            TableQuantizer([[1.0, 0.0], [1.0, 0.0]]), src)
+
+    def test_report_grids_are_read_only(self, src_default):
+        rep = dominance_check(ThresholdQuantizer(1.4),
+                              ThresholdQuantizer(1.6), src_default)
+        for grid in (rep.q_grid, rep.c_grid):
+            with pytest.raises(ValueError):
+                grid[0] = 0.5
+        assert rep.q_grid[0] == 0.05
 
     def test_csv_layout(self, src_default):
         rep = dominance_check(ThresholdQuantizer(1.4),

@@ -11,7 +11,8 @@ from fdual.measures import (BinnedSource, JointMeasure, Priors,
                             TableQuantizer, ThresholdQuantizer,
                             UniformPairSource, bayes_risk, f_divergence,
                             induce_measures, named_divergence,
-                            random_measure, threshold_masses, with_priors)
+                            quantizer_masses, random_measure,
+                            threshold_masses, with_priors)
 
 
 def make_measure(mu, pi, p=0.5):
@@ -95,6 +96,25 @@ class TestInduceMeasures:
         src = BinnedSource([0.6, 0.4], [0.2, 0.8], Priors(0.5, 0.5))
         with pytest.raises(IncompatibleQuantizer):
             induce_measures(ThresholdQuantizer(1.5), src)
+
+    def test_raw_masses_skip_the_positivity_check(self, src_default):
+        # quantizer_masses scores a threshold that empties a bin, and a
+        # table whose second letter gets no mass; induce_measures refuses
+        mu, pi = quantizer_masses(ThresholdQuantizer(2.0), src_default)
+        assert pi[1] == 0.0
+        src = BinnedSource([0.6, 0.4], [0.2, 0.8], Priors(0.5, 0.5))
+        q = TableQuantizer([[1.0, 0.0], [1.0, 0.0]])
+        mu, pi = quantizer_masses(q, src)
+        assert mu.tolist() == [0.5, 0.0] and pi.tolist() == [0.5, 0.0]
+        with pytest.raises(ZeroMassBin):
+            induce_measures(q, src)
+
+    def test_table_rows_must_match_the_source_bins(self):
+        src = BinnedSource([0.6, 0.4], [0.2, 0.8], Priors(0.5, 0.5))
+        q = TableQuantizer(np.full((3, 2), 0.5))
+        for route in (quantizer_masses, induce_measures):
+            with pytest.raises(IncompatibleQuantizer, match="3 rows"):
+                route(q, src)
 
 
 class TestThresholdMasses:

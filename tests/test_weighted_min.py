@@ -98,7 +98,7 @@ def _nan_loss(convex):
 
 
 class TestForwardMapOracle:
-    # sym_kl at u = 0 meets a NaN objective and now raises (test below)
+    # sym_kl at u = 0 has infimum -inf and raises Unbounded (test below)
     @pytest.mark.parametrize("name,k", [
         (name, k) for name in LOSS_NAMES for k in range(len(U_SETS))
         if not (name == "sym_kl" and k == 2)])
@@ -111,8 +111,10 @@ class TestForwardMapOracle:
 
     def test_sym_kl_at_zero_raises(self):
         # inf_a e^a + a - 1 is -inf; the old golden search read the NaN of
-        # 0 * inf as "not smaller" and returned f(0) = 710.78
-        with pytest.raises(NanObjective), np.errstate(invalid="ignore"):
+        # 0 * inf as "not smaller" and returned f(0) = 710.78.  The zero
+        # weight makes that term 0, so the bracket doubling sees the
+        # divergence
+        with pytest.raises(Unbounded), np.errstate(invalid="ignore"):
             f_from_loss(catalog_loss("sym_kl"), 0.0)
 
     def test_edge_doubling_matches_old_route(self):
