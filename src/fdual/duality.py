@@ -4,9 +4,10 @@ A divergence generator f (convex, lower semicontinuous, +inf below 0) is
 linked to margin losses through Psi(beta) = f*(-beta), where f* is the
 Legendre transform.  This module computes f* and Psi either from analytic
 closed forms attached to a generator or by numeric supremum over a fixed
-grid, widened tenfold per level; Psi and the conjugates evaluate a whole
-array in one batched scan (a blocked discrete Legendre transform, cf. Lucet
-1997).  It also locates the domain bounds beta1/beta2 and the fixed point u*
+grid, widened tenfold per level.  The discrete supremum over a set of nodes
+is the linear-time Legendre transform (Lucet 1997): the lower convex hull of
+the nodes, built once per table or grid level, and one slope search per
+point.  It also locates the domain bounds beta1/beta2 and the fixed point u*
 of Psi, checks the decreasing/involution/fixed-point conditions that
 characterize loss-realizable divergences, and rebuilds Psi directly from a
 loss through the sublevel-set inverse.
@@ -27,7 +28,7 @@ INF = math.inf
 
 _PROBE_CAP = 2.0 ** 40  # beyond this a bound is reported as +/- inf
 _WIDEN_CAP = 1e9
-_BLOCK = 1 << 16  # elements per block of a batched grid scan
+_HULL_PASSES = 32  # vectorized hull passes before the monotone chain
 _ZOOM_ROUNDS, _ZOOM_PTS = 11, 33  # each round shrinks the bracket 16-fold
 _TAIL = np.array([1e4, 1e6, 1e8, 1e10])  # chord nodes for the recession slope
 # numeric suprema scan _grid_points(top) for top = _GRID_TOP, ten times wider
@@ -93,38 +94,91 @@ def _grid_points(halfline: bool, top: float) -> np.ndarray:
                                      -lin[::-1]]))
 
 
-def _scan(pts: np.ndarray, fpts: np.ndarray,
-          vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise argmax and max of v*pts - fpts for each v, NaN read as -inf.
+def _hull(pts: np.ndarray, fpts: np.ndarray) -> tuple:
+    """Lower convex hull of the finite nodes (pts[i], fpts[i]), pts rising.
 
-    The (len(vs), len(pts)) objective is written in row blocks of at most
-    _BLOCK elements into one buffer.
+    Returns (idx, fv, slopes): the vertex indices (None when every node is a
+    vertex), f at the vertices and the slopes of the edges between them,
+    strictly increasing; collinear nodes are dropped.  Each vectorized pass
+    deletes every vertex whose right-hand slope is <= its left-hand one;
+    survivors still in violation after _HULL_PASSES passes go through
+    ``_monotone_chain``, so a node far below a convex chain (one vertex per
+    pass) stays linear.  A node with f = -inf is the lone vertex (the sup is
+    +inf), and with no finite node node 0 is (every value is -inf).
     """
-    rows = max(1, _BLOCK // pts.size)
-    buf = np.empty((min(rows, vs.size), pts.size))
-    idx = np.empty(vs.size, dtype=np.intp)
+    keep = np.flatnonzero(fpts == -INF)[:1]
+    if keep.size:
+        return keep, fpts[keep], np.empty(0)
+    keep = np.flatnonzero(np.isfinite(fpts))
+    if not keep.size:
+        return np.zeros(1, dtype=np.intp), fpts[:1], np.empty(0)
+    for _ in range(_HULL_PASSES):
+        slopes = np.diff(fpts[keep]) / np.diff(pts[keep])
+        bad = slopes[1:] <= slopes[:-1]
+        if not bad.any():
+            break
+        keep = keep[np.concatenate(([True], ~bad, [True]))]
+    else:
+        pos, slopes = _monotone_chain(pts[keep].tolist(),
+                                      fpts[keep].tolist())
+        keep = keep[pos]
+    return None if keep.size == pts.size else keep, fpts[keep], slopes
+
+
+def _monotone_chain(us: list, fs: list) -> tuple[list, np.ndarray]:
+    """Andrew's monotone chain: positions of the lower hull vertices of the
+    points (us[i], fs[i]), us increasing, and their edge slopes."""
+    stack, slopes = [0], []
+    for j in range(1, len(us)):
+        while True:
+            s = (fs[j] - fs[stack[-1]]) / (us[j] - us[stack[-1]])
+            if not slopes or slopes[-1] < s:
+                break
+            stack.pop()
+            slopes.pop()
+        stack.append(j)
+        slopes.append(s)
+    return stack, np.array(slopes)
+
+
+def _scan(pts: np.ndarray, hull: tuple,
+          vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Argmax and max over the nodes of v*pts - f(pts) for each v, NaN read
+    as -inf, with ``hull = _hull(pts, f(pts))``.
+
+    The maximizing node is the hull vertex whose incoming and outgoing edge
+    slopes bracket v, so one searchsorted on the hull slopes finds it
+    (Lucet 1997).  That vertex and its right neighbour, tied when v equals
+    the edge slope between them, are compared by value as computed, the
+    first one winning an exact tie; a row whose max is -inf reports node 0.
+    This is the brute argmax over all nodes, but for v = +inf (the last
+    vertex instead of the first node with u > 0, both +inf).
+    """
+    idx, fv, slopes = hull
+    j = np.searchsorted(slopes, vs, side="left")
+    j = np.stack((j, np.minimum(j + 1, slopes.size)))
+    nodes = j if idx is None else idx[j]
     with np.errstate(invalid="ignore", over="ignore"):
-        for s in range(0, vs.size, rows):
-            b = buf[:min(rows, vs.size - s)]
-            np.multiply(vs[s:s + rows, None], pts, out=b)
-            np.subtract(b, fpts, out=b)
-            b[np.isnan(b)] = -INF
-            idx[s:s + len(b)] = np.argmax(b, axis=1)
-        best = vs * pts[idx] - fpts[idx]
-    return idx, np.where(np.isnan(best), -INF, best)
+        vals = vs * pts[nodes] - fv[j]
+    right = vals[1] > vals[0]
+    best = np.where(right, vals[1], vals[0])
+    best = np.where(np.isnan(best), -INF, best)
+    idx = np.where(right, nodes[1], nodes[0])
+    return np.where(best == -INF, 0, idx), best
 
 
 def _sup_batch(f: Generator, vs: np.ndarray, cache: dict) -> np.ndarray:
     """sup_u (u*v - f(u)) for each v of a 1-D array, in one batched pass.
 
-    Each widening level's points (``_grid_points``) and f on them are
-    computed once and kept in ``cache`` (owned by the caller).  Only rows
-    whose maximizer sits on a grid edge move on to the next, ten times wider
-    level; rows still on the edge at _WIDEN_CAP are +inf, rows with f = +inf
-    on the whole grid -inf.  All other rows are refined together by a
-    bracket zoom around their grid maximizer, each round one call of f on
-    every row.  Every step works row by row, so a row's value does not
-    depend on the rest of the batch.
+    Each widening level's points (``_grid_points``) and the lower hull of f
+    on them (``_hull``, which keeps f at its vertices only) are computed
+    once and kept in ``cache`` (owned by the caller); ``_scan`` then finds
+    each row's grid maximizer.  Only rows whose maximizer sits on a grid
+    edge move on to the next, ten times wider level; rows still on the edge
+    at _WIDEN_CAP are +inf, rows with f = +inf on the whole grid -inf.  All
+    other rows are refined together by a bracket zoom around their grid
+    maximizer, each round one call of f on every row.  Every step works row
+    by row, so a row's value does not depend on the rest of the batch.
     """
     out = np.empty(vs.size)
     lo, hi = np.empty(vs.size), np.empty(vs.size)
@@ -133,9 +187,9 @@ def _sup_batch(f: Generator, vs: np.ndarray, cache: dict) -> np.ndarray:
     while todo.size:
         if top not in cache:
             pts = _grid_points(f.halfline, top)
-            cache[top] = pts, f(pts)
-        pts, fpts = cache[top]
-        idx, out[todo] = _scan(pts, fpts, vs[todo])
+            cache[top] = pts, _hull(pts, f(pts))
+        pts, hull = cache[top]
+        idx, out[todo] = _scan(pts, hull, vs[todo])
         lo[todo] = pts[np.maximum(idx - 1, 0)]
         hi[todo] = pts[np.minimum(idx + 1, pts.size - 1)]
         edge = (idx == pts.size - 1) | ((idx == 0) & (not f.halfline))
@@ -170,8 +224,9 @@ def conjugate(f: Generator) -> Generator:
     directly.  Tabulated generators take the supremum over their own nodes
     (exact for piecewise-linear f) and raise GridTooNarrow, naming the first
     offending v, when the maximizing node sits on the table boundary.
-    Anything else falls back to the numeric supremum of ``_sup_batch``.  The
-    tabulated and numeric routes evaluate a whole array in one batched scan.
+    Anything else falls back to the numeric supremum of ``_sup_batch``.  Both
+    evaluate a whole array by a slope search on a lower hull (``_scan``),
+    built here once per table and, numerically, once per grid level.
     """
     if f.conjugate_fn is not None:
         return Generator(fn=f.conjugate_fn, name=f"{f.name}*",
@@ -179,10 +234,11 @@ def conjugate(f: Generator) -> Generator:
 
     if f.table is not None:
         us, vals = f.table
+        hull = _hull(us, vals)
 
         def eval_table(v):
             flat = v.reshape(-1)
-            idx, out = _scan(us, vals, flat)
+            idx, out = _scan(us, hull, flat)
             edge = (idx == 0) | (idx == us.size - 1)
             if edge.any():
                 raise GridTooNarrow(f"maximizer for v={flat[np.argmax(edge)]}"
@@ -424,7 +480,8 @@ def phi_inverse(phi, beta: float) -> float:
 
     Returns +inf when the set is empty and -inf when the loss stays below
     beta all the way down.  ``phi`` must expose ``inf_value`` and
-    ``alpha_star`` besides being callable.
+    ``alpha_star`` and map arrays elementwise (the bisection evaluates
+    several levels of midpoints per call).
     """
     inf_phi = phi.inf_value
     if beta < inf_phi:

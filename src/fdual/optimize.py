@@ -114,15 +114,18 @@ def weighted_min(phi, w_pos, w_neg, b, dense_n: int = 20_001):
     w_pos, w_neg, b = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (w_pos, w_neg, b)))
 
+    def zero_safe(pos, neg, wp, wn):
+        # a term of zero weight is 0, also where phi is inf (0 * inf)
+        with np.errstate(invalid="ignore"):
+            return (np.where(wp == 0.0, 0.0, pos * wp)
+                    + np.where(wn == 0.0, 0.0, neg * wn))
+
     def objective(a):
         pos, neg = phi(a), phi(-a)
         y = pos * w_pos + neg * w_neg
         # a NaN makes the sum NaN; so does inf - inf, hence the second test
         if math.isnan(np.add.reduce(y, None)) and np.isnan(y).any():
-            # a term of zero weight is 0, also where phi is inf (0 * inf)
-            with np.errstate(invalid="ignore"):
-                y = (np.where(w_pos == 0.0, 0.0, pos * w_pos)
-                     + np.where(w_neg == 0.0, 0.0, neg * w_neg))
+            y = zero_safe(pos, neg, w_pos, w_neg)
             if np.isnan(y).any():
                 raise NanObjective(f"the objective of {phi.name} is NaN")
         return y
@@ -143,11 +146,15 @@ def weighted_min(phi, w_pos, w_neg, b, dense_n: int = 20_001):
             np.multiply(pos, w_pos.flat[k], out=obj)
             obj += neg if wn == 1.0 else neg * wn  # x * 1.0 == x exactly
             i = int(np.argmin(obj))  # the first NaN, if there is one
+            if math.isnan(obj[i]):
+                obj = zero_safe(pos, neg, w_pos.flat[k], wn)
+                i = int(np.argmin(obj))
+                if math.isnan(obj[i]):
+                    raise NanObjective(
+                        f"the objective of {phi.name} is NaN on the grid")
             lo.flat[k] = unit[max(i - 1, 0)] * h
             hi.flat[k] = unit[min(i + 1, dense_n - 1)] * h
             grid_arg.flat[k], grid_val.flat[k] = unit[i] * h, obj[i]
-    if np.isnan(grid_val).any():
-        raise NanObjective(f"the objective of {phi.name} is NaN on the grid")
     args, vals = golden_min(objective, lo, hi)
     on_grid = grid_val <= vals
     args = np.where(on_grid, grid_arg, args)
@@ -163,12 +170,15 @@ def bisect_predicate(pred: Callable[[np.ndarray], np.ndarray], lo, hi,
 
     ``pred`` maps an array of points, shaped like ``lo``, to booleans.
     Every element follows the scalar bisection and is frozen once its
-    bracket is within ``tol``; each round makes one call of ``pred``.
-    Returns a float for scalar bounds.
+    bracket is within ``tol``; each round makes one call of ``pred``.  Scalar
+    bounds descend _LOOKAHEAD levels per call (``_descend``) and return a
+    float.
     """
     a = np.asarray(lo, dtype=float)
     b = np.asarray(hi, dtype=float)
     at_lo = np.asarray(pred(a), dtype=bool)
+    if a.ndim == 0 and b.ndim == 0:
+        return float(a) if at_lo else _descend(pred, a, b, tol, max_iter)[1]
     active = ~at_lo
     for _ in range(max_iter):
         active = active & ~(b - a <= tol)
@@ -178,18 +188,28 @@ def bisect_predicate(pred: Callable[[np.ndarray], np.ndarray], lo, hi,
         p = np.asarray(pred(m), dtype=bool)
         b = np.where(active & p, m, b)
         a = np.where(active & ~p, m, a)
-    out = np.where(at_lo, a, b)
-    return float(out) if out.ndim == 0 else out
+    return np.where(at_lo, a, b)
 
 
 def bisect_root(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
                 tol: float = 1e-10, max_iter: int = 200) -> float:
-    """Root of a decreasing function with f(lo) > 0 > f(hi).
+    """Root of a decreasing function with f(lo) > 0 > f(hi): the midpoint of
+    the final bracket of ``_descend``.  ``f`` maps an array of points to
+    their values, element by element."""
+    a, b = _descend(lambda x: ~(np.asarray(f(x)) > 0.0), lo, hi, tol,
+                    max_iter)
+    return 0.5 * (a + b)
 
-    ``f`` maps an array of points to their values, element by element.  One
-    call evaluates the midpoints of the next _LOOKAHEAD bisection levels and
-    the scalar recurrence descends them: the result is the scalar
-    bisection's, bit for bit.
+
+def _descend(right: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float,
+             max_iter: int) -> tuple[float, float]:
+    """Final bracket (a, b) of the scalar bisection of [lo, hi] that moves b
+    to each midpoint where ``right`` holds and a to the others, until
+    b - a <= tol or after max_iter midpoints.
+
+    One call of ``right`` (an array of points to booleans) evaluates the
+    midpoints of the next _LOOKAHEAD levels and the scalar recurrence
+    descends them: the bracket is the scalar loop's, bit for bit.
     """
     a, b = float(lo), float(hi)
     steps = 0
@@ -200,12 +220,12 @@ def bisect_root(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
             los = np.stack((los, mids[-1]), 1).ravel()
             his = np.stack((mids[-1], his), 1).ravel()
         pts = np.concatenate(mids)
-        vals = f(pts)
+        go_left = np.asarray(right(pts), dtype=bool)
         node = 0
         while node < pts.size and steps < max_iter and not b - a <= tol:
-            if vals[node] > 0.0:
-                a, node = float(pts[node]), 2 * node + 2
-            else:
+            if go_left[node]:
                 b, node = float(pts[node]), 2 * node + 1
+            else:
+                a, node = float(pts[node]), 2 * node + 2
             steps += 1
-    return 0.5 * (a + b)
+    return a, b

@@ -1,4 +1,8 @@
+import importlib.util
 import math
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +98,200 @@ class TestConjugate:
         s2 = conjugate(f2)
         vs = np.linspace(-1.9, -0.05, 50)
         assert np.all(s1(vs) >= s2(vs) - 1e-12)
+
+
+def brute_scan(pts, fpts, vs):
+    """The row-blocked (len(vs), len(pts)) argmax that the hull scan
+    replaced, frozen as it was: first index on ties, NaN read as -inf."""
+    rows = max(1, (1 << 16) // pts.size)
+    buf = np.empty((min(rows, vs.size), pts.size))
+    idx = np.empty(vs.size, dtype=np.intp)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for s in range(0, vs.size, rows):
+            b = buf[:min(rows, vs.size - s)]
+            np.multiply(vs[s:s + rows, None], pts, out=b)
+            np.subtract(b, fpts, out=b)
+            b[np.isnan(b)] = -INF
+            idx[s:s + len(b)] = np.argmax(b, axis=1)
+        best = vs * pts[idx] - fpts[idx]
+    return idx, np.where(np.isnan(best), -INF, best)
+
+
+SCAN = duality._scan  # the kernel itself, also while a test wraps it
+
+
+def assert_scan_is_brute(pts, fpts, vs, hull=None):
+    hull = duality._hull(pts, fpts) if hull is None else hull
+    idx, best = SCAN(pts, hull, vs)
+    want_idx, want = brute_scan(pts, fpts, vs)
+    np.testing.assert_array_equal(idx, want_idx)
+    assert best.tobytes() == want.tobytes()
+
+
+CATALOG = ("zero_one", "hinge", "eq10_nonconvex", "exponential",
+           "least_squares", "logistic", "sym_kl", "kl")
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+class TestHullScan:
+    """The hull scan of duality._scan equals the brute argmax bit for bit."""
+
+    def test_bench_tables(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH))
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", BENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        seen = []
+
+        def checked(pts, hull, vs):
+            us, fs = seen_tables[-1]  # the nodes of the table being scanned
+            assert pts is us
+            assert_scan_is_brute(us, fs, vs, hull)
+            seen.append(vs.size)
+            return SCAN(pts, hull, vs)
+
+        seen_tables = []
+        from_table = Generator.from_table.__func__
+
+        def recording(cls, us, vals, name="tabulated"):
+            g = from_table(cls, us, vals, name)
+            seen_tables.append(g.table)
+            return g
+
+        monkeypatch.setattr(Generator, "from_table", classmethod(recording))
+        monkeypatch.setattr(duality, "_scan", checked)
+        for seed in range(5):
+            for op in workloads.bridge(seed):
+                if op.kind == "table_conjugate":
+                    op.run()
+        assert seen == [2000] * 25
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_catalog_grids(self, name):
+        f = catalog_generator(name)
+        for top in (1e3, 1e4, 1e5):
+            pts = duality._grid_points(f.halfline, top)
+            fpts = f(pts)
+            slopes = duality._hull(pts, fpts)[2]
+            # generic slopes, and every 50th edge slope (a tie of two
+            # vertices in exact arithmetic)
+            vs = np.concatenate([np.linspace(-25.0, 25.0, 101),
+                                 -np.geomspace(1e-6, 1e3, 40),
+                                 slopes[::50], [np.nan, -INF]])
+            assert_scan_is_brute(pts, fpts, vs)
+
+    def test_random_tables(self, rng):
+        for t in range(60):
+            us = np.unique(rng.uniform(-10.0, 10.0, int(rng.integers(2, 300))))
+            kind = t % 4
+            if kind == 0:    # noise: a small hull under many nodes
+                fs = rng.normal(size=us.size)
+            elif kind == 1:  # near-linear: nodes within 1e-9 of one line
+                fs = 2.0 * us + 1.0 + 1e-9 * rng.normal(size=us.size)
+            elif kind == 2:  # NaN nodes
+                fs = us ** 2 + 0.1 * rng.normal(size=us.size)
+                fs[rng.random(us.size) < 0.2] = np.nan
+            else:            # +inf nodes
+                fs = np.abs(us)
+                fs[rng.random(us.size) < 0.3] = INF
+            slopes = duality._hull(us, fs)[2]
+            vs = np.concatenate([rng.uniform(-20.0, 20.0, 500), slopes,
+                                 [np.nan, -INF, 0.0, 2.0]])
+            assert_scan_is_brute(us, fs, vs)
+
+    def test_exactly_linear_and_degenerate_tables(self):
+        us = np.linspace(-3.0, 5.0, 81)
+        vs = np.concatenate([np.linspace(-4.0, 6.0, 41), [2.0, np.nan]])
+        for fs in (2.0 * us + 1.0, np.full(us.size, INF),
+                   np.full(us.size, np.nan), np.where(us < 0, INF, us)):
+            assert_scan_is_brute(us, fs, vs)
+        assert_scan_is_brute(us[:1], us[:1], vs)
+
+    def test_minus_inf_node_reads_plus_inf(self):
+        us = np.linspace(0.0, 1.0, 50)
+        fs = us ** 2
+        fs[[10, 20]] = -INF
+        vs = np.linspace(-3.0, 3.0, 101)
+        assert_scan_is_brute(us, fs, vs)
+        assert np.all(duality._scan(us, duality._hull(us, fs), vs)[1] == INF)
+
+    def test_plus_inf_slope_reads_plus_inf(self):
+        # the one documented difference: v = +inf takes the last vertex,
+        # not the first node with u > 0; both values are +inf
+        us = np.linspace(-1.0, 1.0, 21)
+        idx, best = duality._scan(us, duality._hull(us, us ** 2),
+                                  np.array([INF]))
+        assert best[0] == brute_scan(us, us ** 2, np.array([INF]))[1][0] == INF
+        assert idx[0] == us.size - 1
+
+    @pytest.mark.parametrize("n", [2000, 20000])
+    def test_cascade_hits_the_pass_cap(self, monkeypatch, n):
+        # one node far below a convex chain: each vectorized pass removes
+        # one vertex, so the monotone chain finishes the hull
+        us = np.linspace(0.0, 1.0, n)
+        fs = us ** 2
+        fs[0] = -1e3
+        chain, calls = duality._monotone_chain, []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return chain(*args)
+
+        monkeypatch.setattr(duality, "_monotone_chain", counted)
+        hull = duality._hull(us, fs)
+        assert calls == [n - duality._HULL_PASSES]
+        assert hull[0].tolist() == [0, n - 1]
+        assert_scan_is_brute(us, fs, np.linspace(-3.0, 3.0, 2000), hull)
+        # the catalog grids need no chain
+        calls.clear()
+        pts = duality._grid_points(True, 1e5)
+        for name in ("exponential", "logistic", "least_squares", "sym_kl"):
+            duality._hull(pts, catalog_generator(name)(pts))
+        assert calls == []
+
+    def test_table_error_names_the_brute_first_v(self, rng):
+        us = np.linspace(0.0, 4.0, 41)
+        fs = us ** 2 - 2 * us
+        fstar = conjugate(Generator.from_table(us, fs))
+        for _ in range(20):
+            vs = rng.uniform(-12.0, 12.0, 30)
+            idx, _ = brute_scan(us, fs, vs)
+            edge = (idx == 0) | (idx == us.size - 1)
+            if not edge.any():
+                np.testing.assert_array_equal(fstar(vs), brute_scan(
+                    us, fs, vs)[1])
+                continue
+            first = vs[np.argmax(edge)]
+            with pytest.raises(GridTooNarrow, match=re.escape(f"v={first} ")):
+                fstar(vs)
+
+    def test_hull_built_once_per_table_and_level(self, monkeypatch):
+        hull, calls = duality._hull, []
+
+        def counted(pts, fpts):
+            calls.append(pts.size)
+            return hull(pts, fpts)
+
+        monkeypatch.setattr(duality, "_hull", counted)
+        us = np.linspace(0.0, 4.0, 41)
+        fstar = conjugate(Generator.from_table(us, us ** 2))
+        for v in np.linspace(0.5, 7.5, 20):
+            fstar(v)
+        assert calls == [41]
+        calls.clear()
+        f = catalog_generator("exponential")
+        fstar = conjugate(Generator(f.fn, name=f.name))  # strip closed form
+        # maximizers at u = 1/v**2 up to 1e6, the last node of level 1e6,
+        # so the levels 1e3 ... 1e7 are scanned
+        vs = -np.geomspace(1e-3, 2.0, 20)
+        fstar(vs)
+        levels = len(calls)
+        assert levels == 5
+        for v in vs:
+            fstar(v)
+        assert len(calls) == levels
 
 
 # beta2 (pinned bit for bit) and u* of the bridge generators

@@ -8,7 +8,9 @@ must reproduce them bit for bit, element by element.
 import math
 
 import numpy as np
+import pytest
 
+from fdual import duality, losses
 from fdual.optimize import (INVPHI, INVPHI2, bisect_predicate, bisect_root,
                             golden_min, golden_min_vec)
 
@@ -291,3 +293,96 @@ class TestBisectRoot:
             got, calls = self._lookahead(f, 0.0, 1.0, max_iter=max_iter)
             assert levels == max_iter and _same(got, want)
             assert len(calls) == math.ceil(max_iter / 4)
+
+
+class TestScalarPredicateDescent:
+    """Scalar bounds: bisect_predicate descends four levels per call of
+    pred and returns the one-midpoint-per-call loop's result bit for bit."""
+
+    @staticmethod
+    def _both(pred, lo, hi, **kw):
+        calls, n = [], [0]
+
+        def batched(x):
+            calls.append(np.shape(x))
+            return pred(x)
+
+        def counted(x):
+            n[0] += 1
+            return pred(x)
+
+        got = bisect_predicate(batched, lo, hi, **kw)
+        want = scalar_bisect(counted, lo, hi, **kw)
+        return got, want, calls, n[0]
+
+    def test_random_brackets_match_scalar_loop(self, rng):
+        for _ in range(200):
+            root = float(rng.uniform(-50.0, 50.0))
+            lo = root - float(rng.uniform(1e-9, 100.0))
+            hi = root + float(rng.uniform(1e-9, 100.0))
+            tol = float(10.0 ** rng.uniform(-13, -2))
+            got, want, calls, evals = self._both(
+                lambda x, root=root: np.asarray(x) >= root, lo, hi, tol=tol)
+            assert type(got) is float and _same(got, want)
+            # pred(lo), then one call per four levels on 15 midpoints
+            assert calls[0] == ()
+            assert len(calls) == 1 + math.ceil((evals - 1) / 4)
+            assert set(calls[1:]) <= {(15,)}
+
+    def test_pred_true_at_lo_and_max_iter(self):
+        got, want, calls, _ = self._both(lambda x: np.asarray(x) >= -1.0,
+                                         0.0, 1.0)
+        assert got == want == 0.0 and calls == [()]
+        for max_iter in (1, 6, 9):
+            got, want, calls, evals = self._both(
+                lambda x: np.asarray(x) >= 0.3, 0.0, 1.0, max_iter=max_iter)
+            assert evals == max_iter + 1 and _same(got, want)
+            assert len(calls) == 1 + math.ceil(max_iter / 4)
+
+
+class TestScalarBisectionCallers:
+    """phi_inverse, the recipe's alpha* search and the beta2 fallback give
+    the results of the old one-midpoint-per-call loop bit for bit."""
+
+    @staticmethod
+    def _old_loop(monkeypatch):
+        def old(pred, lo, hi, tol=1e-10, max_iter=200):
+            return scalar_bisect(lambda x: bool(pred(np.asarray(x))), lo, hi,
+                                 tol=tol, max_iter=max_iter)
+
+        monkeypatch.setattr(duality, "bisect_predicate", old)
+        monkeypatch.setattr(losses, "bisect_predicate", old)
+
+    def test_phi_inverse(self, monkeypatch):
+        betas = [0.01, 0.3, 0.5, 0.9, 1.0, 1.7, 3.0, 12.0]
+        phis = [losses.catalog_loss(n) for n in losses.LOSS_NAMES]
+        new = [duality.phi_inverse(phi, b) for phi in phis for b in betas]
+        self._old_loop(monkeypatch)
+        old = [duality.phi_inverse(phi, b) for phi in phis for b in betas]
+        assert _same(new, old)
+
+    def test_recipe_alpha_star(self, monkeypatch):
+        def alpha_stars():
+            return [losses.loss_from_f(
+                losses.catalog_generator(n),
+                losses.catalog_link(losses.RECIPE_LINKS[n])).alpha_star
+                for n in ("hinge", "least_squares")]
+
+        new = alpha_stars()
+        self._old_loop(monkeypatch)
+        assert _same(new, alpha_stars())
+
+    @pytest.mark.parametrize("kink", [2.7, 3.3, 7.1])
+    def test_beta2_fallback(self, monkeypatch, kink):
+        # hinge's f has f(0) = 0 and f'(0) = -2, so the Richardson estimate
+        # is 2; a Psi reaching its infimum 0 only at the kink fails the
+        # estimate's check and takes the doubling-and-bisection fallback
+        f = losses.catalog_generator("hinge")
+
+        def psi(beta):
+            return np.square(np.maximum(kink - np.asarray(beta), 0.0))
+
+        new = duality._locate_beta2(f, psi, 0.0)
+        self._old_loop(monkeypatch)
+        old = duality._locate_beta2(f, psi, 0.0)
+        assert _same(new, old) and abs(new - kink) < 1e-4

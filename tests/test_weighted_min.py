@@ -211,3 +211,22 @@ class TestNanObjective:
         s = generate_samples(src_default, 200, 1)
         with pytest.raises(NanObjective):
             joint_erm(_nan_loss(True), s, fc)
+
+    def test_grid_scan_counts_zero_weight_times_inf_as_zero(self):
+        # exp(-a), +inf below -10, flagged non-convex: at weights (0, 1) the
+        # term 0 * phi(a) is 0 on the grid too, as in the golden branch
+        def fn(a):
+            a = np.asarray(a, dtype=float)
+            with np.errstate(over="ignore"):
+                return np.where(a < -10.0, math.inf, np.exp(-a))
+
+        phi = SurrogateLoss(fn, "capped_exp", convex=False, decreasing=True,
+                            alpha_star=math.inf, inf_value=0.0)
+        with np.errstate(invalid="ignore"):
+            args, vals, at_edge = weighted_min(phi, [0.0, 0.5], [1.0, 1.0],
+                                               50.0)
+        assert np.all(np.isfinite(vals))
+        # element 0 is e^a for a <= 10: least at the left edge
+        assert args[0] == -50.0 and at_edge.tolist() == [True, False]
+        assert args[1] == pytest.approx(0.5 * math.log(0.5), abs=1e-6)
+        assert vals[1] == pytest.approx(math.sqrt(2.0), abs=1e-12)
