@@ -226,8 +226,7 @@ def cmd_verify(args, config: dict) -> int:
         conditions = check_theorem1_conditions(psi, tol=1e-6)
         for c in conditions.checks:
             loss_pass &= c.passed
-            cond_lines.append(f"{phi.name},{c.name},{str(c.passed).lower()},"
-                              f"{c.witness_beta!r},{c.residual!r}")
+            cond_lines.append(f"{phi.name},{c.to_csv_row()}")
         sym = equivalence.symmetry_check(f)
         loss_pass &= sym
         check_lines.append(f"symmetry,{phi.name},-,1e-9,{str(sym).lower()}")

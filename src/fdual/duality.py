@@ -403,6 +403,10 @@ class ConditionCheck:
     witness_beta: float
     residual: float
 
+    def to_csv_row(self) -> str:
+        return (f"{self.name},{str(self.passed).lower()},"
+                f"{self.witness_beta!r},{self.residual!r}")
+
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -423,8 +427,7 @@ class ConditionReport:
     def to_csv(self) -> str:
         lines = ["condition,pass,witness_beta,residual"]
         for c in self.checks:
-            lines.append(f"{c.name},{str(c.passed).lower()},"
-                         f"{c.witness_beta!r},{c.residual!r}")
+            lines.append(c.to_csv_row())
         return "\n".join(lines) + "\n"
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .duality import _locate_beta1
 from .errors import DegenerateFit
 from .measures import (JointMeasure, Priors, Quantizer, SourceSpec,
-                       induce_measures, quantizer_masses, with_priors)
+                       _masses, _routing, induce_measures)
 
 # 201 log-spaced points on [1e-2, 1e2]; the kink of min(u,1) at u=1 is
 # exactly on the grid
@@ -31,6 +31,10 @@ C_GRID = np.geomspace(0.1, 10.0, 25)
 # reports hand these arrays out; a write through one must not move the grid
 for _grid in (FIT_GRID, Q_GRID, C_GRID):
     _grid.flags.writeable = False
+# the exact prior pairs of Q_GRID as (19, 1) columns, one row per prior
+_PRIORS = [Priors.from_q(q) for q in Q_GRID.tolist()]
+_P_COL = np.array([[pr.p] for pr in _PRIORS])
+_Q_COL = np.array([[pr.q] for pr in _PRIORS])
 
 
 @dataclass(frozen=True)
@@ -148,17 +152,13 @@ def dominance_check(q1: Quantizer, q2: Quantizer,
     """Evaluate both sides of the Blackwell dominance equivalence.
 
     Builds both induced measures first, so a quantizer that empties a bin
-    raises ZeroMassBin; each prior's Bayes risk then comes from the raw
-    masses of ``quantizer_masses``.
+    raises ZeroMassBin; the Bayes risks at every prior then come from one
+    array of raw masses per quantizer, a row per prior.
     """
     m1 = induce_measures(q1, src)
     m2 = induce_measures(q2, src)
-    b1 = np.empty_like(Q_GRID)
-    b2 = np.empty_like(Q_GRID)
-    for i, q in enumerate(Q_GRID):
-        src_q = with_priors(src, Priors.from_q(float(q)))
-        b1[i] = np.minimum(*quantizer_masses(q1, src_q)).sum()
-        b2[i] = np.minimum(*quantizer_masses(q2, src_q)).sum()
+    b1, b2 = (np.minimum(*_masses(src, _routing(q, src), _P_COL, _Q_COL))
+              .sum(axis=1) for q in (q1, q2))
     d1 = _clipped_divergences(m1)
     d2 = _clipped_divergences(m2)
     eps = 1e-12

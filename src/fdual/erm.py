@@ -27,11 +27,10 @@ from .errors import (EmptySample, IncompatibleQuantizer, NonConvexLoss,
 from .losses import SurrogateLoss, induced_generator
 from .measures import (BinnedSource, Priors, Quantizer, SourceSpec,
                        TableQuantizer, ThresholdQuantizer, UniformPairSource,
-                       induce_measures, quantizer_masses, threshold_masses)
+                       _frozen, _masses, _routing, induce_measures,
+                       quantizer_masses, threshold_masses)
 from .optimize import weighted_min
 from .risk import min_per_bin, phi_risk, zero_one_risk
-
-INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -89,16 +88,14 @@ class FunctionClassSpec:
     table_bins: int | None = None
 
     def __post_init__(self) -> None:
-        if self.gamma_bound <= 0:
+        if not self.gamma_bound > 0:
             raise ValueError("gamma_bound must be positive")
         if (self.thresholds is None) == (self.table_bins is None):
             raise ValueError("set exactly one of thresholds / table_bins")
         if self.thresholds is not None:
-            ts = np.asarray(self.thresholds, dtype=float)
+            ts = _frozen(self.thresholds, "thresholds")
             if ts.size == 0 or np.any(np.diff(ts) <= 0):
                 raise ValueError("thresholds must be strictly increasing")
-            ts = ts.copy()
-            ts.flags.writeable = False
             object.__setattr__(self, "thresholds", ts)
 
     def loss_bound(self, phi: SurrogateLoss) -> float:
@@ -133,23 +130,26 @@ def _table_counts(s: SampleSet, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     return c_pos, c_neg
 
 
+def _empirical_weights(q: Quantizer, s: SampleSet
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-letter sample weights (w_pos, w_neg) of q, which must fit the
+    source (``_routing``)."""
+    cut = _routing(q, s.src)
+    if isinstance(q, ThresholdQuantizer):
+        w_pos, w_neg = _threshold_weights(s, cut)
+        return w_pos[0], w_neg[0]
+    c_pos, c_neg = _table_counts(s, q.n_bins)
+    return c_pos @ cut / s.n, c_neg @ cut / s.n
+
+
 def empirical_phi_risk(phi: SurrogateLoss, gamma: np.ndarray, q: Quantizer,
                        s: SampleSet) -> float:
     """(1/n) sum_i sum_z phi(y_i gamma(z)) Q(z | x_i)."""
     g = np.asarray(gamma, dtype=float)
-    if isinstance(q, ThresholdQuantizer):
-        if g.size != 2:
-            raise ValueError("threshold quantizers need a 2-bin discriminant")
-        w_pos, w_neg = _threshold_weights(s, np.array([q.t]))
-        return float(np.sum(w_pos[0] * phi(g) + w_neg[0] * phi(-g)))
-    if isinstance(q, TableQuantizer):
-        c_pos, c_neg = _table_counts(s, q.n_bins)
-        w_pos = c_pos @ q.rows / s.n
-        w_neg = c_neg @ q.rows / s.n
-        if g.size != q.z_count:
-            raise ValueError("discriminant length must match the alphabet")
-        return float(np.sum(w_pos * phi(g) + w_neg * phi(-g)))
-    raise IncompatibleQuantizer(f"unknown quantizer kind: {type(q).__name__}")
+    w_pos, w_neg = _empirical_weights(q, s)
+    if g.size != w_pos.size:
+        raise ValueError("discriminant length must match the alphabet")
+    return float(np.sum(w_pos * phi(g) + w_neg * phi(-g)))
 
 
 def _gamma_step(phi: SurrogateLoss, w_pos: np.ndarray, w_neg: np.ndarray,
@@ -206,14 +206,9 @@ def _erm_thresholds(phi: SurrogateLoss, s: SampleSet,
     gam, val = _gamma_step(phi, w_pos.ravel(), w_neg.ravel(), fc.gamma_bound)
     totals = val.reshape(w_pos.shape).sum(axis=1)
     k = int(np.argmin(totals))
-    q_star = ThresholdQuantizer(float(ts[k]))
-    gamma_star = gam.reshape(w_pos.shape)[k].copy()
-    excess = _excess_bayes(gamma_star, q_star, s.src, fc)
-    return ErmResult(gamma_star=gamma_star, q_star=q_star,
-                     empirical_risk=float(totals[k]),
-                     population_phi_risk=_population_phi_risk(
-                         phi, gamma_star, q_star, s.src),
-                     excess_bayes=excess)
+    return _erm_result(phi, gam.reshape(w_pos.shape)[k].copy(),
+                       ThresholdQuantizer(float(ts[k])), float(totals[k]),
+                       s.src, fc)
 
 
 def _erm_table(phi: SurrogateLoss, s: SampleSet,
@@ -226,75 +221,68 @@ def _erm_table(phi: SurrogateLoss, s: SampleSet,
     n = s.n
     assign = np.arange(nb) % k  # deterministic start: round-robin routing
     trace: list[float] = []
-    gamma = np.zeros(k)
-    for _ in range(100):
-        rows = np.zeros((nb, k))
-        rows[np.arange(nb), assign] = 1.0
-        w_pos = c_pos @ rows / n
-        w_neg = c_neg @ rows / n
-        gamma, vals = _gamma_step(phi, w_pos, w_neg, fc.gamma_bound)
+    while True:
+        rows = np.eye(k)[assign]
+        gamma, vals = _gamma_step(phi, c_pos @ rows / n, c_neg @ rows / n,
+                                  fc.gamma_bound)
+        if len(trace) == 100 or (len(trace) > 1
+                                 and trace[-2] - trace[-1] < 1e-10):
+            break
         # exact row step: the objective is linear in each row, so each bin
         # routes to its cheapest letter (lowest index on ties)
         cost = (np.outer(c_pos, phi(gamma)) + np.outer(c_neg, phi(-gamma))) / n
-        assign_new = np.argmin(cost, axis=1)
-        obj = float(cost[np.arange(nb), assign_new].sum())
-        trace.append(obj)
-        if len(trace) > 1 and trace[-2] - obj < 1e-10:
-            assign = assign_new
-            break
-        assign = assign_new
-    rows = np.zeros((nb, k))
-    rows[np.arange(nb), assign] = 1.0
-    q_star = TableQuantizer(rows)
-    w_pos = c_pos @ rows / n
-    w_neg = c_neg @ rows / n
-    gamma, vals = _gamma_step(phi, w_pos, w_neg, fc.gamma_bound)
-    excess = _excess_bayes(gamma, q_star, s.src, fc)
-    return ErmResult(gamma_star=gamma, q_star=q_star,
-                     empirical_risk=float(vals.sum()),
-                     population_phi_risk=_population_phi_risk(
-                         phi, gamma, q_star, s.src),
-                     excess_bayes=excess, objective_trace=tuple(trace))
+        assign = np.argmin(cost, axis=1)
+        trace.append(float(cost[np.arange(nb), assign].sum()))
+    return _erm_result(phi, gamma, TableQuantizer(rows), float(vals.sum()),
+                       s.src, fc, tuple(trace))
+
+
+def _erm_result(phi: SurrogateLoss, gamma: np.ndarray, q: Quantizer,
+                empirical: float, src: SourceSpec, fc: FunctionClassSpec,
+                trace: tuple[float, ...] = ()) -> ErmResult:
+    """The ERM output, scored on one read of the population masses."""
+    mu, pi = quantizer_masses(q, src)
+    return ErmResult(gamma, q, empirical,
+                     float(np.sum(phi(gamma) * mu + phi(-gamma) * pi)),
+                     _excess_bayes(gamma, mu, pi, src, fc), trace)
+
+
+def _interior_masses(src: SourceSpec, ts: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """``threshold_masses``; ZeroMassBin for a threshold outside (a, b)."""
+    mu, pi = threshold_masses(src, ts)
+    if np.any(mu <= 0.0) or np.any(pi <= 0.0):
+        raise ZeroMassBin("a threshold outside (a, b) empties a bin")
+    return mu, pi
 
 
 def optimal_family_bayes(fc: FunctionClassSpec, src: SourceSpec) -> float:
-    """Least Bayes risk over the quantizer family (per-bin Bayes rule)."""
+    """Least Bayes risk over the quantizer family (per-bin Bayes rule); a
+    table family is one stack of one-hot routings, (k**n_bins, n_bins, k)."""
     if fc.thresholds is not None:
-        mu, pi = threshold_masses(src, fc.thresholds)
-        return float(np.minimum(mu, pi).sum(axis=1).min())
-    k = int(fc.table_bins)
-    nb = src.n_bins
-    if k ** nb > 100_000:
-        raise ValueError("table family too large to sweep exhaustively")
-    best = INF
-    for assign in itertools.product(range(k), repeat=nb):
-        rows = np.zeros((nb, k))
-        rows[np.arange(nb), list(assign)] = 1.0
-        mu, pi = quantizer_masses(TableQuantizer(rows), src)
-        best = min(best, float(np.minimum(mu, pi).sum()))
-    return best
+        mu, pi = _interior_masses(src, fc.thresholds)
+    else:
+        k = int(fc.table_bins)
+        nb = src.n_bins
+        if k ** nb > 100_000:
+            raise ValueError("table family too large to sweep exhaustively")
+        rows = np.eye(k)[list(itertools.product(range(k), repeat=nb))]
+        mu, pi = _masses(src, rows, src.priors.p, src.priors.q)
+    return float(np.minimum(mu, pi).sum(axis=1).min())
 
 
-def _excess_bayes(gamma: np.ndarray, q: Quantizer, src: SourceSpec,
-                  fc: FunctionClassSpec) -> float:
-    mu, pi = quantizer_masses(q, src)
-    g = np.asarray(gamma, dtype=float)
-    pair_risk = float(np.sum(np.where(g > 0.0, pi, mu)))
+def _excess_bayes(gamma: np.ndarray, mu: np.ndarray, pi: np.ndarray,
+                  src: SourceSpec, fc: FunctionClassSpec) -> float:
+    pair_risk = float(np.sum(np.where(np.asarray(gamma) > 0.0, pi, mu)))
     return pair_risk - optimal_family_bayes(fc, src)
-
-
-def _population_phi_risk(phi: SurrogateLoss, gamma: np.ndarray, q: Quantizer,
-                         src: SourceSpec) -> float:
-    mu, pi = quantizer_masses(q, src)
-    g = np.asarray(gamma, dtype=float)
-    return float(np.sum(phi(g) * mu + phi(-g) * pi))
 
 
 def excess_bayes_risk(r: ErmResult, src: SourceSpec,
                       fc: FunctionClassSpec) -> float:
     """Population 0-1 regret of an ERM output against the best
     quantizer-family Bayes risk."""
-    return _excess_bayes(r.gamma_star, r.q_star, src, fc)
+    return _excess_bayes(r.gamma_star, *quantizer_masses(r.q_star, src),
+                         src, fc)
 
 
 # --- excess-risk inequality ---------------------------------------------------
@@ -306,14 +294,6 @@ def _thresholds_with(q: ThresholdQuantizer, src: UniformPairSource,
     else:
         base = np.asarray(thresholds, dtype=float)
     return np.unique(np.append(base, q.t))
-
-
-def _optimal_phi_sweep(phi: SurrogateLoss, src: UniformPairSource,
-                       ts: np.ndarray) -> np.ndarray:
-    """Optimal phi-risk per threshold, one vectorized per-bin sweep."""
-    mu, pi = threshold_masses(src, ts)
-    _, vals = min_per_bin(phi, mu.ravel(), pi.ravel())
-    return vals.reshape(mu.shape).sum(axis=1)
 
 
 def lemma2_gap(phi: SurrogateLoss, gamma: np.ndarray, q: ThresholdQuantizer,
@@ -340,14 +320,12 @@ def lemma2_gap(phi: SurrogateLoss, gamma: np.ndarray, q: ThresholdQuantizer,
         raise NotVariationalFamily(
             "the inequality is exercised only for a = b "
             f"(got a={fit.a:.3e}, b={fit.b:.3e})")
-    ts = _thresholds_with(q, src, thresholds)
-    mu, pi = threshold_masses(src, ts)
-    if np.any(mu <= 0.0) or np.any(pi <= 0.0):
-        raise ZeroMassBin("a threshold outside (a, b) empties a bin")
+    mu, pi = _interior_masses(src, _thresholds_with(q, src, thresholds))
     r01_star = float(np.minimum(mu, pi).sum(axis=1).min())
     m_q = induce_measures(q, src)
     lhs = 0.5 * fit.c * (zero_one_risk(gamma, m_q) - r01_star)
-    rphi_star = float(_optimal_phi_sweep(phi, src, ts).min())
+    _, vals = min_per_bin(phi, mu.ravel(), pi.ravel())
+    rphi_star = float(vals.reshape(mu.shape).sum(axis=1).min())
     rhs = phi_risk(phi, gamma, m_q) - rphi_star
     return float(lhs), float(rhs)
 

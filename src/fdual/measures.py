@@ -46,8 +46,11 @@ class Priors:
         raise ValueError(f"cannot represent priors exactly for q={q!r}")
 
 
-def _frozen_vector(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).reshape(-1).copy()
+def _frozen(values, name: str) -> np.ndarray:
+    """Read-only float copy; a NaN would pass every comparison check."""
+    arr = np.array(values, dtype=float)
+    if np.isnan(arr).any():
+        raise ValueError(f"{name} must not be NaN")
     arr.flags.writeable = False
     return arr
 
@@ -61,8 +64,8 @@ class JointMeasure:
     priors: Priors
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", _frozen_vector(self.mu))
-        object.__setattr__(self, "pi", _frozen_vector(self.pi))
+        object.__setattr__(self, "mu", _frozen(self.mu, "mu").reshape(-1))
+        object.__setattr__(self, "pi", _frozen(self.pi, "pi").reshape(-1))
         if self.mu.shape != self.pi.shape or self.mu.size == 0:
             raise ValueError("mu and pi must be nonempty vectors of equal length")
         if np.any(self.mu <= 0.0) or np.any(self.pi <= 0.0):
@@ -119,15 +122,13 @@ class TableQuantizer:
     rows: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=float)
+        rows = _frozen(self.rows, "table rows")
         if rows.ndim != 2:
             raise ValueError("rows must be a (n_bins, z_count) matrix")
         if np.any(rows < 0.0):
             raise ValueError("table rows must be nonnegative")
         if np.any(np.abs(rows.sum(axis=1) - 1.0) > MASS_TOL):
             raise ValueError("every table row must sum to 1")
-        rows = rows.copy()
-        rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -165,8 +166,8 @@ class BinnedSource:
     priors: Priors
 
     def __post_init__(self) -> None:
-        pos = _frozen_vector(self.pos_masses)
-        neg = _frozen_vector(self.neg_masses)
+        pos = _frozen(self.pos_masses, "pos_masses").reshape(-1)
+        neg = _frozen(self.neg_masses, "neg_masses").reshape(-1)
         if pos.shape != neg.shape or pos.size == 0:
             raise ValueError("class masses must be nonempty and of equal length")
         for name, arr in (("pos_masses", pos), ("neg_masses", neg)):
@@ -189,6 +190,18 @@ def with_priors(src: SourceSpec, priors: Priors) -> SourceSpec:
     return replace(src, priors=priors)
 
 
+def _masses(src: SourceSpec, cut: np.ndarray, p, q_
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """The mass formulas: ``cut`` is a threshold column (uniform pair) or
+    table rows (..., n_bins, z) (binned source), and the priors p, q_ are
+    floats or (m, 1) columns, one row of masses per prior pair."""
+    if isinstance(src, UniformPairSource):
+        a, b, c = src.a, src.b, src.c
+        return (np.hstack([p * (cut - a) / (c - a), p * (c - cut) / (c - a)]),
+                np.hstack([q_ * cut / b, q_ * (b - cut) / b]))
+    return p * (src.pos_masses @ cut), q_ * (src.neg_masses @ cut)
+
+
 def threshold_masses(src: SourceSpec, ts) -> tuple[np.ndarray, np.ndarray]:
     """Masses (mu, pi), each of shape (m, 2), that the thresholds ts induce
     on a uniform pair; bin 0 lies below t.  With p and q_ the priors:
@@ -202,26 +215,18 @@ def threshold_masses(src: SourceSpec, ts) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(src, UniformPairSource):
         raise IncompatibleQuantizer("threshold quantizers apply only to "
                                     "uniform-pair sources")
-    t = np.asarray(ts, dtype=float).reshape(-1)
-    a, b, c = src.a, src.b, src.c
-    p, q_ = src.priors.p, src.priors.q
-    mu = np.column_stack([p * (t - a) / (c - a), p * (c - t) / (c - a)])
-    pi = np.column_stack([q_ * t / b, q_ * (b - t) / b])
-    return mu, pi
+    return _masses(src, np.asarray(ts, dtype=float).reshape(-1, 1),
+                   src.priors.p, src.priors.q)
 
 
-def quantizer_masses(q: Quantizer, src: SourceSpec
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-letter masses (mu, pi) that routing the source through q induces,
-    as raw arrays (``threshold_masses`` for a threshold on the uniform pair).
-
-    No positivity check, so degenerate quantizers (letters with no mass) can
-    still be scored.  Raises IncompatibleQuantizer on a quantizer/source kind
-    mismatch or a table whose row count is not the source's bin count.
-    """
+def _routing(q: Quantizer, src: SourceSpec) -> np.ndarray:
+    """The ``cut`` of ``_masses`` for q (its threshold, or its table rows);
+    raises IncompatibleQuantizer unless q can route src."""
     if isinstance(q, ThresholdQuantizer):
-        mu, pi = threshold_masses(src, q.t)
-        return mu[0], pi[0]
+        if not isinstance(src, UniformPairSource):
+            raise IncompatibleQuantizer("threshold quantizers apply only to "
+                                        "uniform-pair sources")
+        return np.array([q.t])
     if isinstance(q, TableQuantizer):
         if not isinstance(src, BinnedSource):
             raise IncompatibleQuantizer("table quantizers apply only to "
@@ -229,9 +234,20 @@ def quantizer_masses(q: Quantizer, src: SourceSpec
         if q.n_bins != src.n_bins:
             raise IncompatibleQuantizer(
                 f"table has {q.n_bins} rows but the source has {src.n_bins} bins")
-        return (src.priors.p * (src.pos_masses @ q.rows),
-                src.priors.q * (src.neg_masses @ q.rows))
+        return q.rows
     raise IncompatibleQuantizer(f"unknown quantizer kind: {type(q).__name__}")
+
+
+def quantizer_masses(q: Quantizer, src: SourceSpec
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-letter masses (mu, pi) that routing the source through q induces,
+    as raw arrays (the closed form of ``threshold_masses`` for a threshold).
+
+    No positivity check, so degenerate quantizers (letters with no mass) can
+    still be scored.  Raises IncompatibleQuantizer on a quantizer/source kind
+    mismatch or a table whose row count is not the source's bin count.
+    """
+    return _masses(src, _routing(q, src), src.priors.p, src.priors.q)
 
 
 def induce_measures(q: Quantizer, src: SourceSpec) -> JointMeasure:

@@ -209,7 +209,9 @@ class TestDeterminism:
 
 
 class TestPinnedDigests:
-    """sha256 of every CSV and of stdout for criterion 10's three commands.
+    """sha256 of every CSV and of stdout for criterion 10's three commands
+    and for the three commands at their defaults (``equiv`` has no
+    options there, so one entry serves both).
 
     These pin the output bytes across refactors, not just across reruns.  A
     change that alters the bits on purpose updates the digests here and
@@ -217,6 +219,24 @@ class TestPinnedDigests:
     """
 
     COMMANDS = {
+        "verify_defaults": (["verify"], {
+            "stdout": "bde9a7b9e5ff2d9553db4d9acff83795"
+                      "3eadb3839e519900775ed5b0a1673585",
+            "verify_checks.csv": "08cee1f5187a386b2fcece9d74cbe39c"
+                                 "d42ee68ef36b47d01cffe6af0eb17f82",
+            "verify_conditions.csv": "c8d405ddac7c23188348091060bd94ca"
+                                     "d47c4e9e543e2f53ee56b9583e949f05",
+            "verify_correspondence.csv": "00ab362e6f0475dcceb408cb5a9edc4b"
+                                         "63549fdf17e312ab6eef88987fd58161",
+        }),
+        "erm_defaults": (["erm"], {
+            "stdout": "e52e7292ab557b64cdd657eb75b321fb"
+                      "30a4efba02054d89d63fb41daa2a25ec",
+            "erm_consistency.csv": "6adbec90a0a3220a451a31154a337e1d"
+                                   "a2d4515c00919cfa56f7defde72ade17",
+            "erm_summary.csv": "1f0329904a1cd0758cc2959def94ff17"
+                               "a131ebaaa9f5d8a7304d1a2763f02452",
+        }),
         "verify": (["verify", "--measures", "20", "--losses",
                     "hinge,exponential"], {
             "stdout": "093ea0cd7d5cf7b486a8917c049bde7f"

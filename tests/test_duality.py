@@ -468,6 +468,13 @@ class TestTheorem1Conditions:
         assert lines[0] == "condition,pass,witness_beta,residual"
         assert len(lines) == 4
 
+    def test_csv_rows_are_the_check_rows(self):
+        report = check_theorem1_conditions(
+            psi_from_f(catalog_generator("kl")), tol=1e-6)
+        rows = report.to_csv().strip().split("\n")[1:]
+        assert rows == [c.to_csv_row() for c in report.checks]
+        assert rows[1].startswith("involution,false,")
+
 
 class TestPhiInverse:
     def test_hinge_values(self):

@@ -1,6 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+from fdual import erm
 from fdual.equivalence import variational_family_check
 from fdual.erm import (FunctionClassSpec, consistency_sweep,
                        empirical_phi_risk, excess_bayes_risk,
@@ -12,8 +16,84 @@ from fdual.errors import (EmptySample, IncompatibleQuantizer, NonConvexLoss,
 from fdual.losses import catalog_generator, catalog_loss, induced_generator
 from fdual.measures import (BinnedSource, Priors, TableQuantizer,
                             ThresholdQuantizer, UniformPairSource, bayes_risk,
-                            induce_measures, named_divergence)
+                            induce_measures, named_divergence,
+                            quantizer_masses)
 from fdual.risk import min_per_bin, zero_one_risk
+
+
+def old_family_bayes(fc, src):
+    """Frozen copy of the table-family sweep optimal_family_bayes replaced:
+    one validated TableQuantizer per routing, folded from +inf."""
+    k = int(fc.table_bins)
+    nb = src.n_bins
+    best = math.inf
+    for assign in itertools.product(range(k), repeat=nb):
+        rows = np.zeros((nb, k))
+        rows[np.arange(nb), list(assign)] = 1.0
+        mu, pi = quantizer_masses(TableQuantizer(rows), src)
+        best = min(best, float(np.minimum(mu, pi).sum()))
+    return best
+
+
+def old_erm_table(phi, s, fc):
+    """Frozen copy of the table ERM that _erm_table replaced: up to 100
+    rounds of a gamma step then a row step, a further gamma step after the
+    loop, and the masses read once per risk.  Returns (gamma, rows, trace,
+    empirical, population phi-risk, excess Bayes risk)."""
+    k = int(fc.table_bins)
+    nb = s.src.n_bins
+    c_pos, c_neg = erm._table_counts(s, nb)
+    n = s.n
+    assign = np.arange(nb) % k
+    trace = []
+    for _ in range(100):
+        rows = np.zeros((nb, k))
+        rows[np.arange(nb), assign] = 1.0
+        gamma, vals = erm._gamma_step(phi, c_pos @ rows / n, c_neg @ rows / n,
+                                      fc.gamma_bound)
+        cost = (np.outer(c_pos, phi(gamma)) + np.outer(c_neg, phi(-gamma))) / n
+        assign_new = np.argmin(cost, axis=1)
+        obj = float(cost[np.arange(nb), assign_new].sum())
+        trace.append(obj)
+        if len(trace) > 1 and trace[-2] - obj < 1e-10:
+            assign = assign_new
+            break
+        assign = assign_new
+    rows = np.zeros((nb, k))
+    rows[np.arange(nb), assign] = 1.0
+    q = TableQuantizer(rows)
+    gamma, vals = erm._gamma_step(phi, c_pos @ rows / n, c_neg @ rows / n,
+                                  fc.gamma_bound)
+    mu, pi = quantizer_masses(q, s.src)
+    excess = (float(np.sum(np.where(gamma > 0.0, pi, mu)))
+              - old_family_bayes(fc, s.src))
+    mu, pi = quantizer_masses(q, s.src)
+    rphi = float(np.sum(phi(gamma) * mu + phi(-gamma) * pi))
+    return gamma, rows, tuple(trace), float(vals.sum()), rphi, excess
+
+
+def bench_table_cases():
+    """The table_erm ops of the bench's erm workload at seeds 0-5: eight
+    random bins, two letters, 2000 samples."""
+    for seed in range(6):
+        rng = np.random.default_rng((seed, 1002))
+        for i, name in enumerate(("hinge", "exponential", "logistic")):
+            pos = rng.uniform(0.05, 1.0, 8)
+            neg = rng.uniform(0.05, 1.0, 8)
+            priors = Priors.from_q(float(rng.uniform(0.3, 0.7)))
+            src = BinnedSource(pos / pos.sum(), neg / neg.sum(), priors)
+            yield catalog_loss(name), generate_samples(src, 2000,
+                                                       (seed, 100 + i))
+
+
+def assert_same_table_erm(res, old):
+    gamma, rows, trace, empirical, rphi, excess = old
+    assert res.gamma_star.tobytes() == gamma.tobytes()
+    assert res.q_star.rows.tobytes() == rows.tobytes()
+    assert [x.hex() for x in res.objective_trace] == [x.hex() for x in trace]
+    assert [res.empirical_risk.hex(), res.population_phi_risk.hex(),
+            res.excess_bayes.hex()] == [empirical.hex(), rphi.hex(),
+                                        excess.hex()]
 
 
 @pytest.fixture
@@ -97,6 +177,29 @@ class TestEmpiricalPhiRisk:
         want = 0.5 * float(np.mean(phi(s.y * 2.0) + phi(s.y * -2.0)))
         assert val == pytest.approx(want, abs=1e-12)
 
+    def test_mismatched_quantizer_rejected_like_quantizer_masses(
+            self, src_default):
+        phi = catalog_loss("hinge")
+        pair = generate_samples(src_default, 50, 4)
+        binned = generate_samples(
+            BinnedSource([0.5, 0.3, 0.2], [0.2, 0.3, 0.5], Priors(0.5, 0.5)),
+            50, 4)
+        cases = [(TableQuantizer(np.full((3, 2), 0.5)), pair),
+                 (TableQuantizer(np.full((4, 2), 0.5)), binned),
+                 (TableQuantizer(np.full((2, 2), 0.5)), binned),
+                 (ThresholdQuantizer(1.0), binned)]
+        for q, s in cases:
+            with pytest.raises(IncompatibleQuantizer):
+                quantizer_masses(q, s.src)
+            with pytest.raises(IncompatibleQuantizer):
+                empirical_phi_risk(phi, np.zeros(2), q, s)
+
+    def test_discriminant_length_must_match_the_alphabet(self, src_default):
+        s = generate_samples(src_default, 50, 4)
+        with pytest.raises(ValueError, match="alphabet"):
+            empirical_phi_risk(catalog_loss("hinge"), np.zeros(3),
+                               ThresholdQuantizer(1.5), s)
+
 
 class TestJointErm:
     def test_nonconvex_rejected(self, src_default, fc_default):
@@ -161,6 +264,42 @@ class TestJointErm:
         assert np.all(np.diff(trace) <= 1e-12)
         assert res.excess_bayes >= -1e-12
 
+    def test_table_erm_matches_old_route_bit_for_bit(self):
+        fc = FunctionClassSpec(gamma_bound=4.0, table_bins=2)
+        for phi, s in bench_table_cases():
+            assert_same_table_erm(joint_erm(phi, s, fc),
+                                  old_erm_table(phi, s, fc))
+
+    def test_table_erm_at_the_round_cap_matches_old_route(self, monkeypatch):
+        # a loss whose offset falls by 1/r^2 per round keeps every decrease
+        # above 1e-10, so both routes stop at the cap of 100 row steps
+        hinge = catalog_loss("hinge")
+        rounds = itertools.count(1)
+
+        class Drifting:
+            name, convex, offset = "drifting_hinge", True, 0.0
+
+            def __call__(self, x):
+                return hinge(x) + self.offset
+
+        phi = Drifting()
+        real_step = erm._gamma_step
+
+        def step(*args):
+            phi.offset = 1.0 / next(rounds)
+            return real_step(*args)
+
+        monkeypatch.setattr(erm, "_gamma_step", step)
+        src = BinnedSource([0.5, 0.3, 0.15, 0.05], [0.05, 0.15, 0.3, 0.5],
+                           Priors(0.5, 0.5))
+        fc = FunctionClassSpec(gamma_bound=4.0, table_bins=2)
+        s = generate_samples(src, 500, 21)
+        res = joint_erm(phi, s, fc)
+        rounds = itertools.count(1)
+        old = old_erm_table(phi, s, fc)
+        assert len(res.objective_trace) == 100
+        assert_same_table_erm(res, old)
+
 
 class TestExcessBayes:
     def test_zero_at_population_optimum(self, src_default, fc_default):
@@ -202,6 +341,30 @@ class TestOptimalFamilyBayes:
         src = BinnedSource([0.6, 0.4], [0.2, 0.8], Priors(0.5, 0.5))
         with pytest.raises(IncompatibleQuantizer):
             optimal_family_bayes(fc_default, src)
+
+    def test_threshold_outside_the_overlap_empties_a_bin(self, src_default):
+        # t = 3 > b = 2 gives pi a negative bin; folded in, the family
+        # Bayes risk read 1/12 where the one valid member gives 5/24
+        fc = FunctionClassSpec(gamma_bound=4.0,
+                               thresholds=np.array([1.5, 3.0]))
+        with pytest.raises(ZeroMassBin):
+            optimal_family_bayes(fc, src_default)
+        s = generate_samples(src_default, 200, 5)
+        with pytest.raises(ZeroMassBin):
+            joint_erm(catalog_loss("hinge"), s, fc)
+
+    def test_table_family_matches_old_loop_bit_for_bit(self, rng):
+        # every k**nb <= 256, so the old loop stays cheap
+        for i in range(200):
+            k = 2 + i % 2
+            nb = int(rng.integers(2, 9 if k == 2 else 6))
+            pos = rng.uniform(0.0, 1.0, nb)
+            neg = rng.uniform(0.0, 1.0, nb)
+            src = BinnedSource(pos / pos.sum(), neg / neg.sum(),
+                               Priors.from_q(float(rng.uniform(0.05, 0.95))))
+            fc = FunctionClassSpec(gamma_bound=1.0, table_bins=k)
+            assert optimal_family_bayes(fc, src).hex() == \
+                old_family_bayes(fc, src).hex()
 
 
 class TestLemma2:
@@ -337,6 +500,16 @@ class TestFunctionClassSpec:
         with pytest.raises(ValueError):
             FunctionClassSpec(gamma_bound=2.0,
                               thresholds=np.array([1.1, 1.2]), table_bins=2)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="gamma_bound"):
+            FunctionClassSpec(gamma_bound=float("nan"), table_bins=2)
+        with pytest.raises(ValueError, match="NaN"):
+            FunctionClassSpec(gamma_bound=2.0,
+                              thresholds=np.array([1.1, float("nan")]))
+        with pytest.raises(ValueError, match="NaN"):
+            FunctionClassSpec(gamma_bound=2.0,
+                              thresholds=np.array([float("nan")]))
 
     def test_loss_bound_finite(self, fc_default):
         assert fc_default.loss_bound(catalog_loss("hinge")) == 5.0

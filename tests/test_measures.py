@@ -54,6 +54,27 @@ class TestJointMeasure:
         assert (int(z), float(mu), float(pi)) == (0, 0.3, 0.1)
 
 
+class TestNanInput:
+    # NaN fails no comparison-based check, so each constructor tests for it
+    nan = float("nan")
+
+    def test_joint_measure(self):
+        with pytest.raises(ValueError, match="mu must not be NaN"):
+            JointMeasure([0.5, self.nan], [0.25, 0.25], Priors(0.5, 0.5))
+        with pytest.raises(ValueError, match="pi must not be NaN"):
+            JointMeasure([0.25, 0.25], [self.nan, 0.5], Priors(0.5, 0.5))
+
+    def test_binned_source(self):
+        with pytest.raises(ValueError, match="pos_masses must not be NaN"):
+            BinnedSource([self.nan, 1.0], [0.5, 0.5], Priors(0.5, 0.5))
+        with pytest.raises(ValueError, match="neg_masses must not be NaN"):
+            BinnedSource([0.5, 0.5], [1.0, self.nan], Priors(0.5, 0.5))
+
+    def test_table_quantizer(self):
+        with pytest.raises(ValueError, match="table rows must not be NaN"):
+            TableQuantizer([[1.0, 0.0], [self.nan, 1.0]])
+
+
 class TestInduceMeasures:
     def test_threshold_closed_forms(self, src_default):
         m = induce_measures(ThresholdQuantizer(1.5), src_default)
@@ -132,6 +153,30 @@ class TestThresholdMasses:
                 m = induce_measures(ThresholdQuantizer(float(t)), src)
                 assert mu[k].tobytes() == m.mu.tobytes()
                 assert pi[k].tobytes() == m.pi.tobytes()
+
+    def test_closed_forms_bit_for_bit(self, rng):
+        # the docstring formulas in their operation order, which the prior
+        # columns of dominance_check must also keep
+        for _ in range(50):
+            a = float(rng.uniform(0.2, 2.0))
+            b = a + float(rng.uniform(0.1, 2.0))
+            c = b + float(rng.uniform(0.1, 3.0))
+            pr = Priors.from_q(float(rng.uniform(0.05, 0.95)))
+            p, q = pr.p, pr.q
+            t = np.sort(rng.uniform(a, b, 5))
+            mu, pi = threshold_masses(UniformPairSource(a, b, c, pr), t)
+            want_mu = np.column_stack([p * (t - a) / (c - a),
+                                       p * (c - t) / (c - a)])
+            want_pi = np.column_stack([q * t / b, q * (b - t) / b])
+            assert mu.tobytes() == want_mu.tobytes()
+            assert pi.tobytes() == want_pi.tobytes()
+            pos, neg = rng.uniform(0.05, 1.0, (2, 4))
+            src = BinnedSource(pos / pos.sum(), neg / neg.sum(), pr)
+            rows = rng.uniform(0.0, 1.0, (4, 3))
+            tq = TableQuantizer(rows / rows.sum(axis=1, keepdims=True))
+            mu, pi = quantizer_masses(tq, src)
+            assert mu.tobytes() == (p * (src.pos_masses @ tq.rows)).tobytes()
+            assert pi.tobytes() == (q * (src.neg_masses @ tq.rows)).tobytes()
 
     def test_scalar_threshold_is_one_row(self, src_default):
         mu, pi = threshold_masses(src_default, 1.5)
