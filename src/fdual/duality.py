@@ -46,7 +46,9 @@ def _as_float_array(x) -> tuple[np.ndarray, bool]:
 class Generator:
     """Convex function on [0, inf) defining an f-divergence.
 
-    ``fn`` must accept numpy arrays.  Evaluation below 0 returns +inf when
+    ``fn`` (and ``conjugate_fn``) gets a float ndarray, 0-d for a scalar,
+    with every floating-point warning ignored, so it needs no ``errstate``
+    or conversion of its own.  Evaluation below 0 returns +inf when
     ``halfline`` is set (the divergence convention); conjugates returned by
     :func:`conjugate` live on the whole line and clear the flag.
     """

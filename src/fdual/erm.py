@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -27,8 +28,8 @@ from .errors import (EmptySample, IncompatibleQuantizer, NonConvexLoss,
 from .losses import SurrogateLoss, induced_generator
 from .measures import (BinnedSource, Priors, Quantizer, SourceSpec,
                        TableQuantizer, ThresholdQuantizer, UniformPairSource,
-                       _frozen, _masses, _routing, induce_measures,
-                       quantizer_masses, threshold_masses)
+                       _check_route, _frozen, _masses, _routing,
+                       induce_measures, quantizer_masses, threshold_masses)
 from .optimize import weighted_min
 from .risk import min_per_bin, phi_risk, zero_one_risk
 
@@ -97,6 +98,12 @@ class FunctionClassSpec:
             if ts.size == 0 or np.any(np.diff(ts) <= 0):
                 raise ValueError("thresholds must be strictly increasing")
             object.__setattr__(self, "thresholds", ts)
+        else:
+            nb = self.table_bins
+            if (isinstance(nb, bool) or not isinstance(nb, numbers.Integral)
+                    or nb < 2):
+                raise ValueError("table_bins must be an integer >= 2")
+            object.__setattr__(self, "table_bins", int(nb))
 
     def loss_bound(self, phi: SurrogateLoss) -> float:
         """Envelope of |phi| over the admissible margins (must be finite)."""
@@ -215,8 +222,7 @@ def _erm_table(phi: SurrogateLoss, s: SampleSet,
                fc: FunctionClassSpec) -> ErmResult:
     if not isinstance(s.src, BinnedSource):
         raise IncompatibleQuantizer("table ERM needs a binned source")
-    k = int(fc.table_bins)
-    nb = s.src.n_bins
+    k, nb = fc.table_bins, s.src.n_bins
     c_pos, c_neg = _table_counts(s, nb)
     n = s.n
     assign = np.arange(nb) % k  # deterministic start: round-robin routing
@@ -262,8 +268,8 @@ def optimal_family_bayes(fc: FunctionClassSpec, src: SourceSpec) -> float:
     if fc.thresholds is not None:
         mu, pi = _interior_masses(src, fc.thresholds)
     else:
-        k = int(fc.table_bins)
-        nb = src.n_bins
+        _check_route(TableQuantizer, src)
+        k, nb = fc.table_bins, src.n_bins
         if k ** nb > 100_000:
             raise ValueError("table family too large to sweep exhaustively")
         rows = np.eye(k)[list(itertools.product(range(k), repeat=nb))]

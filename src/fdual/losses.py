@@ -33,6 +33,9 @@ class SurrogateLoss:
     ``alpha_star`` is the smallest point attaining inf phi (+inf when the
     infimum is only approached); ``inf_value`` is inf phi itself (-inf for
     losses unbounded below).
+
+    ``fn`` gets a float ndarray (0-d for a scalar) with every floating-point
+    warning ignored, so it needs no warning guard or conversion of its own.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -47,10 +50,8 @@ class SurrogateLoss:
         with np.errstate(all="ignore"):
             vals = np.asarray(self.fn(arr), dtype=float)
         # losses are +inf at alpha = -inf by convention
-        if arr.ndim == 0:
-            return INF if arr == -INF else float(vals)
-        neg = arr == -INF
-        return np.where(neg, INF, vals) if neg.any() else vals
+        vals = np.where(arr == -INF, INF, vals)
+        return float(vals) if arr.ndim == 0 else vals
 
     @property
     def u_star(self) -> float:
@@ -60,7 +61,8 @@ class SurrogateLoss:
 
 @dataclass(frozen=True)
 class GLink:
-    """Increasing continuous convex link with g(u_star) = u_star."""
+    """Increasing continuous convex link with g(u_star) = u_star; ``fn``
+    follows the evaluation contract of :class:`SurrogateLoss`."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     u_star: float
@@ -68,10 +70,9 @@ class GLink:
 
     def __call__(self, u):
         arr = np.asarray(u, dtype=float)
-        scalar = arr.ndim == 0
         with np.errstate(all="ignore"):
             vals = np.asarray(self.fn(arr), dtype=float)
-        return float(vals) if scalar else vals
+        return float(vals) if arr.ndim == 0 else vals
 
     def validate(self) -> None:
         """Raise BadLink unless anchor, monotonicity, convexity (sampled at
@@ -92,11 +93,6 @@ class GLink:
                           "must be positive")
 
 
-def _exp_neg(a: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return np.exp(-a)
-
-
 # --- loss closed forms -------------------------------------------------------
 
 def _phi_zero_one(a):
@@ -108,7 +104,7 @@ def _phi_hinge(a):
 
 
 def _phi_exponential(a):
-    return _exp_neg(a)
+    return np.exp(-a)
 
 
 def _phi_logistic(a):
@@ -120,13 +116,11 @@ def _phi_least_squares(a):
 
 
 def _phi_sym_kl(a):
-    return _exp_neg(a) - a - 1.0
+    return np.exp(-a) - a - 1.0
 
 
 def _phi_eq10(a):
-    with np.errstate(over="ignore"):
-        low = np.maximum(0.0, 2.0 - np.exp(np.minimum(a, 0.0)))
-    return np.where(a <= 0.0, low, _exp_neg(a))
+    return np.where(a <= 0.0, np.maximum(0.0, 2.0 - np.exp(a)), np.exp(-a))
 
 
 _LOSSES: dict[str, SurrogateLoss] = {
@@ -177,8 +171,7 @@ def _f_hellinger(u):
 
 
 def _fstar_hellinger(v):
-    with np.errstate(divide="ignore"):
-        return np.where(v < 0.0, -1.0 / v, INF)
+    return np.where(v < 0.0, -1.0 / v, INF)
 
 
 def _f_triangular(u):
@@ -189,66 +182,44 @@ def _fstar_triangular(v):
     # (2 - sqrt(-v))^2 on the whole half-line v <= 0: beyond v = -4 this is
     # the smooth continuation of the conjugate (the strict conjugate clips to
     # 0 there) and is what makes the u^2 link rebuild the full square loss.
-    with np.errstate(invalid="ignore"):
-        inner = (2.0 - np.sqrt(-v)) ** 2
-    return np.where(v > 0.0, INF, inner)
+    return np.where(v > 0.0, INF, (2.0 - np.sqrt(-v)) ** 2)
 
 
 def _f_capacitory(u):
-    u = np.asarray(u, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        body = -u * (np.log1p(u) - np.log(u)) - np.log1p(u)
+    body = -u * (np.log1p(u) - np.log(u)) - np.log1p(u)
     return np.where(u > 0.0, body, 0.0)
 
 
 def _fstar_capacitory(v):
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        body = -np.log1p(-np.exp(v))
-    return np.where(v < 0.0, body, INF)
+    return np.where(v < 0.0, -np.log1p(-np.exp(v)), INF)
 
 
 def _f_sym_kl(u):
-    u = np.asarray(u, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        body = (u - 1.0) * np.log(u)
-    return np.where(u > 0.0, body, INF)
+    return np.where(u > 0.0, (u - 1.0) * np.log(u), INF)
 
 
-def _sym_kl_psi(beta: np.ndarray) -> np.ndarray:
-    # maximize -beta*u + log u - u*log u: stationarity reads
-    # 1/u - log u = beta + 1; solve for w = log u by vectorized bisection
-    # (exp(-w) - w is strictly decreasing in w).
-    tau = np.asarray(beta, dtype=float) + 1.0
+def _fstar_sym_kl(v):
+    # maximize v*u + log u - u*log u: stationarity reads 1/u - log u = 1 - v;
+    # solve for w = log u by vectorized bisection (exp(-w) - w is strictly
+    # decreasing in w).
+    tau = 1.0 - v
     lo = np.full(tau.shape, -745.0)
     hi = np.full(tau.shape, 745.0)
     for _ in range(70):
         mid = 0.5 * (lo + hi)
-        with np.errstate(over="ignore"):
-            resid = np.exp(-mid) - mid - tau
+        resid = np.exp(-mid) - mid - tau
         lo = np.where(resid > 0.0, mid, lo)
         hi = np.where(resid > 0.0, hi, mid)
     w = 0.5 * (lo + hi)
-    with np.errstate(over="ignore"):
-        out = np.exp(w) + w - 1.0
-    return np.where(w > 700.0, INF, out)  # beyond double range
-
-
-def _fstar_sym_kl(v):
-    arr = np.asarray(v, dtype=float)
-    out = _sym_kl_psi(-arr)
-    return out if arr.ndim else float(out)
+    return np.where(w > 700.0, INF, np.exp(w) + w - 1.0)  # beyond doubles
 
 
 def _f_kl(u):
-    u = np.asarray(u, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        body = u * np.log(u)
-    return np.where(u > 0.0, body, 0.0)
+    return np.where(u > 0.0, u * np.log(u), 0.0)
 
 
 def _fstar_kl(v):
-    with np.errstate(over="ignore"):
-        return np.exp(v - 1.0)
+    return np.exp(v - 1.0)
 
 
 _GENERATORS: dict[str, Generator] = {
@@ -281,16 +252,15 @@ def catalog_generator(name: str) -> Generator:
 # --- links --------------------------------------------------------------------
 
 def _g_identity(u):
-    return np.asarray(u, dtype=float)
+    return u
 
 
 def _g_exp_shift(u):
-    with np.errstate(over="ignore"):
-        return np.exp(u - 1.0)
+    return np.exp(u - 1.0)
 
 
 def _g_square(u):
-    return np.asarray(u, dtype=float) ** 2
+    return u ** 2
 
 
 def _g_logistic(u):
@@ -299,8 +269,7 @@ def _g_logistic(u):
 
 
 def _g_expm1_plus(u):
-    with np.errstate(over="ignore"):
-        return np.expm1(u) + u
+    return np.expm1(u) + u
 
 
 _LINKS: dict[str, GLink] = {

@@ -8,7 +8,7 @@ All divergence and risk computations downstream operate on such pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -186,10 +186,6 @@ class BinnedSource:
 SourceSpec = Union[UniformPairSource, BinnedSource]
 
 
-def with_priors(src: SourceSpec, priors: Priors) -> SourceSpec:
-    return replace(src, priors=priors)
-
-
 def _masses(src: SourceSpec, cut: np.ndarray, p, q_
             ) -> tuple[np.ndarray, np.ndarray]:
     """The mass formulas: ``cut`` is a threshold column (uniform pair) or
@@ -202,6 +198,23 @@ def _masses(src: SourceSpec, cut: np.ndarray, p, q_
     return p * (src.pos_masses @ cut), q_ * (src.neg_masses @ cut)
 
 
+# the one source kind each quantizer kind can route
+_ROUTES = {
+    ThresholdQuantizer: (UniformPairSource, "threshold quantizers apply only "
+                         "to uniform-pair sources"),
+    TableQuantizer: (BinnedSource, "table quantizers apply only to binned "
+                     "sources"),
+}
+
+
+def _check_route(kind: type, src: SourceSpec) -> None:
+    """Raise IncompatibleQuantizer unless quantizers of ``kind`` can route
+    src."""
+    source_kind, message = _ROUTES[kind]
+    if not isinstance(src, source_kind):
+        raise IncompatibleQuantizer(message)
+
+
 def threshold_masses(src: SourceSpec, ts) -> tuple[np.ndarray, np.ndarray]:
     """Masses (mu, pi), each of shape (m, 2), that the thresholds ts induce
     on a uniform pair; bin 0 lies below t.  With p and q_ the priors:
@@ -212,9 +225,7 @@ def threshold_masses(src: SourceSpec, ts) -> tuple[np.ndarray, np.ndarray]:
     No positivity check: a threshold outside (a, b) gives a bin of zero or
     negative mass.  Raises IncompatibleQuantizer unless src is a uniform pair.
     """
-    if not isinstance(src, UniformPairSource):
-        raise IncompatibleQuantizer("threshold quantizers apply only to "
-                                    "uniform-pair sources")
+    _check_route(ThresholdQuantizer, src)
     return _masses(src, np.asarray(ts, dtype=float).reshape(-1, 1),
                    src.priors.p, src.priors.q)
 
@@ -223,14 +234,10 @@ def _routing(q: Quantizer, src: SourceSpec) -> np.ndarray:
     """The ``cut`` of ``_masses`` for q (its threshold, or its table rows);
     raises IncompatibleQuantizer unless q can route src."""
     if isinstance(q, ThresholdQuantizer):
-        if not isinstance(src, UniformPairSource):
-            raise IncompatibleQuantizer("threshold quantizers apply only to "
-                                        "uniform-pair sources")
+        _check_route(ThresholdQuantizer, src)
         return np.array([q.t])
     if isinstance(q, TableQuantizer):
-        if not isinstance(src, BinnedSource):
-            raise IncompatibleQuantizer("table quantizers apply only to "
-                                        "binned sources")
+        _check_route(TableQuantizer, src)
         if q.n_bins != src.n_bins:
             raise IncompatibleQuantizer(
                 f"table has {q.n_bins} rows but the source has {src.n_bins} bins")

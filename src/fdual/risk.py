@@ -46,8 +46,7 @@ def min_per_bin(phi: SurrogateLoss, mu: np.ndarray, pi: np.ndarray
     """
     mu = np.asarray(mu, dtype=float)
     pi = np.asarray(pi, dtype=float)
-    with np.errstate(divide="ignore"):
-        ratio = np.where(pi > 0, mu / np.maximum(pi, 1e-300), INF)
+    ratio = np.where(pi > 0, mu / np.maximum(pi, 1e-300), INF)
     b = BRACKET + np.abs(np.log(np.maximum(ratio, 1e-300)))
     args, vals, _ = weighted_min(phi, mu, pi, b)
     return args, vals

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,8 +13,7 @@ from fdual.errors import DegenerateFit, ZeroMassBin
 from fdual.losses import catalog_generator, catalog_loss, induced_generator
 from fdual.measures import (BinnedSource, Priors, TableQuantizer,
                             ThresholdQuantizer, UniformPairSource, bayes_risk,
-                            f_divergence, induce_measures, random_measure,
-                            with_priors)
+                            f_divergence, induce_measures, random_measure)
 from fdual.risk import optimal_phi_risk
 
 REALIZABLE = ("hinge", "exponential", "least_squares", "logistic", "sym_kl")
@@ -26,8 +27,8 @@ def old_dominance_sides(q1, q2, src):
     b2 = np.empty_like(Q_GRID)
     for i, q in enumerate(Q_GRID):
         priors = Priors.from_q(float(q))
-        b1[i] = bayes_risk(induce_measures(q1, with_priors(src, priors)))
-        b2[i] = bayes_risk(induce_measures(q2, with_priors(src, priors)))
+        b1[i] = bayes_risk(induce_measures(q1, replace(src, priors=priors)))
+        b2[i] = bayes_risk(induce_measures(q2, replace(src, priors=priors)))
 
     def clipped(m):
         p1, p_1 = m.conditionals()

@@ -342,6 +342,12 @@ class TestOptimalFamilyBayes:
         with pytest.raises(IncompatibleQuantizer):
             optimal_family_bayes(fc_default, src)
 
+    def test_table_family_needs_a_binned_source(self, src_default):
+        fc = FunctionClassSpec(gamma_bound=4.0, table_bins=2)
+        with pytest.raises(IncompatibleQuantizer,
+                           match="table quantizers apply only to binned"):
+            optimal_family_bayes(fc, src_default)
+
     def test_threshold_outside_the_overlap_empties_a_bin(self, src_default):
         # t = 3 > b = 2 gives pi a negative bin; folded in, the family
         # Bayes risk read 1/12 where the one valid member gives 5/24
@@ -510,6 +516,11 @@ class TestFunctionClassSpec:
         with pytest.raises(ValueError, match="NaN"):
             FunctionClassSpec(gamma_bound=2.0,
                               thresholds=np.array([float("nan")]))
+
+    @pytest.mark.parametrize("bins", [0, -1, 1, 2.5, True])
+    def test_table_bins_must_be_an_integer_from_2(self, bins):
+        with pytest.raises(ValueError, match="table_bins must be an integer"):
+            FunctionClassSpec(gamma_bound=2.0, table_bins=bins)
 
     def test_loss_bound_finite(self, fc_default):
         assert fc_default.loss_bound(catalog_loss("hinge")) == 5.0

@@ -1,11 +1,13 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fdual.duality import psi_from_f
+from fdual.duality import conjugate, psi_from_f
 from fdual.errors import BadLink, NotConvex, UnrealizableDivergence
 from fdual.losses import (GLink, SurrogateLoss, catalog_generator,
                           catalog_link, catalog_loss, check_A3,
@@ -256,3 +258,93 @@ class TestCurveCsv:
         assert lines[0] == "alpha,phi"
         assert lines[1] == "0.0,1.0"
         assert lines[3] == "2.0,0.0"
+
+
+class TestClosedFormContract:
+    """Every catalog closed form, reached through its evaluation wrapper,
+    at points where exp overflows, logs see 0 and products meet inf.
+
+    The wrappers ignore every floating-point warning on the closed form's
+    behalf, so the test runs with all of them raised: one leaking out of a
+    wrapper fails it.  Each digest covers the array call and the 15 scalar
+    calls, and pins the closed forms' output bits.
+    """
+
+    POINTS = np.array([-INF, -1e3, -745.0, -50.0, -1.0, -1e-12, -0.0, 0.0,
+                       1e-12, 1.0, 50.0, 745.0, 1e3, INF, math.nan])
+    DIGESTS = {
+        "loss:zero_one": "84c5f2aeba3ce0c822b69e2f33694409"
+                         "e7a3bd706e38ed0b2ad08de4ef92d3fd",
+        "loss:hinge": "30646e4e662756f4434caec881eb5651"
+                      "5d2a0ddc61db0fe41f14df15d89cbb08",
+        "loss:exponential": "d96398cf12785878ae20fc15d5ac9c58"
+                            "8a46282368c1da02b460604885650949",
+        "loss:logistic": "de19a63482b143926fb3e710eba81b1a"
+                         "441055c8b257c36eafc439ee92332759",
+        "loss:least_squares": "badadf986cb2912f656b323a6e108603"
+                              "fbf3ecc179e99fc5bff8f61d84128795",
+        "loss:sym_kl": "e9b9b0f1f15b8e2ed0348f06b1b71827"
+                       "731431c189d1da34ddf49295fa535ab9",
+        "loss:eq10_nonconvex": "cff1c2f34079d42453d07e8f1a0534c7"
+                               "70360077d84a69983ef9fcfc3d3dd30c",
+        "f:zero_one": "a15a7c4a20e5169d22a71349ab31ed73"
+                      "49f09ede458c3940f4d288d87d2cb848",
+        "fstar:zero_one": "c9a5c26e890d2709af4d1ac19275e537"
+                          "a2458e00beaf51cc3d12fca6be7b9011",
+        "f:hinge": "fca471239239e9797941688cfb6cdb2b"
+                   "2bc79323fde6688ed58d51969024d604",
+        "fstar:hinge": "29b5d9c734c4abd269c675d3b755590b"
+                       "751aed409d00b0533cead36f7e339a23",
+        "f:eq10_nonconvex": "fca471239239e9797941688cfb6cdb2b"
+                            "2bc79323fde6688ed58d51969024d604",
+        "fstar:eq10_nonconvex": "29b5d9c734c4abd269c675d3b755590b"
+                                "751aed409d00b0533cead36f7e339a23",
+        "f:exponential": "b4204cc5e252a5ceeb5f0050e163aa0a"
+                         "ac0f87a074786f444344bffdfc7d3127",
+        "fstar:exponential": "74970e464b634234df5b86a978ea7974"
+                             "81f5260b9b45e949f6d2a08a5f36c31f",
+        "f:least_squares": "23fa286efbe4a8d821a0fcd4f29f12f6"
+                           "9dbb582056ff270a3ab576f6f9dc85bb",
+        "fstar:least_squares": "03a9eab8e61a9af856a80a0746a3a95e"
+                               "48cdb0099ccd1a2edb0d8032e2b92961",
+        "f:logistic": "da7fdbf195f5443ef03f367f44307433"
+                      "8b2ced7f38cbdd954458eada0c3d2590",
+        "fstar:logistic": "7b3181e7e643df42c5df5330e3e188f5"
+                          "db9fbac87e804f228f9088a2628a547e",
+        "f:sym_kl": "905d73e8b529cc66dc3efa0d6051e7a2"
+                    "1d4a7bbfc8f33e039284c4094e0a6c1c",
+        "fstar:sym_kl": "636d08f684b594938ddbb4a20e2e0a81"
+                        "52256d64d643e776ef823e295cb81f30",
+        "f:kl": "ac3bf3251c1e451cb977115a7c0776a9"
+                "9a46c6d7cd0a42a9640314a41272e460",
+        "fstar:kl": "ee0e148b10e3588c1d33992477500e56"
+                    "b5a5dced11cabed566884c87e7de66f9",
+        "g:identity": "aeb703c7501e76f0a03bb4944c22ec2b"
+                      "97dc0ab32858d0421cfec0e700fcfb6a",
+        "g:exp_shift": "ee0e148b10e3588c1d33992477500e56"
+                       "b5a5dced11cabed566884c87e7de66f9",
+        "g:square": "a7cdd83560708bc29d86176562dd7cb4"
+                    "74abdd3e1b4e388652d148119d292430",
+        "g:logistic_link": "b691c6aa2ea94ddc74e11c225433891b"
+                           "3e567d2c00112b5571594ba6f364aa73",
+        "g:symkl_link": "1e892c4d80efbcfaee17c79b1ff5832a"
+                        "ddcbc5c676e024f396036a871591da18",
+    }
+
+    @staticmethod
+    def _wrapper(key):
+        kind, name = key.split(":")
+        return {"loss": catalog_loss, "f": catalog_generator,
+                 "fstar": lambda n: conjugate(catalog_generator(n)),
+                 "g": catalog_link}[kind](name)
+
+    @pytest.mark.parametrize("key", sorted(DIGESTS))
+    def test_bits_under_raised_warnings(self, key):
+        fn = self._wrapper(key)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                arr = np.asarray(fn(self.POINTS), dtype=float)
+                one = np.array([fn(float(x)) for x in self.POINTS])
+        digest = hashlib.sha256(arr.tobytes() + one.tobytes()).hexdigest()
+        assert digest == self.DIGESTS[key]

@@ -12,7 +12,7 @@ from fdual.measures import (BinnedSource, JointMeasure, Priors,
                             UniformPairSource, bayes_risk, f_divergence,
                             induce_measures, named_divergence,
                             quantizer_masses, random_measure,
-                            threshold_masses, with_priors)
+                            threshold_masses)
 
 
 def make_measure(mu, pi, p=0.5):
@@ -296,8 +296,3 @@ class TestStructuralInvariants:
         m = induce_measures(ThresholdQuantizer(t), src)
         assert np.all(m.mu > 0) and np.all(m.pi > 0)
         assert bayes_risk(m) <= min(pr.p, pr.q) + 1e-12
-
-    def test_with_priors_replaces_only_priors(self, src_default):
-        src2 = with_priors(src_default, Priors.from_q(0.3))
-        assert (src2.a, src2.b, src2.c) == (1.0, 2.0, 4.0)
-        assert src2.priors.q == 0.3
