@@ -45,6 +45,10 @@ class NanObjective(FdualError):
     """A per-element minimization met a NaN objective value."""
 
 
+class InfiniteObjective(FdualError):
+    """A per-element minimization returned +inf: no finite value was met."""
+
+
 class InfiniteRisk(FdualError):
     """A risk sum contains a +inf term."""
 

@@ -32,7 +32,8 @@ class SurrogateLoss:
 
     ``alpha_star`` is the smallest point attaining inf phi (+inf when the
     infimum is only approached); ``inf_value`` is inf phi itself (-inf for
-    losses unbounded below).
+    losses unbounded below).  ``strictly_convex`` (needs ``convex``) promises
+    one minimizer of phi(a) mu + phi(-a) pi at mu, pi > 0 (no tie rule).
 
     ``fn`` gets a float ndarray (0-d for a scalar) with every floating-point
     warning ignored, so it needs no warning guard or conversion of its own.
@@ -44,6 +45,11 @@ class SurrogateLoss:
     decreasing: bool
     alpha_star: float
     inf_value: float
+    strictly_convex: bool = False
+
+    def __post_init__(self) -> None:
+        if self.strictly_convex and not self.convex:
+            raise ValueError("a strictly convex loss must be flagged convex")
 
     def __call__(self, alpha):
         arr = np.asarray(alpha, dtype=float)
@@ -130,14 +136,17 @@ _LOSSES: dict[str, SurrogateLoss] = {
                            alpha_star=1.0, inf_value=0.0),
     "exponential": SurrogateLoss(_phi_exponential, "exponential", convex=True,
                                  decreasing=True, alpha_star=INF,
-                                 inf_value=0.0),
+                                 inf_value=0.0, strictly_convex=True),
     "logistic": SurrogateLoss(_phi_logistic, "logistic", convex=True,
-                              decreasing=True, alpha_star=INF, inf_value=0.0),
+                              decreasing=True, alpha_star=INF, inf_value=0.0,
+                              strictly_convex=True),
     "least_squares": SurrogateLoss(_phi_least_squares, "least_squares",
                                    convex=True, decreasing=False,
-                                   alpha_star=1.0, inf_value=0.0),
+                                   alpha_star=1.0, inf_value=0.0,
+                                   strictly_convex=True),
     "sym_kl": SurrogateLoss(_phi_sym_kl, "sym_kl", convex=True,
-                            decreasing=True, alpha_star=INF, inf_value=-INF),
+                            decreasing=True, alpha_star=INF, inf_value=-INF,
+                            strictly_convex=True),
     "eq10_nonconvex": SurrogateLoss(_phi_eq10, "eq10_nonconvex", convex=False,
                                     decreasing=True, alpha_star=INF,
                                     inf_value=0.0),
@@ -432,8 +441,7 @@ def check_calibration_general(phi: SurrogateLoss) -> bool:
     infimum over the right-sign margins.  Works for non-convex losses.
     """
     grid = np.linspace(-BRACKET, BRACKET, 20001)
-    phi_pos = phi(grid)
-    phi_neg = phi(-grid)
+    phi_pos, phi_neg = phi(np.stack((grid, -grid)))
     for a, b in _CALIBRATION_PAIRS:
         objective = a * phi_pos + b * phi_neg
         wrong = grid * (a - b) < 0.0

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NanObjective
+from .errors import InfiniteObjective, NanObjective
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
@@ -95,6 +95,7 @@ def golden_min_vec(f: Callable[[np.ndarray], np.ndarray],
     return mid, f(mid)
 
 
+@np.errstate(invalid="ignore")  # zero_safe mends the 0 * inf products
 def weighted_min(phi, w_pos, w_neg, b, dense_n: int = 20_001):
     """Minimize phi(a)*w_pos + phi(-a)*w_neg per element on [-b, b].
 
@@ -105,23 +106,25 @@ def weighted_min(phi, w_pos, w_neg, b, dense_n: int = 20_001):
     other is scanned on the grid ``linspace(-1, 1, dense_n) * b``, with
     phi(+-grid) evaluated once per distinct half-width; every element's best
     grid cell is then refined by one array ``golden_min``, and the grid point
-    is kept when its value is ``<=`` the refined one.
+    is kept when its value is ``<=`` the refined one.  An evaluation at
+    ``a`` is one call of phi on ``np.stack((a, -a))``, shape ``(2,) +
+    a.shape``, so phi must map elementwise over any leading axes.
 
     Returns (args, vals, at_edge); at_edge marks arguments within 1e-6 b of
     the bracket edge.  Raises NanObjective if any objective value is NaN
-    other than a zero weight times an infinite loss, which counts as 0.
+    other than a zero weight times an infinite loss, which counts as 0, and
+    InfiniteObjective if a returned value is +inf.
     """
     w_pos, w_neg, b = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (w_pos, w_neg, b)))
 
     def zero_safe(pos, neg, wp, wn):
         # a term of zero weight is 0, also where phi is inf (0 * inf)
-        with np.errstate(invalid="ignore"):
-            return (np.where(wp == 0.0, 0.0, pos * wp)
-                    + np.where(wn == 0.0, 0.0, neg * wn))
+        return (np.where(wp == 0.0, 0.0, pos * wp)
+                + np.where(wn == 0.0, 0.0, neg * wn))
 
     def objective(a):
-        pos, neg = phi(a), phi(-a)
+        pos, neg = phi(np.stack((a, -a)))
         y = pos * w_pos + neg * w_neg
         # a NaN makes the sum NaN; so does inf - inf, hence the second test
         if math.isnan(np.add.reduce(y, None)) and np.isnan(y).any():
@@ -132,33 +135,34 @@ def weighted_min(phi, w_pos, w_neg, b, dense_n: int = 20_001):
 
     if phi.convex:
         args, vals = golden_min_vec(objective, -b, b)
-        return args, vals, b - np.abs(args) < 1e-6 * b
-    # scan one element at a time in one reused buffer (an elements x grid
-    # matrix costs memory and time); grid points are unit[i] * h, computed
-    # where needed so that no grid array outlives phi's calls
-    lo, hi, grid_arg, grid_val = (np.empty(b.shape) for _ in range(4))
-    unit = np.linspace(-1.0, 1.0, dense_n)
-    for h in np.unique(b):
-        pos, neg = phi(unit * h), phi(unit * -h)
-        obj = np.empty(dense_n)
-        for k in np.flatnonzero(b == h):
-            wn = w_neg.flat[k]
-            np.multiply(pos, w_pos.flat[k], out=obj)
-            obj += neg if wn == 1.0 else neg * wn  # x * 1.0 == x exactly
-            i = int(np.argmin(obj))  # the first NaN, if there is one
-            if math.isnan(obj[i]):
-                obj = zero_safe(pos, neg, w_pos.flat[k], wn)
-                i = int(np.argmin(obj))
+    else:
+        # scan one element at a time in one reused buffer (an elements x
+        # grid matrix costs memory and time); grid points are unit[i] * h,
+        # computed where needed so that no grid array outlives phi's calls
+        lo, hi, grid_arg, grid_val = (np.empty(b.shape) for _ in range(4))
+        unit = np.linspace(-1.0, 1.0, dense_n)
+        for h in np.unique(b):
+            pos, neg = phi(unit * h), phi(unit * -h)
+            obj = np.empty(dense_n)
+            for k in np.flatnonzero(b == h):
+                wn = w_neg.flat[k]
+                np.multiply(pos, w_pos.flat[k], out=obj)
+                obj += neg if wn == 1.0 else neg * wn  # x * 1.0 == x exactly
+                i = int(np.argmin(obj))  # the first NaN, if there is one
                 if math.isnan(obj[i]):
-                    raise NanObjective(
-                        f"the objective of {phi.name} is NaN on the grid")
-            lo.flat[k] = unit[max(i - 1, 0)] * h
-            hi.flat[k] = unit[min(i + 1, dense_n - 1)] * h
-            grid_arg.flat[k], grid_val.flat[k] = unit[i] * h, obj[i]
-    args, vals = golden_min(objective, lo, hi)
-    on_grid = grid_val <= vals
-    args = np.where(on_grid, grid_arg, args)
-    vals = np.where(on_grid, grid_val, vals)
+                    obj = zero_safe(pos, neg, w_pos.flat[k], wn)
+                    i = int(np.argmin(obj))
+                    if math.isnan(obj[i]):
+                        raise NanObjective(
+                            f"the objective of {phi.name} is NaN on the grid")
+                lo.flat[k] = unit[max(i - 1, 0)] * h
+                hi.flat[k] = unit[min(i + 1, dense_n - 1)] * h
+                grid_arg.flat[k], grid_val.flat[k] = unit[i] * h, obj[i]
+        args, vals = golden_min(objective, lo, hi)
+        args, vals = np.where(grid_val <= vals, (grid_arg, grid_val),
+                              (args, vals))
+    if np.isposinf(vals).any():
+        raise InfiniteObjective(f"the minimum of {phi.name} is not finite")
     return args, vals, b - np.abs(args) < 1e-6 * b
 
 

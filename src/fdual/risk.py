@@ -44,12 +44,10 @@ def min_per_bin(phi: SurrogateLoss, mu: np.ndarray, pi: np.ndarray
     |log(mu_z/pi_z)|.  Returns (argmins, values); on flat minimizer sets the
     argmin is golden-section's deterministic interior point.
     """
-    mu = np.asarray(mu, dtype=float)
-    pi = np.asarray(pi, dtype=float)
+    mu, pi = np.asarray(mu, dtype=float), np.asarray(pi, dtype=float)
     ratio = np.where(pi > 0, mu / np.maximum(pi, 1e-300), INF)
     b = BRACKET + np.abs(np.log(np.maximum(ratio, 1e-300)))
-    args, vals, _ = weighted_min(phi, mu, pi, b)
-    return args, vals
+    return weighted_min(phi, mu, pi, b)[:2]
 
 
 def optimal_phi_risk(phi: SurrogateLoss,
@@ -60,39 +58,40 @@ def optimal_phi_risk(phi: SurrogateLoss,
     value ``v`` from ``min_per_bin``; a point is on the plateau when the bin
     objective there is at most ``v + 1e-12 (1 + |v|)``.  If the probe
     ``a - 1e-6 (1 + |a|)`` is on the plateau, the bin reports the left end
-    of the plateau: the step left of ``a`` doubles from 1 while its point
-    stays on the plateau and the step is below ``2**20``, and the bracket is
-    then bisected to 1e-12.  All bins take each stage in one masked pass.
-    As it behaves:
+    of the plateau: the first of ``a - 1, a - 2, a - 4, ...`` off it, or
+    ``2**20`` or more left of ``a``, bounds a bisection to 1e-12; each
+    evaluation is one loss call.  The rule skips the bins with mu_z, pi_z > 0
+    of a ``strictly_convex`` loss (one minimizer).  As it behaves:
 
     - on an interval of minimizers the smallest one is reported;
     - an unbounded plateau stops at the doubling cap, 2**20 to 2**21 left of
       ``a`` (zero_one with mu = (0.2, 0.3), pi = (0.4, 0.1) reports -2.1e6
       in bin 0);
-    - the slack band also covers points beside a unique argmin of a
-      strictly convex objective, which then moves left, by up to about
-      3e-5 for logistic against log(mu/pi).
+    - where the rule runs, its slack band also covers points beside a
+      unique argmin, which then moves left.
     """
     args, vals = min_per_bin(phi, m.mu, m.pi)
-    total = float(vals.sum())
     limit = vals + 1e-12 * (1.0 + np.abs(vals))
 
-    def within(sel):
-        mu, pi, lim = m.mu[sel], m.pi[sel], limit[sel]
-        return lambda x: phi(x) * mu + phi(-x) * pi <= lim
+    def on_plateau(x, sel):
+        pos, neg = phi(np.stack((x, -x)))
+        return pos * m.mu[sel] + neg * m.pi[sel] <= limit[sel]
 
-    tied = within(slice(None))(args - 1e-6 * (1.0 + np.abs(args)))
+    tied = ~(phi.strictly_convex & (m.mu > 0.0) & (m.pi > 0.0))
     if tied.any():
-        on_plateau = within(tied)
         a = args[tied]
-        lo = a - 1.0
-        while True:
-            grow = on_plateau(lo) & (a - lo < 2.0 ** 20)
-            if not grow.any():
-                break
-            lo = np.where(grow, a - 2.0 * (a - lo), lo)
-        args[tied] = bisect_predicate(on_plateau, lo, a, tol=1e-12)
-    return total, args
+        tied[tied] = on_plateau(a - 1e-6 * (1.0 + np.abs(a)), tied)
+    if tied.any():
+        a = args[tied]
+        steps = [a - 1.0]  # the doubling column, evaluated in one call
+        while np.any(a - steps[-1] < 2.0 ** 20):
+            steps.append(a - 2.0 * (a - steps[-1]))
+        steps = np.array(steps)
+        grow = on_plateau(steps, tied) & (a - steps < 2.0 ** 20)
+        lo = steps[np.argmin(grow, axis=0), np.arange(a.size)]
+        args[tied] = bisect_predicate(lambda x: on_plateau(x, tied), lo, a,
+                                      tol=1e-12)
+    return float(vals.sum()), args
 
 
 def closed_form_discriminant(name: str, m: JointMeasure) -> np.ndarray:

@@ -59,6 +59,12 @@ class TestCatalogValues:
         with pytest.raises(ValueError):
             catalog_loss("perceptron")
 
+    def test_strictly_convex_requires_convex(self):
+        with pytest.raises(ValueError, match="flagged convex"):
+            SurrogateLoss(np.exp, "exp", convex=False, decreasing=False,
+                          alpha_star=-INF, inf_value=0.0,
+                          strictly_convex=True)
+
 
 class TestForwardMap:
     def test_hinge_value(self):

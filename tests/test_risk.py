@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,6 +36,14 @@ def scalar_tie_rule(phi, m, args, vals):
                 lo = a - 2.0 * (a - lo)
             args[z] = scalar_bisect(on_plateau, lo, a, tol=1e-12)
     return args
+
+
+def _counted(phi, shapes):
+    """phi, recording the shape of every array its closed form gets."""
+    def fn(a):
+        shapes.append(a.shape)
+        return phi.fn(a)
+    return replace(phi, fn=fn)
 
 
 def scalar_dense_min(phi, mu, pi):
@@ -153,13 +163,38 @@ class TestOptimalPhiRisk:
 class TestTieRule:
     @pytest.mark.parametrize("name", LOSS_NAMES)
     def test_matches_scalar_loop_on_random_measures(self, name, rng):
+        # a strictly convex loss skips the rule on bins of positive mass: it
+        # reports min_per_bin's argmin, within 1e-7 of the closed form
         phi = catalog_loss(name)
         for k in range(12):
             m = random_measure(rng, 2 + k % 7)
             args, vals = min_per_bin(phi, m.mu, m.pi)
             _, gamma = optimal_phi_risk(phi, m)
-            want = scalar_tie_rule(phi, m, args, vals)
-            assert gamma.tobytes() == want.tobytes()
+            if not phi.strictly_convex:
+                want = scalar_tie_rule(phi, m, args, vals)
+                assert gamma.tobytes() == want.tobytes()
+                continue
+            assert gamma.tobytes() == args.tobytes()
+            if name != "sym_kl":  # sym_kl has no closed-form discriminant
+                np.testing.assert_allclose(
+                    gamma, closed_form_discriminant(name, m), rtol=0.0,
+                    atol=1e-7)
+
+    @pytest.mark.parametrize("name", ("logistic", "least_squares"))
+    def test_strictly_convex_loss_keeps_the_rule_on_zero_mass_bins(self,
+                                                                   name):
+        # JointMeasure rejects empty bins, so a bare (mu, pi) stands in; a
+        # bin with mu_z = 0 may have a plateau (logistic's reaches the cap)
+        phi = catalog_loss(name)
+        m = SimpleNamespace(mu=np.array([0.0, 0.3, 0.0, 0.2]),
+                            pi=np.array([0.25, 0.1, 0.4, 0.25]), z_count=4)
+        args, vals = min_per_bin(phi, m.mu, m.pi)
+        _, gamma = optimal_phi_risk(phi, m)
+        want = scalar_tie_rule(phi, m, args, vals)
+        want[[1, 3]] = args[[1, 3]]
+        assert gamma.tobytes() == want.tobytes()
+        if name == "logistic":
+            assert 2.0 ** 20 <= args[0] - gamma[0] <= 2.0 ** 21
 
     @pytest.mark.parametrize("name", ("hinge", "zero_one", "eq10_nonconvex"))
     def test_matches_scalar_loop_on_plateaus(self, name):
@@ -175,6 +210,23 @@ class TestTieRule:
         args, _ = min_per_bin(catalog_loss("zero_one"), m.mu, m.pi)
         _, gamma = optimal_phi_risk(catalog_loss("zero_one"), m)
         assert 2.0 ** 20 <= args[0] - gamma[0] <= 2.0 ** 21
+
+    def test_one_loss_call_per_stage(self):
+        # the doubling stage evaluates its candidate column, of shape
+        # (steps, bins), in one loss call on (2, steps, bins)
+        shapes = []
+        m = JointMeasure([0.2, 0.3], [0.4, 0.1], Priors(0.5, 0.5))
+        optimal_phi_risk(_counted(catalog_loss("zero_one"), shapes), m)
+        column = [s for s in shapes if len(s) == 3]
+        assert len(column) == 1 and column[0][::2] == (2, 2)
+
+    def test_strictly_convex_loss_skips_the_rule(self, m_standard):
+        shapes = []
+        phi = _counted(catalog_loss("logistic"), shapes)
+        min_per_bin(phi, m_standard.mu, m_standard.pi)
+        calls = len(shapes)
+        optimal_phi_risk(phi, m_standard)
+        assert len(shapes) == 2 * calls
 
 
 class TestMinPerBinNonConvex:

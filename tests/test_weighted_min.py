@@ -9,11 +9,13 @@ must reproduce them bit for bit.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fdual.errors import NanObjective, Unbounded
+from fdual import optimize
+from fdual.errors import InfiniteObjective, NanObjective, Unbounded
 from fdual.erm import (FunctionClassSpec, _gamma_step, _table_counts,
                        _threshold_weights, generate_samples, joint_erm,
                        threshold_grid)
@@ -185,6 +187,31 @@ class TestKernel:
         assert args[0] == pytest.approx(-50.0, abs=1e-6)
         assert vals[1] == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("name", ("exponential", "zero_one"))
+    def test_one_loss_call_per_objective_evaluation(self, name, monkeypatch):
+        # golden_min_vec (convex) or golden_min (grid refinement) evaluates
+        # the objective; each evaluation calls phi once on (2,) + its shape
+        base = catalog_loss(name)
+        calls, evals = [], []
+
+        def fn(a):
+            calls.append(a.shape)
+            return base.fn(a)
+
+        def counted(search):
+            def run(f, *bounds):
+                return search(lambda x: evals.append(x.shape) or f(x),
+                              *bounds)
+            return run
+
+        for search in ("golden_min", "golden_min_vec"):
+            monkeypatch.setattr(optimize, search,
+                                counted(getattr(optimize, search)))
+        min_per_bin(replace(base, fn=fn), np.array([0.1, 0.2, 0.3, 0.4]),
+                    np.array([0.4, 0.1, 0.3, 0.2]))
+        objective_calls = [c for c in calls if c != (20_001,)]  # not the grid
+        assert evals and objective_calls == [(2,) + e for e in evals]
+
     def test_weights_broadcast(self):
         phi = catalog_loss("logistic")
         u = np.array([0.5, 2.0])
@@ -230,3 +257,19 @@ class TestNanObjective:
         assert args[0] == -50.0 and at_edge.tolist() == [True, False]
         assert args[1] == pytest.approx(0.5 * math.log(0.5), abs=1e-6)
         assert vals[1] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+
+class TestInfiniteObjective:
+    def test_golden_branch_raises_on_an_infinite_minimum(self):
+        # exp(-a), +inf below -10, flagged convex: at weights (0.5, 1) the
+        # first interior points -11.8 and 11.8 are both infinite, so golden
+        # search never meets a finite value and ends at the edge a = 50 with
+        # value inf (the minimum is sqrt 2); the 0 * inf of element 0 must
+        # not leak a warning either
+        def fn(a):
+            return np.where(a < -10.0, math.inf, np.exp(-a))
+
+        phi = SurrogateLoss(fn, "capped_exp", convex=True, decreasing=True,
+                            alpha_star=math.inf, inf_value=0.0)
+        with pytest.raises(InfiniteObjective, match="capped_exp"):
+            weighted_min(phi, [0.0, 0.5], [1.0, 1.0], 50.0)
