@@ -30,7 +30,7 @@ from .measures import (BinnedSource, Priors, Quantizer, SourceSpec,
                        TableQuantizer, ThresholdQuantizer, UniformPairSource,
                        _check_route, _frozen, _masses, _routing,
                        induce_measures, quantizer_masses, threshold_masses)
-from .optimize import weighted_min
+from .optimize import phi_pair, weighted_min
 from .risk import min_per_bin, phi_risk, zero_one_risk
 
 
@@ -156,7 +156,8 @@ def empirical_phi_risk(phi: SurrogateLoss, gamma: np.ndarray, q: Quantizer,
     w_pos, w_neg = _empirical_weights(q, s)
     if g.size != w_pos.size:
         raise ValueError("discriminant length must match the alphabet")
-    return float(np.sum(w_pos * phi(g) + w_neg * phi(-g)))
+    pos, neg = phi_pair(phi, g)
+    return float(np.sum(w_pos * pos + w_neg * neg))
 
 
 def _gamma_step(phi: SurrogateLoss, w_pos: np.ndarray, w_neg: np.ndarray,
@@ -236,7 +237,8 @@ def _erm_table(phi: SurrogateLoss, s: SampleSet,
             break
         # exact row step: the objective is linear in each row, so each bin
         # routes to its cheapest letter (lowest index on ties)
-        cost = (np.outer(c_pos, phi(gamma)) + np.outer(c_neg, phi(-gamma))) / n
+        pos, neg = phi_pair(phi, gamma)
+        cost = (np.outer(c_pos, pos) + np.outer(c_neg, neg)) / n
         assign = np.argmin(cost, axis=1)
         trace.append(float(cost[np.arange(nb), assign].sum()))
     return _erm_result(phi, gamma, TableQuantizer(rows), float(vals.sum()),
@@ -248,8 +250,8 @@ def _erm_result(phi: SurrogateLoss, gamma: np.ndarray, q: Quantizer,
                 trace: tuple[float, ...] = ()) -> ErmResult:
     """The ERM output, scored on one read of the population masses."""
     mu, pi = quantizer_masses(q, src)
-    return ErmResult(gamma, q, empirical,
-                     float(np.sum(phi(gamma) * mu + phi(-gamma) * pi)),
+    pos, neg = phi_pair(phi, gamma)
+    return ErmResult(gamma, q, empirical, float(np.sum(pos * mu + neg * pi)),
                      _excess_bayes(gamma, mu, pi, src, fc), trace)
 
 

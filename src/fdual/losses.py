@@ -18,7 +18,7 @@ import numpy as np
 from .duality import (Generator, check_convex_sampled,
                       check_theorem1_conditions, psi_from_f)
 from .errors import BadLink, NotConvex, Unbounded, UnrealizableDivergence
-from .optimize import BRACKET, bisect_predicate, weighted_min
+from .optimize import BRACKET, bisect_predicate, phi_pair, weighted_min
 
 INF = math.inf
 
@@ -441,7 +441,7 @@ def check_calibration_general(phi: SurrogateLoss) -> bool:
     infimum over the right-sign margins.  Works for non-convex losses.
     """
     grid = np.linspace(-BRACKET, BRACKET, 20001)
-    phi_pos, phi_neg = phi(np.stack((grid, -grid)))
+    phi_pos, phi_neg = phi_pair(phi, grid)
     for a, b in _CALIBRATION_PAIRS:
         objective = a * phi_pos + b * phi_neg
         wrong = grid * (a - b) < 0.0

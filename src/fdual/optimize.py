@@ -17,6 +17,8 @@ from .errors import InfiniteObjective, NanObjective
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+_GOLDEN = np.array((INVPHI2, INVPHI))  # interior points a + _GOLDEN * h
+_SIGNS = np.array((1.0, -1.0))
 _LOOKAHEAD = 4  # bisection levels bisect_root evaluates per call (15 points)
 
 # base half-width of the brackets callers pass to weighted_min: minimizers of
@@ -39,12 +41,9 @@ def golden_min(f: Callable[[np.ndarray], np.ndarray], lo, hi,
     a = np.asarray(lo, dtype=float)
     b = np.asarray(hi, dtype=float)
     h = b - a
-    mid = 0.5 * (a + b)
-    tiny = h <= tol
-    c = np.where(tiny, mid, a + INVPHI2 * h)
-    d = np.where(tiny, mid, a + INVPHI * h)
-    yc = f(c)
-    yd = f(d)
+    cd = np.where(h <= tol, 0.5 * (a + b), a + np.multiply.outer(_GOLDEN, h))
+    c, d = cd[0, ...], cd[1, ...]  # arrays shaped like lo, also when 0-d
+    yc, yd = f(c), f(d)
     for _ in range(max_iter):
         active = ~(h <= tol)
         if not active.any():
@@ -75,24 +74,35 @@ def golden_min_vec(f: Callable[[np.ndarray], np.ndarray],
     ``f`` maps an array of points to the array of objective values, one
     independent unimodal problem per element, and must broadcast over a
     leading axis: each round evaluates both interior points in one call on
-    ``np.stack((c, d))``, of shape ``(2,) + lo.shape``.  Runs until every
-    bracket is within 1e-10, at most 200 rounds, and returns the final
-    bracket midpoints and their values.
+    ``a + np.multiply.outer((INVPHI2, INVPHI), h)``, of shape ``(2,) +
+    lo.shape``.  Runs until every bracket is within 1e-10, at most 200
+    rounds, and returns the final bracket midpoints and their values.
     """
     a = np.asarray(lo, dtype=float)
     b = np.asarray(hi, dtype=float)
     for _ in range(200):
         h = b - a
-        if np.all(h <= 1e-10):
+        if (h <= 1e-10).all():
             break
-        c = a + INVPHI2 * h
-        d = a + INVPHI * h
-        y = f(np.stack((c, d)))
+        cd = a + np.multiply.outer(_GOLDEN, h)
+        y = f(cd)
         left = y[0] < y[1]
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
+        b = np.where(left, cd[1], b)
+        a = np.where(left, a, cd[0])
     mid = 0.5 * (a + b)
     return mid, f(mid)
+
+
+def phi_pair(phi, x):
+    """(phi(x), phi(-x)) in one call of phi on shape (2,) + x.shape."""
+    return phi(np.multiply.outer(_SIGNS, x))  # x * -1.0 is -x exactly
+
+
+def zero_safe(pos, neg, w_pos, w_neg):
+    """pos * w_pos + neg * w_neg, a zero-weight term counting 0 (0 * inf)."""
+    with np.errstate(invalid="ignore"):
+        return (np.where(w_pos == 0.0, 0.0, pos * w_pos)
+                + np.where(w_neg == 0.0, 0.0, neg * w_neg))
 
 
 @np.errstate(invalid="ignore")  # zero_safe mends the 0 * inf products
@@ -107,8 +117,8 @@ def weighted_min(phi, w_pos, w_neg, b, dense_n: int = 20_001):
     phi(+-grid) evaluated once per distinct half-width; every element's best
     grid cell is then refined by one array ``golden_min``, and the grid point
     is kept when its value is ``<=`` the refined one.  An evaluation at
-    ``a`` is one call of phi on ``np.stack((a, -a))``, shape ``(2,) +
-    a.shape``, so phi must map elementwise over any leading axes.
+    ``a`` is one call of phi on the sign pair of ``a`` (``phi_pair``), shape
+    ``(2,) + a.shape``, so phi must map elementwise over any leading axes.
 
     Returns (args, vals, at_edge); at_edge marks arguments within 1e-6 b of
     the bracket edge.  Raises NanObjective if any objective value is NaN
@@ -118,13 +128,8 @@ def weighted_min(phi, w_pos, w_neg, b, dense_n: int = 20_001):
     w_pos, w_neg, b = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (w_pos, w_neg, b)))
 
-    def zero_safe(pos, neg, wp, wn):
-        # a term of zero weight is 0, also where phi is inf (0 * inf)
-        return (np.where(wp == 0.0, 0.0, pos * wp)
-                + np.where(wn == 0.0, 0.0, neg * wn))
-
     def objective(a):
-        pos, neg = phi(np.stack((a, -a)))
+        pos, neg = phi_pair(phi, a)
         y = pos * w_pos + neg * w_neg
         # a NaN makes the sum NaN; so does inf - inf, hence the second test
         if math.isnan(np.add.reduce(y, None)) and np.isnan(y).any():

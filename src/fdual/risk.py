@@ -13,7 +13,8 @@ import numpy as np
 from .errors import InfiniteRisk, MismatchedPair
 from .losses import SurrogateLoss, f_from_loss
 from .measures import JointMeasure, bayes_risk, f_divergence
-from .optimize import BRACKET, bisect_predicate, weighted_min
+from .optimize import (BRACKET, bisect_predicate, phi_pair, weighted_min,
+                       zero_safe)
 
 INF = math.inf
 
@@ -24,7 +25,8 @@ def phi_risk(phi: SurrogateLoss, gamma: np.ndarray, m: JointMeasure) -> float:
     if g.shape != m.mu.shape:
         raise ValueError("discriminant length must match the alphabet size")
     with np.errstate(invalid="ignore"):
-        terms = phi(g) * m.mu + phi(-g) * m.pi
+        pos, neg = phi_pair(phi, g)
+        terms = pos * m.mu + neg * m.pi
     if not np.all(np.isfinite(terms)):
         raise InfiniteRisk("some per-bin risk term is not finite")
     return float(terms.sum())
@@ -60,8 +62,9 @@ def optimal_phi_risk(phi: SurrogateLoss,
     ``a - 1e-6 (1 + |a|)`` is on the plateau, the bin reports the left end
     of the plateau: the first of ``a - 1, a - 2, a - 4, ...`` off it, or
     ``2**20`` or more left of ``a``, bounds a bisection to 1e-12; each
-    evaluation is one loss call.  The rule skips the bins with mu_z, pi_z > 0
-    of a ``strictly_convex`` loss (one minimizer).  As it behaves:
+    evaluation is one loss call, with a zero-mass term counted as 0 (also
+    times an infinite loss).  The rule skips the bins with mu_z, pi_z > 0 of
+    a ``strictly_convex`` loss (one minimizer).  As it behaves:
 
     - on an interval of minimizers the smallest one is reported;
     - an unbounded plateau stops at the doubling cap, 2**20 to 2**21 left of
@@ -74,8 +77,8 @@ def optimal_phi_risk(phi: SurrogateLoss,
     limit = vals + 1e-12 * (1.0 + np.abs(vals))
 
     def on_plateau(x, sel):
-        pos, neg = phi(np.stack((x, -x)))
-        return pos * m.mu[sel] + neg * m.pi[sel] <= limit[sel]
+        pos, neg = phi_pair(phi, x)
+        return zero_safe(pos, neg, m.mu[sel], m.pi[sel]) <= limit[sel]
 
     tied = ~(phi.strictly_convex & (m.mu > 0.0) & (m.pi > 0.0))
     if tied.any():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,6 +194,23 @@ class TestEmpiricalPhiRisk:
                 quantizer_masses(q, s.src)
             with pytest.raises(IncompatibleQuantizer):
                 empirical_phi_risk(phi, np.zeros(2), q, s)
+
+    def test_one_loss_call_on_the_sign_pair(self, src_default):
+        s = generate_samples(src_default, 50, 4)
+        base = catalog_loss("logistic")
+        shapes = []
+
+        def fn(a):
+            shapes.append(a.shape)
+            return base.fn(a)
+
+        gamma = np.array([0.4, -1.2])
+        q = ThresholdQuantizer(1.5)
+        got = empirical_phi_risk(replace(base, fn=fn), gamma, q, s)
+        assert shapes == [(2, 2)]
+        w_pos, w_neg = erm._empirical_weights(q, s)
+        assert got == float(np.sum(w_pos * base(gamma)
+                                   + w_neg * base(-gamma)))
 
     def test_discriminant_length_must_match_the_alphabet(self, src_default):
         s = generate_samples(src_default, 50, 4)

@@ -100,6 +100,15 @@ def _same(x, y):
 LO = np.array([-3.0, 0.2, -40.0, 1.0, -1.0, 5.0, 2.0])
 HI = np.array([4.0, 0.2 + 1e-11, 0.0, 1.0 + 3e-10, 9.0, 6.5, 30.0])
 CENTRE = np.array([0.7, 0.2, -13.0, 1.0, 8.9, 5.0, 2.0 + 1e-3])
+# widths 3e-8 to 60, all wider than the tolerances used with them: every
+# element is active in the first rounds, and they freeze in different ones
+MIXED_LO = np.array([-3.0, 0.2, -40.0, 1.0, -1.0, 5.0, 2.0])
+MIXED_HI = np.array([4.0, 0.2 + 1e-3, 20.0, 1.0 + 3e-8, 9.0, 6.5, 30.0])
+
+
+def _bowl(x):
+    d = x - CENTRE
+    return np.cosh(d) + 0.1 * np.square(np.square(d))
 
 
 class TestGoldenMin:
@@ -158,6 +167,43 @@ class TestGoldenMin:
             assert _same(arg[z], a), z
 
 
+    @pytest.mark.parametrize("tol", (1e-10, 1e-8))
+    def test_mixed_brackets_equal_scalar_recurrence(self, tol):
+        evals = []
+        for z in range(MIXED_LO.size):
+            n = [0]
+
+            def fz(x, z=z, n=n):
+                n[0] += 1
+                return float(_bowl(np.full(CENTRE.shape, x))[z])
+            a, v = scalar_golden(fz, MIXED_LO[z], MIXED_HI[z], tol=tol)
+            evals.append((n[0], a, v))
+        counts = [e[0] for e in evals]
+        assert min(counts) > 2 and len(set(counts)) > 2
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            return _bowl(x)
+
+        arg, val = golden_min(f, MIXED_LO, MIXED_HI, tol=tol)
+        assert calls[0] == max(counts)
+        for z, (_, a, v) in enumerate(evals):
+            assert _same(arg[z], a) and _same(val[z], v), z
+
+    def test_0d_bounds_call_f_on_0d_arrays(self):
+        args = []
+
+        def f(x):
+            args.append(x)
+            return np.square(x - 0.3)
+
+        got = golden_min(f, np.array(-1.0), np.array(2.0))
+        assert all(type(x) is np.ndarray and x.shape == () for x in args)
+        a, v = scalar_golden(lambda x: np.square(x - 0.3), -1.0, 2.0)
+        assert _same(got[0], a) and _same(got[1], v)
+
+
 class TestGoldenMinVec:
     def test_one_call_per_round_on_stacked_points(self):
         shapes = []
@@ -181,6 +227,27 @@ class TestGoldenMinVec:
         got = golden_min_vec(objective, -60.0 + 0 * mu, 60.0 + 0 * mu)
         want = two_call_golden_vec(objective, -60.0 + 0 * mu, 60.0 + 0 * mu)
         assert _same(got[0], want[0]) and _same(got[1], want[1])
+
+
+    @pytest.mark.parametrize("lo, hi", ((MIXED_LO, MIXED_HI),
+                                        (np.array(-3.0), np.array(4.0))),
+                             ids=("mixed", "0-d"))
+    def test_bracket_batches_match_two_call_loop(self, lo, hi):
+        shapes = []
+
+        def f(x):
+            return np.cosh(x - 0.7) + np.abs(x - 0.3)
+
+        def counted(x):
+            shapes.append(x.shape)
+            return f(x)
+
+        got = golden_min_vec(counted, lo, hi)
+        want = two_call_golden_vec(f, lo, hi)
+        assert np.shape(got[0]) == lo.shape
+        assert _same(got[0], want[0]) and _same(got[1], want[1])
+        assert shapes[-1] == lo.shape
+        assert set(shapes[:-1]) == {(2,) + lo.shape}
 
 
 class TestBisectPredicate:
@@ -229,6 +296,37 @@ class TestBisectPredicate:
         assert type(got) is float
         assert _same(got, scalar_bisect(lambda x: x * x >= 2.0, 0.0, 2.0,
                                         tol=1e-12))
+
+
+    @pytest.mark.parametrize("shift", (0.0, 1.5),
+                             ids=("all_active_first", "some_true_at_lo"))
+    def test_mixed_brackets_equal_scalar_bisection(self, shift):
+        # shift moves some roots left of their lo, where pred(lo) holds
+        roots = np.array([0.7, 0.2 + 5e-4, -13.0, 1.0 + 1e-8, 8.9, 6.0,
+                          29.0])
+        roots[::3] -= shift * (MIXED_HI - MIXED_LO)[::3]
+        at_lo = MIXED_LO >= roots
+        assert at_lo.any() == (shift > 0.0) and not at_lo.all()
+        evals, want = [], []
+        for z in range(MIXED_LO.size):
+            n = [0]
+
+            def pz(x, z=z, n=n):
+                n[0] += 1
+                return x >= roots[z]
+            want.append(scalar_bisect(pz, MIXED_LO[z], MIXED_HI[z],
+                                      tol=1e-12))
+            evals.append(n[0])
+        calls = [0]
+
+        def pred(x):
+            calls[0] += 1
+            return x >= roots
+
+        got = bisect_predicate(pred, MIXED_LO, MIXED_HI, tol=1e-12)
+        assert calls[0] == max(evals) and len(set(evals)) > 2
+        for z in range(MIXED_LO.size):
+            assert _same(got[z], want[z]), z
 
 
 class TestBisectRoot:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -111,6 +112,15 @@ class TestPhiRisk:
         with pytest.raises(ValueError):
             phi_risk(catalog_loss("hinge"), np.zeros(3), m_standard)
 
+    def test_one_loss_call_on_the_sign_pair(self, m_standard):
+        shapes = []
+        gamma = np.array([0.4, -1.2])
+        phi = catalog_loss("logistic")
+        got = phi_risk(_counted(phi, shapes), gamma, m_standard)
+        assert shapes == [(2, 2)]
+        want = phi(gamma) * m_standard.mu + phi(-gamma) * m_standard.pi
+        assert got == float(want.sum())
+
 
 class TestOptimalPhiRisk:
     def test_hinge_equals_one_minus_variational(self, m_standard):
@@ -195,6 +205,24 @@ class TestTieRule:
         assert gamma.tobytes() == want.tobytes()
         if name == "logistic":
             assert 2.0 ** 20 <= args[0] - gamma[0] <= 2.0 ** 21
+
+    def test_zero_mass_term_counts_as_zero(self):
+        # exponential is inf far left of its empty bin's argmin, where the
+        # objective's 0 * inf counts as 0 (no warning, no NaN), so the bin
+        # follows the rule to the doubling cap, as logistic's does
+        m = SimpleNamespace(mu=np.array([0.0, 0.5]),
+                            pi=np.array([0.25, 0.25]), z_count=2)
+        ends = []
+        for name in ("exponential", "logistic"):
+            phi = catalog_loss(name)
+            args, _ = min_per_bin(phi, m.mu, m.pi)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, gamma = optimal_phi_risk(phi, m)
+            assert gamma[1] == args[1]
+            assert 2.0 ** 20 <= args[0] - gamma[0] <= 2.0 ** 21
+            ends.append(gamma[0])
+        assert ends[0] == ends[1]
 
     @pytest.mark.parametrize("name", ("hinge", "zero_one", "eq10_nonconvex"))
     def test_matches_scalar_loop_on_plateaus(self, name):
