@@ -31,7 +31,7 @@ from .measures import (BinnedSource, Priors, Quantizer, SourceSpec,
                        _check_route, _frozen, _masses, _routing,
                        induce_measures, quantizer_masses, threshold_masses)
 from .optimize import phi_pair, weighted_min
-from .risk import min_per_bin, phi_risk, zero_one_risk
+from .risk import _weighted_risk, min_per_bin, phi_risk, zero_one_risk
 
 
 @dataclass(frozen=True)
@@ -151,13 +151,12 @@ def _empirical_weights(q: Quantizer, s: SampleSet
 
 def empirical_phi_risk(phi: SurrogateLoss, gamma: np.ndarray, q: Quantizer,
                        s: SampleSet) -> float:
-    """(1/n) sum_i sum_z phi(y_i gamma(z)) Q(z | x_i)."""
+    """(1/n) sum_i sum_z phi(y_i gamma(z)) Q(z | x_i), raising as phi_risk."""
     g = np.asarray(gamma, dtype=float)
     w_pos, w_neg = _empirical_weights(q, s)
     if g.size != w_pos.size:
         raise ValueError("discriminant length must match the alphabet")
-    pos, neg = phi_pair(phi, g)
-    return float(np.sum(w_pos * pos + w_neg * neg))
+    return _weighted_risk(phi, g, w_pos, w_neg)
 
 
 def _gamma_step(phi: SurrogateLoss, w_pos: np.ndarray, w_neg: np.ndarray,

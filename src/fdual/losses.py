@@ -36,7 +36,8 @@ class SurrogateLoss:
     one minimizer of phi(a) mu + phi(-a) pi at mu, pi > 0 (no tie rule).
 
     ``fn`` gets a float ndarray (0-d for a scalar) with every floating-point
-    warning ignored, so it needs no warning guard or conversion of its own.
+    warning ignored, by ``__call__`` or by a kernel's one guard (finite points
+    only: ``__call__`` alone maps -inf to +inf).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -126,7 +127,9 @@ def _phi_sym_kl(a):
 
 
 def _phi_eq10(a):
-    return np.where(a <= 0.0, np.maximum(0.0, 2.0 - np.exp(a)), np.exp(-a))
+    e = np.abs(a, out=np.empty_like(a))  # one buffer for exp(-|a|): exp(a)
+    np.exp(np.negative(e, out=e), out=e)  # for a <= 0, exp(-a) otherwise
+    return np.where(a <= 0.0, np.maximum(0.0, 2.0 - e), e)
 
 
 _LOSSES: dict[str, SurrogateLoss] = {

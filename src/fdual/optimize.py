@@ -49,15 +49,13 @@ def golden_min(f: Callable[[np.ndarray], np.ndarray], lo, hi,
         if not active.any():
             break
         left = yc < yd
-        na = np.where(left, a, c)
-        nb = np.where(left, d, b)
-        nh = nb - na
-        x = np.where(left, na + INVPHI2 * nh, na + INVPHI * nh)
+        go_l, go_r = left & active, active & ~left  # frozen elements: neither
+        a, b = np.where(go_r, c, a), np.where(go_l, d, b)
+        h = b - a
+        x = np.where(left, a + INVPHI2 * h, a + INVPHI * h)
         y = f(x)
-        new = (na, nb, nh, np.where(left, x, d), np.where(left, y, yd),
-               np.where(left, c, x), np.where(left, yc, y))
-        a, b, h, c, yc, d, yd = (np.where(active, n, o) for n, o in
-                                 zip(new, (a, b, h, c, yc, d, yd)))
+        c, d, yc, yd = np.where(go_l, (x, c, y, yc),
+                                np.where(go_r, (d, x, yd, y), (c, d, yc, yd)))
     left = yc < yd
     arg = np.where(left, c, d)
     val = np.where(left, yc, yd)
@@ -94,18 +92,19 @@ def golden_min_vec(f: Callable[[np.ndarray], np.ndarray],
 
 
 def phi_pair(phi, x):
-    """(phi(x), phi(-x)) in one call of phi on shape (2,) + x.shape."""
+    """(phi(x), phi(-x)) in one call of phi on shape (2,) + x.shape; phi is
+    a loss, or its closed form ``fn`` under a kernel's warning guard."""
     return phi(np.multiply.outer(_SIGNS, x))  # x * -1.0 is -x exactly
 
 
 def zero_safe(pos, neg, w_pos, w_neg):
-    """pos * w_pos + neg * w_neg, a zero-weight term counting 0 (0 * inf)."""
-    with np.errstate(invalid="ignore"):
-        return (np.where(w_pos == 0.0, 0.0, pos * w_pos)
-                + np.where(w_neg == 0.0, 0.0, neg * w_neg))
+    """pos * w_pos + neg * w_neg, a zero-weight term counting 0 (0 * inf);
+    the caller's guard ignores the warning of 0 * inf."""
+    return (np.where(w_pos == 0.0, 0.0, pos * w_pos)
+            + np.where(w_neg == 0.0, 0.0, neg * w_neg))
 
 
-@np.errstate(invalid="ignore")  # zero_safe mends the 0 * inf products
+@np.errstate(all="ignore")  # the one guard of the kernel's evaluations
 def weighted_min(phi, w_pos, w_neg, b, dense_n: int = 20_001):
     """Minimize phi(a)*w_pos + phi(-a)*w_neg per element on [-b, b].
 
@@ -117,8 +116,9 @@ def weighted_min(phi, w_pos, w_neg, b, dense_n: int = 20_001):
     phi(+-grid) evaluated once per distinct half-width; every element's best
     grid cell is then refined by one array ``golden_min``, and the grid point
     is kept when its value is ``<=`` the refined one.  An evaluation at
-    ``a`` is one call of phi on the sign pair of ``a`` (``phi_pair``), shape
-    ``(2,) + a.shape``, so phi must map elementwise over any leading axes.
+    ``a`` is one call of ``phi.fn`` (or phi without one), mapping elementwise
+    over leading axes, on the finite sign pair ``phi_pair(fn, a)`` of shape
+    ``(2,) + a.shape``, under the kernel's one ``np.errstate`` (no wrapper).
 
     Returns (args, vals, at_edge); at_edge marks arguments within 1e-6 b of
     the bracket edge.  Raises NanObjective if any objective value is NaN
@@ -127,9 +127,10 @@ def weighted_min(phi, w_pos, w_neg, b, dense_n: int = 20_001):
     """
     w_pos, w_neg, b = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (w_pos, w_neg, b)))
+    fn = getattr(phi, "fn", phi)
 
     def objective(a):
-        pos, neg = phi_pair(phi, a)
+        pos, neg = phi_pair(fn, a)
         y = pos * w_pos + neg * w_neg
         # a NaN makes the sum NaN; so does inf - inf, hence the second test
         if math.isnan(np.add.reduce(y, None)) and np.isnan(y).any():
@@ -147,7 +148,7 @@ def weighted_min(phi, w_pos, w_neg, b, dense_n: int = 20_001):
         lo, hi, grid_arg, grid_val = (np.empty(b.shape) for _ in range(4))
         unit = np.linspace(-1.0, 1.0, dense_n)
         for h in np.unique(b):
-            pos, neg = phi(unit * h), phi(unit * -h)
+            pos, neg = fn(unit * h), fn(unit * -h)
             obj = np.empty(dense_n)
             for k in np.flatnonzero(b == h):
                 wn = w_neg.flat[k]

@@ -24,9 +24,15 @@ def phi_risk(phi: SurrogateLoss, gamma: np.ndarray, m: JointMeasure) -> float:
     g = np.asarray(gamma, dtype=float)
     if g.shape != m.mu.shape:
         raise ValueError("discriminant length must match the alphabet size")
+    return _weighted_risk(phi, g, m.mu, m.pi)
+
+
+def _weighted_risk(phi, g, w_pos, w_neg) -> float:
+    """sum phi(g) w_pos + phi(-g) w_neg by ``phi.__call__`` (phi(-inf) is
+    +inf); InfiniteRisk unless every term is finite."""
     with np.errstate(invalid="ignore"):
         pos, neg = phi_pair(phi, g)
-        terms = pos * m.mu + neg * m.pi
+        terms = pos * w_pos + neg * w_neg
     if not np.all(np.isfinite(terms)):
         raise InfiniteRisk("some per-bin risk term is not finite")
     return float(terms.sum())
@@ -52,6 +58,7 @@ def min_per_bin(phi: SurrogateLoss, mu: np.ndarray, pi: np.ndarray
     return weighted_min(phi, mu, pi, b)[:2]
 
 
+@np.errstate(all="ignore")  # the tie rule's one guard
 def optimal_phi_risk(phi: SurrogateLoss,
                      m: JointMeasure) -> tuple[float, np.ndarray]:
     """Risk minimized over all discriminants, with the per-bin argmin vector.
@@ -62,7 +69,7 @@ def optimal_phi_risk(phi: SurrogateLoss,
     ``a - 1e-6 (1 + |a|)`` is on the plateau, the bin reports the left end
     of the plateau: the first of ``a - 1, a - 2, a - 4, ...`` off it, or
     ``2**20`` or more left of ``a``, bounds a bisection to 1e-12; each
-    evaluation is one loss call, with a zero-mass term counted as 0 (also
+    evaluation is one ``phi.fn`` call, a zero-mass term counting 0 (also
     times an infinite loss).  The rule skips the bins with mu_z, pi_z > 0 of
     a ``strictly_convex`` loss (one minimizer).  As it behaves:
 
@@ -75,25 +82,25 @@ def optimal_phi_risk(phi: SurrogateLoss,
     """
     args, vals = min_per_bin(phi, m.mu, m.pi)
     limit = vals + 1e-12 * (1.0 + np.abs(vals))
+    fn = getattr(phi, "fn", phi)  # on finite points, as in weighted_min
 
-    def on_plateau(x, sel):
-        pos, neg = phi_pair(phi, x)
-        return zero_safe(pos, neg, m.mu[sel], m.pi[sel]) <= limit[sel]
+    def plateau(sel):  # the test of the bins in sel, on (..., sel.sum())
+        mu, pi, lim = m.mu[sel], m.pi[sel], limit[sel]
+        return lambda x: zero_safe(*phi_pair(fn, x), mu, pi) <= lim
 
     tied = ~(phi.strictly_convex & (m.mu > 0.0) & (m.pi > 0.0))
     if tied.any():
         a = args[tied]
-        tied[tied] = on_plateau(a - 1e-6 * (1.0 + np.abs(a)), tied)
+        tied[tied] = plateau(tied)(a - 1e-6 * (1.0 + np.abs(a)))
     if tied.any():
-        a = args[tied]
+        on_plateau, a = plateau(tied), args[tied]
         steps = [a - 1.0]  # the doubling column, evaluated in one call
         while np.any(a - steps[-1] < 2.0 ** 20):
             steps.append(a - 2.0 * (a - steps[-1]))
         steps = np.array(steps)
-        grow = on_plateau(steps, tied) & (a - steps < 2.0 ** 20)
+        grow = on_plateau(steps) & (a - steps < 2.0 ** 20)
         lo = steps[np.argmin(grow, axis=0), np.arange(a.size)]
-        args[tied] = bisect_predicate(lambda x: on_plateau(x, tied), lo, a,
-                                      tol=1e-12)
+        args[tied] = bisect_predicate(on_plateau, lo, a, tol=1e-12)
     return float(vals.sum()), args
 
 

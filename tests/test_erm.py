@@ -12,8 +12,9 @@ from fdual.erm import (FunctionClassSpec, consistency_sweep,
                        generate_samples, joint_erm, lemma2_gap,
                        optimal_family_bayes, quantizer_mismatch,
                        threshold_grid)
-from fdual.errors import (EmptySample, IncompatibleQuantizer, NonConvexLoss,
-                          NotVariationalFamily, NoWitnessFound, ZeroMassBin)
+from fdual.errors import (EmptySample, IncompatibleQuantizer, InfiniteRisk,
+                          NonConvexLoss, NotVariationalFamily, NoWitnessFound,
+                          ZeroMassBin)
 from fdual.losses import catalog_generator, catalog_loss, induced_generator
 from fdual.measures import (BinnedSource, Priors, TableQuantizer,
                             ThresholdQuantizer, UniformPairSource, bayes_risk,
@@ -211,6 +212,15 @@ class TestEmpiricalPhiRisk:
         w_pos, w_neg = erm._empirical_weights(q, s)
         assert got == float(np.sum(w_pos * base(gamma)
                                    + w_neg * base(-gamma)))
+
+    def test_minus_infinity_discriminant_raises(self, src_default):
+        # phi(-inf) = +inf by the loss convention (zero_one's closed form
+        # reads 1 there): an infinite term raises, as in phi_risk
+        s = generate_samples(src_default, 50, 4)
+        with pytest.raises(InfiniteRisk):
+            empirical_phi_risk(catalog_loss("zero_one"),
+                               np.array([-math.inf, 1.0]),
+                               ThresholdQuantizer(1.5), s)
 
     def test_discriminant_length_must_match_the_alphabet(self, src_default):
         s = generate_samples(src_default, 50, 4)

@@ -112,6 +112,13 @@ class TestPhiRisk:
         with pytest.raises(ValueError):
             phi_risk(catalog_loss("hinge"), np.zeros(3), m_standard)
 
+    def test_minus_infinity_discriminant_raises(self, m_standard):
+        # zero_one's closed form reads 1 at -inf; phi_risk keeps the loss
+        # convention phi(-inf) = +inf, so the term is infinite
+        with pytest.raises(InfiniteRisk):
+            phi_risk(catalog_loss("zero_one"), np.array([-math.inf, 1.0]),
+                     m_standard)
+
     def test_one_loss_call_on_the_sign_pair(self, m_standard):
         shapes = []
         gamma = np.array([0.4, -1.2])

@@ -9,20 +9,24 @@ must reproduce them bit for bit.
 """
 
 import math
+import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from fdual import optimize
-from fdual.errors import InfiniteObjective, NanObjective, Unbounded
+from fdual.errors import (FdualError, InfiniteObjective, NanObjective,
+                          Unbounded)
 from fdual.erm import (FunctionClassSpec, _gamma_step, _table_counts,
-                       _threshold_weights, generate_samples, joint_erm,
-                       threshold_grid)
-from fdual.losses import LOSS_NAMES, SurrogateLoss, catalog_loss, f_from_loss
-from fdual.measures import BinnedSource, Priors
+                       _threshold_weights, empirical_phi_risk,
+                       generate_samples, joint_erm, threshold_grid)
+from fdual.losses import (LOSS_NAMES, SurrogateLoss, catalog_loss,
+                          check_calibration_general, f_from_loss)
+from fdual.measures import BinnedSource, Priors, TableQuantizer
 from fdual.optimize import golden_min, golden_min_vec, weighted_min
-from fdual.risk import min_per_bin
+from fdual.risk import min_per_bin, optimal_phi_risk, phi_risk
 
 U_SETS = (np.geomspace(1e-2, 1e2, 21), np.geomspace(1e-6, 1e6, 301),
           np.array([0.0]))
@@ -212,6 +216,28 @@ class TestKernel:
         objective_calls = [c for c in calls if c != (20_001,)]  # not the grid
         assert evals and objective_calls == [(2,) + e for e in evals]
 
+    @pytest.mark.parametrize("name", ("logistic", "hinge", "zero_one",
+                                      "eq10_nonconvex"))
+    def test_kernels_bypass_the_loss_wrapper(self, name, monkeypatch):
+        # weighted_min (golden or grid branch) and the tie rule evaluate the
+        # closed form under their own guard: no SurrogateLoss.__call__ at all
+        calls = []
+        wrapper = SurrogateLoss.__call__
+
+        def counted(self, alpha):
+            calls.append(np.shape(alpha))
+            return wrapper(self, alpha)
+
+        monkeypatch.setattr(SurrogateLoss, "__call__", counted)
+        phi = catalog_loss(name)
+        # bin 2 is empty, so the rule also runs for the strictly convex loss
+        mu, pi = np.array([0.2, 0.3, 0.0, 0.5]), np.array([0.4, 0.1, 0.3, 0.2])
+        min_per_bin(phi, mu, pi)
+        optimal_phi_risk(phi, SimpleNamespace(mu=mu, pi=pi))
+        assert calls == []
+        phi(np.zeros(2))  # the counter itself counts
+        assert calls == [(2,)]
+
     def test_weights_broadcast(self):
         phi = catalog_loss("logistic")
         u = np.array([0.5, 2.0])
@@ -273,3 +299,53 @@ class TestInfiniteObjective:
                             alpha_star=math.inf, inf_value=0.0)
         with pytest.raises(InfiniteObjective, match="capped_exp"):
             weighted_min(phi, [0.0, 0.5], [1.0, 1.0], 50.0)
+
+
+def _outcome(call):
+    """The bytes of every array call() returns, or the name of the package
+    error it raises; anything else (a warning made an error, a
+    FloatingPointError) propagates."""
+    try:
+        out = call()
+    except FdualError as exc:
+        return type(exc).__name__
+    parts = out if isinstance(out, tuple) else (out,)
+    return b"".join(np.asarray(p, dtype=float).tobytes() for p in parts)
+
+
+class TestCallerErrstate:
+    # bin 0 is empty and bins 1 and 3 nearly so, which widens their brackets
+    # to |a| ~ 740: exp(-a) overflows there, and 0 * inf meets a zero weight
+    MU = np.array([0.0, 1e-300, 0.3, 0.7 - 1e-300])
+    PI = np.array([0.3, 0.2, 0.5 - 1e-300, 1e-300])
+
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_a_raising_caller_changes_no_bit(self, name):
+        # the kernels and wrappers own their floating-point guards, so a
+        # caller's np.errstate(all="raise") and warnings as errors change no
+        # result bit and raise nothing
+        phi = catalog_loss(name)
+        m = SimpleNamespace(mu=self.MU, pi=self.PI)
+        src = BinnedSource([0.6, 0.4], [0.2, 0.8], Priors(0.5, 0.5))
+        s = generate_samples(src, 200, 3)
+        q = TableQuantizer(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        far = np.array([800.0, -800.0, 0.5, -1.0])  # exp overflows at +-800
+        calls = [
+            lambda: optimal_phi_risk(phi, m),
+            lambda: weighted_min(phi, self.MU, self.PI, 740.0),
+            lambda: weighted_min(phi, [0.0, 0.5], [1.0, 0.0], 50.0),
+            lambda: phi_risk(phi, optimal_phi_risk(phi, m)[1], m),
+            lambda: phi_risk(phi, far, m),
+            lambda: phi_risk(phi, far[2:], SimpleNamespace(mu=self.MU[2:],
+                                                           pi=self.PI[2:])),
+            lambda: empirical_phi_risk(phi, far[:3], q, s),
+            # letter 2 has no weight: 0 * phi(-800), which exp overflows
+            lambda: empirical_phi_risk(phi, far[[2, 3, 1]], q, s),
+            lambda: f_from_loss(phi, np.array([1e-6, 0.5, 1e6])),
+            lambda: check_calibration_general(phi),
+        ]
+        want = [_outcome(c) for c in calls]
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = [_outcome(c) for c in calls]
+        assert got == want
