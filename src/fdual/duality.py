@@ -15,6 +15,7 @@ loss through the sublevel-set inverse.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -62,10 +63,13 @@ class Generator:
     def __call__(self, u):
         arr, scalar = _as_float_array(u)
         with np.errstate(all="ignore"):
-            vals = np.asarray(self.fn(arr), dtype=float)
-        if self.halfline:
-            vals = np.where(arr < 0.0, INF, vals)
+            vals = self._eval(arr)
         return float(vals) if scalar else vals
+
+    def _eval(self, arr: np.ndarray) -> np.ndarray:
+        """f on a float ndarray, for a caller that ignores every warning."""
+        vals = np.asarray(self.fn(arr), dtype=float)
+        return np.where(arr < 0.0, INF, vals) if self.halfline else vals
 
     @classmethod
     def from_table(cls, us: Sequence[float], vals: Sequence[float],
@@ -84,16 +88,18 @@ class Generator:
         return cls(fn=interp, name=name, table=(us_a, vals_a))
 
 
+@functools.lru_cache(maxsize=14)  # 7 levels on the half line and the line
 def _grid_points(halfline: bool, top: float) -> np.ndarray:
     """Scan grid of one widening level: _GRID_HALF geometric points from
     _GRID_LO and _GRID_HALF linear ones from 0, up to ``top`` (mirrored to
-    the negative side unless ``halfline``)."""
+    the negative side unless ``halfline``).  Built once per process and
+    returned read-only."""
     geo = np.geomspace(_GRID_LO, top, _GRID_HALF)
     lin = np.linspace(0.0, top, _GRID_HALF)
-    if halfline:
-        return np.unique(np.concatenate([[0.0], geo, lin]))
-    return np.unique(np.concatenate([-geo[::-1], [0.0], geo, lin,
-                                     -lin[::-1]]))
+    pts = np.unique(np.concatenate([[0.0], geo, lin] if halfline else
+                                   [-geo[::-1], [0.0], geo, lin, -lin[::-1]]))
+    pts.flags.writeable = False
+    return pts
 
 
 def _hull(pts: np.ndarray, fpts: np.ndarray) -> tuple:
@@ -172,12 +178,14 @@ def _scan(pts: np.ndarray, hull: tuple,
 def _sup_batch(f: Generator, vs: np.ndarray, cache: dict) -> np.ndarray:
     """sup_u (u*v - f(u)) for each v of a 1-D array, in one batched pass.
 
-    Each widening level's points (``_grid_points``) and the lower hull of f
-    on them (``_hull``, which keeps f at its vertices only) are computed
-    once and kept in ``cache`` (owned by the caller); ``_scan`` then finds
-    each row's grid maximizer.  Only rows whose maximizer sits on a grid
-    edge move on to the next, ten times wider level; rows still on the edge
-    at _WIDEN_CAP are +inf, rows with f = +inf on the whole grid -inf.  All
+    It runs under the conjugate's one warning guard, so it reads f by
+    ``f._eval``, without the wrapper of ``Generator.__call__``.  Each
+    widening level's points (``_grid_points``) and the lower hull of f on
+    them (``_hull``, which keeps f at its vertices only) are computed once
+    and kept in ``cache`` (owned by the caller); ``_scan`` then finds each
+    row's grid maximizer.  Only rows whose maximizer sits on a grid edge
+    move on to the next, ten times wider level; rows still on the edge at
+    _WIDEN_CAP are +inf, rows with f = +inf on the whole grid -inf.  All
     other rows are refined together by a bracket zoom around their grid
     maximizer, each round one call of f on every row.  Every step works row
     by row, so a row's value does not depend on the rest of the batch.
@@ -189,7 +197,7 @@ def _sup_batch(f: Generator, vs: np.ndarray, cache: dict) -> np.ndarray:
     while todo.size:
         if top not in cache:
             pts = _grid_points(f.halfline, top)
-            cache[top] = pts, _hull(pts, f(pts))
+            cache[top] = pts, _hull(pts, f._eval(pts))
         pts, hull = cache[top]
         idx, out[todo] = _scan(pts, hull, vs[todo])
         lo[todo] = pts[np.maximum(idx - 1, 0)]
@@ -205,16 +213,17 @@ def _sup_batch(f: Generator, vs: np.ndarray, cache: dict) -> np.ndarray:
     if not rows.size:
         return out
     v, a, b, best = vs[rows, None], lo[rows], hi[rows], out[rows]
-    r, frac = np.arange(rows.size), np.linspace(0.0, 1.0, _ZOOM_PTS)
+    frac = np.linspace(0.0, 1.0, _ZOOM_PTS)
+    base = np.arange(rows.size) * _ZOOM_PTS  # flat index of each row's start
+    last = base + (_ZOOM_PTS - 1)
     for _ in range(_ZOOM_ROUNDS):
         us = a[:, None] + (b - a)[:, None] * frac
-        with np.errstate(invalid="ignore", over="ignore"):
-            vals = v * us - f(us.ravel()).reshape(us.shape)
+        vals = v * us - f._eval(us.ravel()).reshape(us.shape)
         vals[np.isnan(vals)] = -INF
-        j = np.argmax(vals, axis=1)
-        best = np.maximum(best, vals[r, j])
-        a = us[r, np.maximum(j - 1, 0)]
-        b = us[r, np.minimum(j + 1, _ZOOM_PTS - 1)]
+        k = base + np.argmax(vals, axis=1)
+        best = np.maximum(best, vals.ravel()[k])
+        us = us.ravel()
+        a, b = us[np.maximum(k - 1, base)], us[np.minimum(k + 1, last)]
     out[rows] = best
     return out
 
@@ -311,7 +320,7 @@ def _locate_beta1(f: Callable) -> float:
     return float(d1 * d1 / (d1 - d0) - s2)
 
 
-def _locate_beta2(f: Generator, psi: Callable[[float], float],
+def _locate_beta2(f: Generator, psi: Callable[[np.ndarray], np.ndarray],
                   beta1: float) -> float:
     f0 = f(0.0)
     if not math.isfinite(f0):
@@ -331,8 +340,8 @@ def _locate_beta2(f: Generator, psi: Callable[[float], float],
     corr = (s1 - s2) / (h1 - h2)
     est = -(s2 - corr * h2)
     scale = max(1.0, abs(inf_psi), abs(est))
-    if (psi(est + 1e-6 * scale) <= inf_psi + 1e-6 * scale
-            and psi(est - 0.1 * scale) > inf_psi + 1e-8 * scale):
+    above, below = psi(np.array([est + 1e-6 * scale, est - 0.1 * scale]))
+    if above <= inf_psi + 1e-6 * scale and below > inf_psi + 1e-8 * scale:
         return est
     # fallback: doubling probe plus bisection on reaching inf Psi
     tol = 1e-11 * max(1.0, abs(inf_psi))
@@ -355,16 +364,20 @@ def _locate_fixed_point(psi: Callable[[np.ndarray], np.ndarray],
         return psi(beta) - beta
 
     lo = beta1 + 1e-9 if math.isfinite(beta1) else -1.0
-    # expand left until s > 0 (Psi = +inf below beta1 makes this terminate)
+    # expand left until s > 0 (Psi = +inf below beta1 makes this terminate);
+    # each call also probes the first right end, hi = max(lo + 1, 1)
     steps = 0
-    while s(lo) <= 0.0:
+    while True:
+        hi = max(lo + 1.0, 1.0)
+        s_lo, s_hi = s(np.array([lo, hi]))
+        if s_lo > 0.0:
+            break
         lo -= max(1.0, abs(lo))
         steps += 1
         if steps > 60:
             raise NoFixedPoint("Psi(beta) - beta has no positive branch")
-    hi = max(lo + 1.0, 1.0)
     steps = 0
-    while s(hi) > 0.0:
+    while s_hi > 0.0:
         hi += max(1.0, abs(hi))
         steps += 1
         if steps > 60 or (math.isfinite(beta2) and hi > beta2 + 2.0):
@@ -373,6 +386,7 @@ def _locate_fixed_point(psi: Callable[[np.ndarray], np.ndarray],
                                    "inside (beta1, beta2)")
             hi = beta2 - 1e-9
             break
+        s_hi = s(hi)
     return bisect_root(s, lo, hi, tol=1e-12)
 
 

@@ -121,12 +121,15 @@ def weighted_min(phi, w_pos, w_neg, b, dense_n: int = 20_001):
     ``(2,) + a.shape``, under the kernel's one ``np.errstate`` (no wrapper).
 
     Returns (args, vals, at_edge); at_edge marks arguments within 1e-6 b of
-    the bracket edge.  Raises NanObjective if any objective value is NaN
-    other than a zero weight times an infinite loss, which counts as 0, and
+    the bracket edge.  Raises ValueError unless every half-width is finite
+    and positive, NanObjective if any objective value is NaN other than a
+    zero weight times an infinite loss, which counts as 0, and
     InfiniteObjective if a returned value is +inf.
     """
     w_pos, w_neg, b = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (w_pos, w_neg, b)))
+    if not ((b > 0.0) & (b < math.inf)).all():  # NaN fails both
+        raise ValueError("half-widths must be finite and positive")
     fn = getattr(phi, "fn", phi)
 
     def objective(a):
@@ -224,18 +227,17 @@ def _descend(right: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float,
     a, b = float(lo), float(hi)
     steps = 0
     while steps < max_iter and not b - a <= tol:
-        los, his, mids = np.array([a]), np.array([b]), []
+        edges, pts = [a, b], []
         for _ in range(_LOOKAHEAD):  # heap order: node i splits into 2i+1, 2i+2
-            mids.append(0.5 * (los + his))
-            los = np.stack((los, mids[-1]), 1).ravel()
-            his = np.stack((mids[-1], his), 1).ravel()
-        pts = np.concatenate(mids)
-        go_left = np.asarray(right(pts), dtype=bool)
+            mids = [0.5 * (x + y) for x, y in zip(edges, edges[1:])]
+            pts += mids
+            edges = [e for pair in zip(edges, mids) for e in pair] + [b]
+        go_left = np.asarray(right(np.array(pts)), dtype=bool)
         node = 0
-        while node < pts.size and steps < max_iter and not b - a <= tol:
+        while node < len(pts) and steps < max_iter and not b - a <= tol:
             if go_left[node]:
-                b, node = float(pts[node]), 2 * node + 1
+                b, node = pts[node], 2 * node + 1
             else:
-                a, node = float(pts[node]), 2 * node + 2
+                a, node = pts[node], 2 * node + 2
             steps += 1
     return a, b

@@ -49,12 +49,13 @@ def min_per_bin(phi: SurrogateLoss, mu: np.ndarray, pi: np.ndarray
     """Minimize phi(a)*mu_z + phi(-a)*pi_z independently per bin.
 
     ``weighted_min`` on the per-bin bracket [-b_z, b_z], b_z = BRACKET +
-    |log(mu_z/pi_z)|.  Returns (argmins, values); on flat minimizer sets the
+    |log(mu_z/pi_z)| with the ratio clipped to [1e-300, 1e300], so a bin
+    with one zero mass gets the bracket of its mirror bin.  Returns (argmins, values); on flat minimizer sets the
     argmin is golden-section's deterministic interior point.
     """
     mu, pi = np.asarray(mu, dtype=float), np.asarray(pi, dtype=float)
     ratio = np.where(pi > 0, mu / np.maximum(pi, 1e-300), INF)
-    b = BRACKET + np.abs(np.log(np.maximum(ratio, 1e-300)))
+    b = BRACKET + np.abs(np.log(np.clip(ratio, 1e-300, 1e300)))
     return weighted_min(phi, mu, pi, b)[:2]
 
 

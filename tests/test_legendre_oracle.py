@@ -1,0 +1,302 @@
+"""The numeric Legendre route, bit for bit against frozen copies.
+
+``frozen_sup_batch`` and ``frozen_descend`` are copies of the numeric
+conjugate's kernel and of the scalar bisection as they were before the
+kernel called ``f.fn`` under the conjugate's one warning guard, built its
+grid levels once per process and descended its midpoints in Python floats;
+``frozen_locate_beta2`` and ``frozen_locate_fixed_point`` probe Psi one
+point per call, as before the probes were batched.  The live numeric
+``conjugate`` and ``psi_from_f(numeric=True)`` must reproduce them bit for
+bit: values, domain bounds, fixed point and raised errors.  Nothing in this
+file reads a closed-form conjugate.
+"""
+
+import math
+import pickle
+
+import numpy as np
+import pytest
+
+from fdual import duality, optimize
+from fdual.duality import Generator, conjugate, psi_from_f
+from fdual.errors import FdualError, NoFixedPoint
+from fdual.losses import catalog_generator
+from fdual.optimize import bisect_predicate, bisect_root
+
+INF = math.inf
+
+CATALOG = ("zero_one", "hinge", "eq10_nonconvex", "exponential",
+           "least_squares", "logistic", "sym_kl", "kl")
+
+# slopes v of the conjugate: interior maximizers, maximizers near 0 and far
+# out (v -> 0-), and rows whose maximizer lies beyond _WIDEN_CAP
+VS = np.concatenate([np.linspace(-30.0, 30.0, 61),
+                     -np.geomspace(1e-6, 1e3, 25), [-1e-5, 0.0, 1e-9]])
+# betas of Psi: below beta1, interior, beyond beta2 and Psi(1e-5), which is
+# +inf on the numeric exponential route (maximizer at 1e10)
+BETAS = np.concatenate([np.linspace(-2.0, 6.0, 41), [1e-5, 1e-3, 25.0]])
+
+
+# --- frozen copies -----------------------------------------------------------
+
+def frozen_grid_points(halfline, top):
+    geo = np.geomspace(duality._GRID_LO, top, duality._GRID_HALF)
+    lin = np.linspace(0.0, top, duality._GRID_HALF)
+    if halfline:
+        return np.unique(np.concatenate([[0.0], geo, lin]))
+    return np.unique(np.concatenate([-geo[::-1], [0.0], geo, lin,
+                                     -lin[::-1]]))
+
+
+def frozen_sup_batch(f, vs, cache):
+    out = np.empty(vs.size)
+    lo, hi = np.empty(vs.size), np.empty(vs.size)
+    todo = np.arange(vs.size)
+    top = duality._GRID_TOP
+    while todo.size:
+        if top not in cache:
+            pts = frozen_grid_points(f.halfline, top)
+            cache[top] = pts, duality._hull(pts, f(pts))
+        pts, hull = cache[top]
+        idx, out[todo] = duality._scan(pts, hull, vs[todo])
+        lo[todo] = pts[np.maximum(idx - 1, 0)]
+        hi[todo] = pts[np.minimum(idx + 1, pts.size - 1)]
+        edge = (idx == pts.size - 1) | ((idx == 0) & (not f.halfline))
+        todo = todo[edge & (out[todo] > -INF)]
+        if top >= duality._WIDEN_CAP:
+            out[todo] = INF
+            break
+        top *= 10.0
+
+    rows = np.flatnonzero(np.isfinite(out))
+    if not rows.size:
+        return out
+    n = duality._ZOOM_PTS
+    v, a, b, best = vs[rows, None], lo[rows], hi[rows], out[rows]
+    r, frac = np.arange(rows.size), np.linspace(0.0, 1.0, n)
+    for _ in range(duality._ZOOM_ROUNDS):
+        us = a[:, None] + (b - a)[:, None] * frac
+        with np.errstate(invalid="ignore", over="ignore"):
+            vals = v * us - f(us.ravel()).reshape(us.shape)
+        vals[np.isnan(vals)] = -INF
+        j = np.argmax(vals, axis=1)
+        best = np.maximum(best, vals[r, j])
+        a = us[r, np.maximum(j - 1, 0)]
+        b = us[r, np.minimum(j + 1, n - 1)]
+    out[rows] = best
+    return out
+
+
+def frozen_descend(right, lo, hi, tol, max_iter):
+    a, b = float(lo), float(hi)
+    steps = 0
+    while steps < max_iter and not b - a <= tol:
+        los, his, mids = np.array([a]), np.array([b]), []
+        for _ in range(optimize._LOOKAHEAD):
+            mids.append(0.5 * (los + his))
+            los = np.stack((los, mids[-1]), 1).ravel()
+            his = np.stack((mids[-1], his), 1).ravel()
+        pts = np.concatenate(mids)
+        go_left = np.asarray(right(pts), dtype=bool)
+        node = 0
+        while node < pts.size and steps < max_iter and not b - a <= tol:
+            if go_left[node]:
+                b, node = float(pts[node]), 2 * node + 1
+            else:
+                a, node = float(pts[node]), 2 * node + 2
+            steps += 1
+    return a, b
+
+
+def frozen_locate_beta2(f, psi, beta1):
+    f0 = f(0.0)
+    if not math.isfinite(f0):
+        return INF
+    inf_psi = -f0
+    s0, s1, s2 = [(f(h) - f0) / h for h in (1e-4, 1e-6, 1e-8)]
+    d0, d1 = s0 - s1, s1 - s2
+    if d0 > 1e-7 * (1.0 + abs(s1)) and d1 >= 0.2 * d0:
+        return INF
+    h1, h2 = 1e-6, 1e-8
+    corr = (s1 - s2) / (h1 - h2)
+    est = -(s2 - corr * h2)
+    scale = max(1.0, abs(inf_psi), abs(est))
+    if (psi(est + 1e-6 * scale) <= inf_psi + 1e-6 * scale
+            and psi(est - 0.1 * scale) > inf_psi + 1e-8 * scale):
+        return est
+    tol = 1e-11 * max(1.0, abs(inf_psi))
+    lo = beta1 if math.isfinite(beta1) else -1.0
+    step = 1.0
+    prev = lo
+    while step <= duality._PROBE_CAP:
+        cand = lo + step
+        if psi(cand) <= inf_psi + tol:
+            return bisect_predicate(lambda b: psi(b) <= inf_psi + tol,
+                                    prev, cand, tol=1e-10)
+        prev = cand
+        step *= 2.0
+    return INF
+
+
+def frozen_locate_fixed_point(psi, beta1, beta2):
+    def s(beta):
+        return psi(beta) - beta
+
+    lo = beta1 + 1e-9 if math.isfinite(beta1) else -1.0
+    steps = 0
+    while s(lo) <= 0.0:
+        lo -= max(1.0, abs(lo))
+        steps += 1
+        if steps > 60:
+            raise NoFixedPoint("Psi(beta) - beta has no positive branch")
+    hi = max(lo + 1.0, 1.0)
+    steps = 0
+    while s(hi) > 0.0:
+        hi += max(1.0, abs(hi))
+        steps += 1
+        if steps > 60 or (math.isfinite(beta2) and hi > beta2 + 2.0):
+            if not math.isfinite(beta2) or s(beta2 - 1e-9) > 0.0:
+                raise NoFixedPoint("no sign change of Psi(beta) - beta "
+                                   "inside (beta1, beta2)")
+            hi = beta2 - 1e-9
+            break
+    return bisect_root(s, lo, hi, tol=1e-12)
+
+
+FROZEN = ((duality, "_sup_batch", frozen_sup_batch),
+          (optimize, "_descend", frozen_descend),
+          (duality, "_locate_beta2", frozen_locate_beta2),
+          (duality, "_locate_fixed_point", frozen_locate_fixed_point))
+
+
+# --- helpers ------------------------------------------------------------------
+
+def outcome(run) -> bytes:
+    """The pickled result of run(), or the type and message it raised."""
+    try:
+        result = run()
+    except FdualError as err:
+        result = (type(err).__name__, str(err))
+    return pickle.dumps(result)
+
+
+def live_and_frozen(monkeypatch, run) -> tuple[bytes, bytes]:
+    live = outcome(run)
+    with monkeypatch.context() as mp:
+        for module, attr, frozen in FROZEN:
+            mp.setattr(module, attr, frozen)
+        return live, outcome(run)
+
+
+def stripped(f: Generator) -> Generator:
+    """f without its closed-form conjugate: conjugate() goes numeric."""
+    return Generator(f.fn, name=f.name, halfline=f.halfline)
+
+
+def numeric_psi(f: Generator, betas=BETAS):
+    psi = psi_from_f(f, numeric=True)
+    return psi.beta1, psi.beta2, psi.u_star, psi(betas)
+
+
+def quadratic_kink(u):
+    # f'(0) = -2 but curvature 2e6: Psi(2 - 0.1) = 2.5e-9 fails the
+    # Richardson estimate's check, so _locate_beta2 takes its fallback
+    return 1e6 * u * u - 2.0 * u
+
+
+# --- the oracle ---------------------------------------------------------------
+
+class TestNumericRouteOracle:
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_conjugate(self, monkeypatch, name):
+        f = stripped(catalog_generator(name))
+        live, frozen = live_and_frozen(monkeypatch,
+                                       lambda: conjugate(f)(VS))
+        assert live == frozen
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_psi_from_f(self, monkeypatch, name):
+        f = catalog_generator(name)
+        live, frozen = live_and_frozen(monkeypatch, lambda: numeric_psi(f))
+        assert live == frozen
+
+    def test_row_beyond_the_widening_cap(self, monkeypatch):
+        f = catalog_generator("exponential")
+        live, frozen = live_and_frozen(
+            monkeypatch, lambda: numeric_psi(f, np.array([1e-5, 1.0])))
+        assert live == frozen
+        assert pickle.loads(live)[3].tolist() == [INF, 1.0]
+
+    def test_row_with_f_infinite_on_the_whole_grid(self, monkeypatch):
+        f = Generator(lambda u: np.full(u.shape, INF), name="nowhere")
+        live, frozen = live_and_frozen(monkeypatch,
+                                       lambda: conjugate(f)(VS))
+        assert live == frozen
+        assert np.all(pickle.loads(live) == -INF)
+
+    def test_whole_line_conjugate_of_conjugate(self, monkeypatch):
+        f = stripped(catalog_generator("exponential"))
+        us = np.array([-1.0, 0.0, 0.5, 1.0, 2.5])
+        live, frozen = live_and_frozen(
+            monkeypatch, lambda: conjugate(conjugate(f))(us))
+        assert live == frozen
+        assert conjugate(f).halfline is False
+
+    def test_fixed_point_bracket_grows_right(self, monkeypatch):
+        # 3 f[hinge] has Psi(beta) = 3 Psi_hinge(beta / 3) and u* = 3, so
+        # the first right end hi = 1 is still left of the fixed point
+        hinge = catalog_generator("hinge").fn
+        f = Generator(lambda u: 3.0 * hinge(u), name="3 f[hinge]")
+        live, frozen = live_and_frozen(monkeypatch, lambda: numeric_psi(f))
+        assert live == frozen
+        assert pickle.loads(live)[2] == pytest.approx(3.0, abs=1e-9)
+
+    def test_beta2_fallback(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return bisect_predicate(*args, **kwargs)
+
+        monkeypatch.setattr(duality, "bisect_predicate", counted)
+        f = Generator(quadratic_kink, name="quadratic_kink")
+        live, frozen = live_and_frozen(monkeypatch, lambda: numeric_psi(f))
+        assert live == frozen
+        assert len(calls) == 1  # the live fallback (the frozen one is local)
+        # Psi(beta) = (2 - beta)**2 / 4e6 reaches 1e-11 at 2 - 6.3e-3
+        assert pickle.loads(live)[1] == pytest.approx(2.0 - math.sqrt(4e-5))
+
+
+# --- one guard per conjugate call ---------------------------------------------
+
+class TestGuardAndWrapper:
+    @pytest.mark.parametrize("name", ["hinge", "exponential", "logistic"])
+    def test_no_wrapper_call_on_the_base_generator(self, monkeypatch, name):
+        seen, call = [], Generator.__call__
+
+        def counted(self, u):
+            seen.append(self)
+            return call(self, u)
+
+        monkeypatch.setattr(Generator, "__call__", counted)
+        fstar = conjugate(stripped(catalog_generator(name)))
+        fstar(VS)
+        for v in VS[:5]:
+            fstar(v)
+        assert len(seen) == 6 and all(g is fstar for g in seen)
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_a_raising_caller_changes_no_bit(self, name):
+        f = catalog_generator(name)
+        quiet = outcome(lambda: numeric_psi(f))
+        with np.errstate(all="raise"):
+            loud = outcome(lambda: numeric_psi(f))
+        assert loud == quiet
+
+    def test_grid_levels_are_built_once(self):
+        for halfline in (True, False):
+            pts = duality._grid_points(halfline, 1e4)
+            assert duality._grid_points(halfline, 1e4) is pts
+            assert not pts.flags.writeable
+            assert (pts.tobytes()
+                    == frozen_grid_points(halfline, 1e4).tobytes())

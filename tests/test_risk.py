@@ -12,6 +12,7 @@ from fdual.errors import InfiniteRisk, MismatchedPair
 from fdual.losses import LOSS_NAMES, catalog_generator, catalog_loss
 from fdual.measures import (JointMeasure, Priors, bayes_risk, f_divergence,
                             named_divergence, random_measure)
+from fdual.optimize import zero_safe
 from fdual.risk import (RiskReport, closed_form_discriminant, min_per_bin,
                         optimal_phi_risk, phi_risk, verify_correspondence,
                         zero_one_risk)
@@ -274,6 +275,24 @@ class TestMinPerBinNonConvex:
             want_args, want_vals = scalar_dense_min(phi, m.mu, m.pi)
             assert args.tobytes() == want_args.tobytes()
             assert vals.tobytes() == want_vals.tobytes()
+
+
+class TestOneEmptyMass:
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_mirrored_bins_mirror_the_minimum(self, name):
+        # a bin with pi_z = 0 gets the finite bracket of its mirror bin
+        # (mu_z = 0), so neither raises nor returns NaN
+        phi = catalog_loss(name)
+        mu, pi = np.array([0.5, 0.5]), np.array([0.0, 1.0])
+        args, vals = min_per_bin(phi, mu, pi)
+        m_args, m_vals = min_per_bin(phi, pi, mu)
+        assert np.isfinite(args).all() and np.isfinite(m_args).all()
+        np.testing.assert_allclose(vals, m_vals, rtol=1e-7, atol=1e-12)
+        with np.errstate(all="ignore"):  # exp overflows at the edge
+            for a, w_pos, w_neg, want in ((-args, pi, mu, m_vals),
+                                          (-m_args, mu, pi, vals)):
+                got = zero_safe(phi(a), phi(-a), w_pos, w_neg)
+                np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-12)
 
 
 class TestClosedFormDiscriminants:

@@ -245,6 +245,14 @@ class TestKernel:
         full = weighted_min(phi, u, np.ones(2), np.full(2, 50.0))
         assert all(_same(x, y) for x, y in zip(one, full))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -50.0])
+    @pytest.mark.parametrize("name", ["zero_one", "hinge"])
+    def test_half_widths_must_be_finite_and_positive(self, name, bad):
+        # a NaN half-width once left the grid branch's outputs uninitialized
+        with pytest.raises(ValueError, match="finite and positive"):
+            weighted_min(catalog_loss(name), [0.3, 0.4], [0.5, 0.2],
+                         [50.0, bad])
+
 
 class TestNanObjective:
     @pytest.mark.parametrize("convex", (True, False))
