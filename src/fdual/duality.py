@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import GridTooNarrow, NoFixedPoint
+from .errors import GridTooNarrow, NoFixedPoint, UnconfirmedBound
 from .optimize import bisect_predicate, bisect_root
 
 INF = math.inf
@@ -320,8 +320,7 @@ def _locate_beta1(f: Callable) -> float:
     return float(d1 * d1 / (d1 - d0) - s2)
 
 
-def _locate_beta2(f: Generator, psi: Callable[[np.ndarray], np.ndarray],
-                  beta1: float) -> float:
+def _locate_beta2(f: Generator, psi: Callable) -> float:
     f0 = f(0.0)
     if not math.isfinite(f0):
         return INF
@@ -335,34 +334,31 @@ def _locate_beta2(f: Generator, psi: Callable[[np.ndarray], np.ndarray],
     if d0 > 1e-7 * (1.0 + abs(s1)) and d1 >= 0.2 * d0:
         return INF
     # Psi reaches inf Psi exactly where -beta passes the right derivative of
-    # f at 0; Richardson-extrapolate the quotient for a sharp estimate.
-    h1, h2 = 1e-6, 1e-8
-    corr = (s1 - s2) / (h1 - h2)
-    est = -(s2 - corr * h2)
+    # f at 0; Richardson-extrapolate the 1e-6 and 1e-8 quotients for it.
+    est = -(s2 - (s1 - s2) / (1e-6 - 1e-8) * 1e-8)
     scale = max(1.0, abs(inf_psi), abs(est))
     above, below = psi(np.array([est + 1e-6 * scale, est - 0.1 * scale]))
-    if above <= inf_psi + 1e-6 * scale and below > inf_psi + 1e-8 * scale:
+    # Psi is flat beyond beta2 and above inf Psi before it, so `below` must
+    # clear `above` (by 45 ulps of scale), however flat Psi leaves inf Psi
+    if above <= inf_psi + 1e-6 * scale and below > above + 1e-14 * scale:
         return est
-    # fallback: doubling probe plus bisection on reaching inf Psi
-    tol = 1e-11 * max(1.0, abs(inf_psi))
-    lo = beta1 if math.isfinite(beta1) else -1.0
-    step = 1.0
-    prev = lo
-    while step <= _PROBE_CAP:
-        cand = lo + step
-        if psi(cand) <= inf_psi + tol:
-            return bisect_predicate(lambda b: psi(b) <= inf_psi + tol,
-                                    prev, cand, tol=1e-10)
-        prev = cand
-        step *= 2.0
-    return INF
+    raise UnconfirmedBound(f"Psi does not confirm the beta2 estimate {est}: "
+                           f"{below} before it, {above} after")
 
 
 def _locate_fixed_point(psi: Callable[[np.ndarray], np.ndarray],
-                        beta1: float, beta2: float) -> float:
-    def s(beta: float) -> float:
+                        beta1: float, beta2: float, probe: float) -> float:
+    """Root of s = Psi - beta in (beta1, beta2): ``probe`` (-0.0 as +0.0)
+    when one 2-row Psi call sees s(probe - eps) > 0 >= s(probe + eps) with
+    eps = 1e-12 max(1, |probe|), the bisection's resolution; else searched."""
+    def s(beta):
         return psi(beta) - beta
 
+    if beta1 < probe < beta2:
+        eps = 1e-12 * max(1.0, abs(probe))
+        s_left, s_right = s(np.array([probe - eps, probe + eps]))
+        if s_left > 0.0 >= s_right:
+            return probe + 0.0
     lo = beta1 + 1e-9 if math.isfinite(beta1) else -1.0
     # expand left until s > 0 (Psi = +inf below beta1 makes this terminate);
     # each call also probes the first right end, hi = max(lo + 1, 1)
@@ -396,16 +392,16 @@ def psi_from_f(f: Generator, numeric: bool = False) -> PsiFunction:
     ``numeric=True`` forces the numeric-supremum route even when the
     generator carries an analytic conjugate (used to validate the numeric
     machinery against closed forms).  beta1 = -f'_inf comes from the
-    recession slope of f (-inf for sym_kl).  The fixed-point bisection needs
-    the numeric Psi's +inf beyond _WIDEN_CAP (just above beta1) to order
-    Psi(beta) - beta > 0 correctly.  Raises NoFixedPoint when
-    Psi(beta) - beta has no sign change, i.e. the divergence is not
-    realizable by a decreasing convex loss.
+    recession slope of f (-inf for sym_kl).  A symmetric f has f(1)/2 in
+    its subdifferential at 1, so u* = -f(1)/2 (Rockafellar 1970, Thm 23.5);
+    ``_locate_fixed_point`` certifies it from f alone.  Raises NoFixedPoint
+    when Psi(beta) - beta has no sign change (the divergence is not
+    loss-realizable) and UnconfirmedBound when Psi does not confirm beta2.
     """
     ev = _psi_eval(f, numeric)
     beta1 = _locate_beta1(f)
-    beta2 = _locate_beta2(f, ev, beta1)
-    u_star = _locate_fixed_point(ev, beta1, beta2)
+    beta2 = _locate_beta2(f, ev)
+    u_star = _locate_fixed_point(ev, beta1, beta2, -f(1.0) / 2.0)
     if not (beta1 < u_star < beta2):
         raise NoFixedPoint(f"fixed point {u_star} outside ({beta1}, {beta2})")
     return PsiFunction(fn=ev, beta1=beta1, beta2=beta2, u_star=u_star,

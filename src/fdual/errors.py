@@ -25,6 +25,10 @@ class NoFixedPoint(FdualError):
     """Psi(beta) - beta has no sign change: the divergence is not loss-realizable."""
 
 
+class UnconfirmedBound(FdualError):
+    """Psi does not confirm the estimate of its domain bound beta2."""
+
+
 class UnrealizableDivergence(FdualError):
     """The generator fails the decreasing/involution/fixed-point conditions."""
 

@@ -224,8 +224,8 @@ class TestPinnedDigests:
                       "3eadb3839e519900775ed5b0a1673585",
             "verify_checks.csv": "08cee1f5187a386b2fcece9d74cbe39c"
                                  "d42ee68ef36b47d01cffe6af0eb17f82",
-            "verify_conditions.csv": "c8d405ddac7c23188348091060bd94ca"
-                                     "d47c4e9e543e2f53ee56b9583e949f05",
+            "verify_conditions.csv": "1c43c47924dfd0799306e3c932eef166"
+                                     "b9f6b70689cf15189a69a750601cac49",
             "verify_correspondence.csv": "00ab362e6f0475dcceb408cb5a9edc4b"
                                          "63549fdf17e312ab6eef88987fd58161",
         }),
@@ -243,8 +243,8 @@ class TestPinnedDigests:
                       "68aa30fd2756b85a616fd762d65ca0ee",
             "verify_checks.csv": "42b21db29a75bd2eb52538a63ce2cf45"
                                  "508460d0de862f87d3ea163dadd75c14",
-            "verify_conditions.csv": "e019bed1dd666f0bddf739aa4f9854fd"
-                                     "5cccb47e7bfb06f9254352c8c6c07d8b",
+            "verify_conditions.csv": "a4904e2328f495d3d73c0046e225684a"
+                                     "0722dade1c757414c1c93ed0bbe16735",
             "verify_correspondence.csv": "e60c3f7a9c267e3a76ee48e4950e04e5"
                                          "779ddb3113196b72678e357ccc2c7d91",
         }),

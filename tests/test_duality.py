@@ -13,7 +13,7 @@ from fdual import duality
 from fdual.duality import (Generator, _locate_beta1, check_convex_sampled,
                            check_theorem1_conditions, conjugate, phi_inverse,
                            psi_from_f, psi_tilde_from_loss)
-from fdual.errors import GridTooNarrow, NoFixedPoint
+from fdual.errors import GridTooNarrow, NoFixedPoint, UnconfirmedBound
 from fdual.losses import catalog_generator, catalog_loss, induced_generator
 
 INF = math.inf
@@ -304,6 +304,29 @@ BRIDGE_VALUES = {
 }
 
 
+SYMMETRIC = ("zero_one", "hinge", "eq10_nonconvex", "exponential",
+             "least_squares", "logistic", "sym_kl")
+
+
+def counted_searches(monkeypatch) -> list:
+    """The argument tuples of every fixed-point search (``bisect_root``)."""
+    calls, search = [], duality.bisect_root
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return search(*args, **kw)
+
+    monkeypatch.setattr(duality, "bisect_root", counting)
+    return calls
+
+
+def scaled(name: str, c: float) -> Generator:
+    """c f[name] with its closed-form conjugate c f*(v / c)."""
+    f = catalog_generator(name)
+    return Generator(lambda u: c * f.fn(u), name=f"{c} {f.name}",
+                     conjugate_fn=lambda v: c * f.conjugate_fn(v / c))
+
+
 def counted_psi_from_f(monkeypatch, f, **kw):
     """psi_from_f(f) and the number of calls of its Psi evaluator."""
     calls = [0]
@@ -412,6 +435,53 @@ class TestPsiFromF:
                         name="linear")
         with pytest.raises(NoFixedPoint):
             psi_from_f(lin)
+
+    @pytest.mark.parametrize("kink", [2.7, 3.3, 7.1])
+    def test_unconfirmed_beta2_raises(self, kink):
+        # hinge's f has f(0) = 0 and f'(0) = -2, so the Richardson estimate
+        # is 2; a Psi reaching its infimum 0 only at the kink does not
+        # confirm it, and no fallback search guesses another bound
+        f = catalog_generator("hinge")
+
+        def psi(beta):
+            return np.square(np.maximum(kink - np.asarray(beta), 0.0))
+
+        with pytest.raises(UnconfirmedBound, match="estimate 2.0"):
+            duality._locate_beta2(f, psi)
+
+    @given(st.lists(st.tuples(st.sampled_from(SYMMETRIC),
+                              st.floats(0.1, 10.0)), min_size=2, max_size=5))
+    def test_symmetric_mixture_fixed_point_is_minus_half_f1(self, terms):
+        parts = [scaled(name, c) for name, c in terms]
+        mix = Generator(lambda u: sum(p.fn(u) for p in parts), name="mix")
+        assert psi_from_f(mix, numeric=True).u_star == -mix(1.0) / 2.0
+        # a sum has no closed-form conjugate: each scaled part takes that
+        # route on its own
+        for part in parts:
+            assert psi_from_f(part).u_star == -part(1.0) / 2.0
+
+    @pytest.mark.parametrize("name", SYMMETRIC)
+    def test_symmetric_generator_takes_at_most_two_psi_calls(
+            self, monkeypatch, name):
+        # one 2-row call confirms beta2 (none when beta2 = +inf), one
+        # certifies u* = -f(1)/2; the fixed-point search never runs
+        f = catalog_generator(name)
+        searches = counted_searches(monkeypatch)
+        psi, calls = counted_psi_from_f(monkeypatch, f, numeric=True)
+        assert psi.u_star == -f(1.0) / 2.0
+        assert calls <= 2 and not searches
+
+    @pytest.mark.parametrize("numeric", [False, True])
+    def test_asymmetric_generator_reaches_the_search(self, monkeypatch,
+                                                     numeric):
+        # f = u log u: f(1)/2 = 0 is not in its subdifferential {1} at 1, so
+        # s = Psi - beta keeps its sign around the probe -0.0
+        searches = counted_searches(monkeypatch)
+        psi, calls = counted_psi_from_f(monkeypatch, catalog_generator("kl"),
+                                        numeric=numeric)
+        assert len(searches) == 1 and calls > 2
+        # Psi(beta) = exp(-1 - beta): u* = W(1/e)
+        assert psi.u_star == pytest.approx(0.2784645427610738, abs=1e-10)
 
 
 def _arr(u):

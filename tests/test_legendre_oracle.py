@@ -5,10 +5,13 @@ conjugate's kernel and of the scalar bisection as they were before the
 kernel called ``f.fn`` under the conjugate's one warning guard, built its
 grid levels once per process and descended its midpoints in Python floats;
 ``frozen_locate_beta2`` and ``frozen_locate_fixed_point`` probe Psi one
-point per call, as before the probes were batched.  The live numeric
-``conjugate`` and ``psi_from_f(numeric=True)`` must reproduce them bit for
-bit: values, domain bounds, fixed point and raised errors.  Nothing in this
-file reads a closed-form conjugate.
+point per call, as before the probes were batched, and search for the fixed
+point, as before the certificate.  The live numeric ``conjugate`` and
+``psi_from_f(numeric=True)`` must reproduce them bit for bit: values, domain
+bounds, fixed point and raised errors.  The one exception is the fixed point
+of a generator with f(1)/2 in its subdifferential at 1 (every symmetric
+one): it is certified to be exactly -f(1)/2, where the search stopped within
+its 1e-12 tolerance.  Nothing in this file reads a closed-form conjugate.
 """
 
 import math
@@ -27,6 +30,7 @@ INF = math.inf
 
 CATALOG = ("zero_one", "hinge", "eq10_nonconvex", "exponential",
            "least_squares", "logistic", "sym_kl", "kl")
+SYMMETRIC = CATALOG[:-1]  # kl alone is asymmetric: its fixed point is searched
 
 # slopes v of the conjugate: interior maximizers, maximizers near 0 and far
 # out (v -> 0-), and rows whose maximizer lies beyond _WIDEN_CAP
@@ -108,7 +112,8 @@ def frozen_descend(right, lo, hi, tol, max_iter):
     return a, b
 
 
-def frozen_locate_beta2(f, psi, beta1):
+def frozen_locate_beta2(f, psi):
+    beta1 = duality._locate_beta1(f)
     f0 = f(0.0)
     if not math.isfinite(f0):
         return INF
@@ -138,7 +143,7 @@ def frozen_locate_beta2(f, psi, beta1):
     return INF
 
 
-def frozen_locate_fixed_point(psi, beta1, beta2):
+def frozen_locate_fixed_point(psi, beta1, beta2, probe):
     def s(beta):
         return psi(beta) - beta
 
@@ -167,6 +172,9 @@ FROZEN = ((duality, "_sup_batch", frozen_sup_batch),
           (optimize, "_descend", frozen_descend),
           (duality, "_locate_beta2", frozen_locate_beta2),
           (duality, "_locate_fixed_point", frozen_locate_fixed_point))
+# the frozen kernels and fixed-point search under the live beta2, whose old
+# fallback missed the true bound
+FROZEN_SEARCH = tuple(e for e in FROZEN if e[1] != "_locate_beta2")
 
 
 # --- helpers ------------------------------------------------------------------
@@ -180,10 +188,11 @@ def outcome(run) -> bytes:
     return pickle.dumps(result)
 
 
-def live_and_frozen(monkeypatch, run) -> tuple[bytes, bytes]:
+def live_and_frozen(monkeypatch, run,
+                    frozen_set=FROZEN) -> tuple[bytes, bytes]:
     live = outcome(run)
     with monkeypatch.context() as mp:
-        for module, attr, frozen in FROZEN:
+        for module, attr, frozen in frozen_set:
             mp.setattr(module, attr, frozen)
         return live, outcome(run)
 
@@ -198,10 +207,26 @@ def numeric_psi(f: Generator, betas=BETAS):
     return psi.beta1, psi.beta2, psi.u_star, psi(betas)
 
 
+def assert_certified(live: bytes, frozen: bytes, f: Generator) -> None:
+    """Bounds and Psi values bit for bit; u* exactly -f(1)/2, never -0.0."""
+    beta1, beta2, u_star, vals = pickle.loads(live)
+    frozen_beta1, frozen_beta2, _, frozen_vals = pickle.loads(frozen)
+    assert (pickle.dumps((beta1, beta2, vals))
+            == pickle.dumps((frozen_beta1, frozen_beta2, frozen_vals)))
+    assert u_star == -f(1.0) / 2.0
+    assert u_star != 0.0 or math.copysign(1.0, u_star) == 1.0
+
+
 def quadratic_kink(u):
-    # f'(0) = -2 but curvature 2e6: Psi(2 - 0.1) = 2.5e-9 fails the
-    # Richardson estimate's check, so _locate_beta2 takes its fallback
+    # f'(0) = -2 but curvature 2e6: Psi(2 - 0.1) = 2.5e-9 fell under the
+    # old absolute check of the Richardson estimate
     return 1e6 * u * u - 2.0 * u
+
+
+def shifted_kl(u):
+    # u log u - 6 (u - 1): Psi(beta) = exp(5 - beta) - 6, asymmetric, with
+    # u* = 2.82 right of the search's first right end hi = 1
+    return catalog_generator("kl").fn(u) - 6.0 * (u - 1.0)
 
 
 # --- the oracle ---------------------------------------------------------------
@@ -218,13 +243,16 @@ class TestNumericRouteOracle:
     def test_psi_from_f(self, monkeypatch, name):
         f = catalog_generator(name)
         live, frozen = live_and_frozen(monkeypatch, lambda: numeric_psi(f))
-        assert live == frozen
+        if name in SYMMETRIC:
+            assert_certified(live, frozen, f)
+        else:
+            assert live == frozen
 
     def test_row_beyond_the_widening_cap(self, monkeypatch):
         f = catalog_generator("exponential")
         live, frozen = live_and_frozen(
             monkeypatch, lambda: numeric_psi(f, np.array([1e-5, 1.0])))
-        assert live == frozen
+        assert_certified(live, frozen, f)
         assert pickle.loads(live)[3].tolist() == [INF, 1.0]
 
     def test_row_with_f_infinite_on_the_whole_grid(self, monkeypatch):
@@ -244,27 +272,41 @@ class TestNumericRouteOracle:
 
     def test_fixed_point_bracket_grows_right(self, monkeypatch):
         # 3 f[hinge] has Psi(beta) = 3 Psi_hinge(beta / 3) and u* = 3, so
-        # the first right end hi = 1 is still left of the fixed point
+        # the search's first right end hi = 1 is still left of the fixed
+        # point; the certificate returns u* = -f(1)/2 = 3 without a search
         hinge = catalog_generator("hinge").fn
         f = Generator(lambda u: 3.0 * hinge(u), name="3 f[hinge]")
         live, frozen = live_and_frozen(monkeypatch, lambda: numeric_psi(f))
-        assert live == frozen
-        assert pickle.loads(live)[2] == pytest.approx(3.0, abs=1e-9)
+        assert_certified(live, frozen, f)
+        assert pickle.loads(live)[2] == 3.0
 
-    def test_beta2_fallback(self, monkeypatch):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return bisect_predicate(*args, **kwargs)
-
-        monkeypatch.setattr(duality, "bisect_predicate", counted)
-        f = Generator(quadratic_kink, name="quadratic_kink")
+    def test_asymmetric_bracket_grows_right(self, monkeypatch):
+        f = Generator(shifted_kl, name="shifted_kl")
         live, frozen = live_and_frozen(monkeypatch, lambda: numeric_psi(f))
         assert live == frozen
-        assert len(calls) == 1  # the live fallback (the frozen one is local)
-        # Psi(beta) = (2 - beta)**2 / 4e6 reaches 1e-11 at 2 - 6.3e-3
-        assert pickle.loads(live)[1] == pytest.approx(2.0 - math.sqrt(4e-5))
+        u_star = pickle.loads(live)[2]
+        assert u_star == pytest.approx(math.exp(5.0 - u_star) - 6.0,
+                                       abs=1e-9)
+        assert u_star > 1.0
+
+    def test_nearly_symmetric_generator_is_searched(self, monkeypatch):
+        # f[least_squares] + 1e-5 u log u moves f'(1) off f(1)/2 by 1e-5, so
+        # u* = 1 + 2.5e-11 lies outside the certificate's window 1 +- 1e-12
+        ls, kl = (catalog_generator(n).fn for n in ("least_squares", "kl"))
+        f = Generator(lambda u: ls(u) + 1e-5 * kl(u), name="near_symmetric")
+        live, frozen = live_and_frozen(monkeypatch, lambda: numeric_psi(f))
+        assert live == frozen
+        assert pickle.loads(live)[2] == pytest.approx(1.0 + 2.5e-11,
+                                                      abs=1e-12)
+
+    def test_beta2_fallback(self, monkeypatch):
+        # the confirmed Richardson estimate is the true beta2 = 2; the fixed
+        # point is searched (f is asymmetric) as the frozen search does
+        f = Generator(quadratic_kink, name="quadratic_kink")
+        live, frozen = live_and_frozen(monkeypatch, lambda: numeric_psi(f),
+                                       FROZEN_SEARCH)
+        assert live == frozen
+        assert pickle.loads(live)[1] == pytest.approx(2.0, abs=1e-9)
 
 
 # --- one guard per conjugate call ---------------------------------------------

@@ -439,8 +439,8 @@ class TestScalarPredicateDescent:
 
 
 class TestScalarBisectionCallers:
-    """phi_inverse, the recipe's alpha* search and the beta2 fallback give
-    the results of the old one-midpoint-per-call loop bit for bit."""
+    """phi_inverse and the recipe's alpha* search give the results of the
+    old one-midpoint-per-call loop bit for bit."""
 
     @staticmethod
     def _old_loop(monkeypatch):
@@ -469,18 +469,3 @@ class TestScalarBisectionCallers:
         new = alpha_stars()
         self._old_loop(monkeypatch)
         assert _same(new, alpha_stars())
-
-    @pytest.mark.parametrize("kink", [2.7, 3.3, 7.1])
-    def test_beta2_fallback(self, monkeypatch, kink):
-        # hinge's f has f(0) = 0 and f'(0) = -2, so the Richardson estimate
-        # is 2; a Psi reaching its infimum 0 only at the kink fails the
-        # estimate's check and takes the doubling-and-bisection fallback
-        f = losses.catalog_generator("hinge")
-
-        def psi(beta):
-            return np.square(np.maximum(kink - np.asarray(beta), 0.0))
-
-        new = duality._locate_beta2(f, psi, 0.0)
-        self._old_loop(monkeypatch)
-        old = duality._locate_beta2(f, psi, 0.0)
-        assert _same(new, old) and abs(new - kink) < 1e-4
