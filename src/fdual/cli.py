@@ -129,13 +129,8 @@ def _opt(args, config: dict, section: str, key: str, default):
 
 
 def _resolve_out_dir(args, config: dict) -> Path:
-    if getattr(args, "out", None):
-        base = args.out
-    elif os.environ.get(ENV_OUT_DIR):
-        base = os.environ[ENV_OUT_DIR]
-    else:
-        base = _cfg(config, "output", "dir", "fdual_out")
-    path = Path(base)
+    path = Path(getattr(args, "out", None) or os.environ.get(ENV_OUT_DIR)
+                or _cfg(config, "output", "dir", "fdual_out"))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -144,12 +139,10 @@ def _parse_loss_list(text: str) -> list:
     names = [s.strip() for s in text.split(",") if s.strip()]
     if not names:
         raise ConfigError("empty loss list")
-    out = []
     for nm in names:
         if nm not in losses.LOSS_NAMES:
             raise ConfigError(f"UnknownLoss: {nm!r}")
-        out.append(losses.catalog_loss(nm))
-    return out
+    return [losses.catalog_loss(nm) for nm in names]
 
 
 def _source_from(args, config: dict) -> measures.UniformPairSource:
@@ -252,16 +245,12 @@ def cmd_equiv(args, config: dict) -> int:
     names = list(_EQUIV_CLASSES)
     lines = ["f1,f2,c,a,b,residual,verdict"]
     ok = True
-    for n1 in names:
-        for n2 in names:
-            if n1 == n2:
-                continue
-            rep = equivalence.affine_fit(losses.catalog_generator(n1),
-                                         losses.catalog_generator(n2),
-                                         tol=tol)
-            expected = _EQUIV_CLASSES[n1] == _EQUIV_CLASSES[n2]
-            ok &= rep.verdict == expected
-            lines.append(f"{n1},{n2},{rep.to_csv_row()}")
+    for n1, n2 in [(a, b) for a in names for b in names if a != b]:
+        rep = equivalence.affine_fit(losses.catalog_generator(n1),
+                                     losses.catalog_generator(n2), tol=tol)
+        expected = _EQUIV_CLASSES[n1] == _EQUIV_CLASSES[n2]
+        ok &= rep.verdict == expected
+        lines.append(f"{n1},{n2},{rep.to_csv_row()}")
     (out_dir / "equiv_pairs.csv").write_text("\n".join(lines) + "\n")
 
     var_lines = ["loss,c,a,b,residual,verdict"]

@@ -337,7 +337,11 @@ def _locate_beta2(f: Generator, psi: Callable) -> float:
     # f at 0; Richardson-extrapolate the 1e-6 and 1e-8 quotients for it.
     est = -(s2 - (s1 - s2) / (1e-6 - 1e-8) * 1e-8)
     scale = max(1.0, abs(inf_psi), abs(est))
-    above, below = psi(np.array([est + 1e-6 * scale, est - 0.1 * scale]))
+    # Psi leaves inf Psi like (beta2 - beta)^2 / 2f''(0): `below` sits at
+    # least where that clears 1e-12 scale
+    half_curv = max(d0, 0.0) / (1e-4 - 1e-6)  # f''(0) / 2
+    gap = max(0.1 * scale, 2e-6 * math.sqrt(half_curv * scale))
+    above, below = psi(np.array([est + 1e-6 * scale, est - gap]))
     # Psi is flat beyond beta2 and above inf Psi before it, so `below` must
     # clear `above` (by 45 ulps of scale), however flat Psi leaves inf Psi
     if above <= inf_psi + 1e-6 * scale and below > above + 1e-14 * scale:
@@ -466,9 +470,11 @@ def check_theorem1_conditions(psi: PsiFunction, tol: float) -> ConditionReport:
     grid = np.linspace(lo, hi, _COND_N)
     vals = psi(grid)
 
-    diffs = np.diff(vals)
+    with np.errstate(invalid="ignore"):  # inf - inf: an infinite residual
+        diffs = np.diff(vals)
+        gaps = vals[1:-1] - 0.5 * (vals[:-2] + vals[2:])
+    diffs, gaps = (np.where(np.isnan(d), INF, d) for d in (diffs, gaps))
     dec_res = float(np.max(diffs))
-    gaps = vals[1:-1] - 0.5 * (vals[:-2] + vals[2:])
     k = int(np.argmax(gaps))
     mid_res = float(gaps[k])
     res_i = max(dec_res, mid_res)

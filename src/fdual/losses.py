@@ -210,20 +210,30 @@ def _f_sym_kl(u):
     return np.where(u > 0.0, (u - 1.0) * np.log(u), INF)
 
 
+_SYM_KL_ROUNDS = 5  # the least count a sixth round moves by <= 2 ulps
+
+
+def _sym_kl_log_u(v, rounds=_SYM_KL_ROUNDS):
+    # w = log u of the maximizer of v*u - (u - 1) log u: stationarity reads
+    # v = log u + 1 - 1/u, i.e. the root of h(w) = expm1(-w) - w + v, in
+    # closed form w = v - 1 + W(e^(1 - v)) (Corless et al. 1996).  h is
+    # convex and strictly decreasing, so Newton from a start with h >= 0
+    # climbs to the root without overshooting.  For v <= 0 the start
+    # w0 = -log1p(s), s = -v, has h(w0) = log1p(s) >= 0; for v > 0 both
+    # h(v - 1) = e^(1 - v) and h(v/2) = expm1(-v/2) + v/2 are >= 0.  A fixed
+    # round count, no early exit, so no bit depends on a branch.
+    w = np.where(v > 0.0, np.maximum(v - 1.0, 0.5 * v), -np.log1p(-v))
+    for _ in range(rounds):
+        em = np.expm1(-w)
+        w = w + (em - w + v) / (em + 2.0)
+    return w
+
+
 def _fstar_sym_kl(v):
-    # maximize v*u + log u - u*log u: stationarity reads 1/u - log u = 1 - v;
-    # solve for w = log u by vectorized bisection (exp(-w) - w is strictly
-    # decreasing in w).
-    tau = 1.0 - v
-    lo = np.full(tau.shape, -745.0)
-    hi = np.full(tau.shape, 745.0)
-    for _ in range(70):
-        mid = 0.5 * (lo + hi)
-        resid = np.exp(-mid) - mid - tau
-        lo = np.where(resid > 0.0, mid, lo)
-        hi = np.where(resid > 0.0, hi, mid)
-    w = 0.5 * (lo + hi)
-    return np.where(w > 700.0, INF, np.exp(w) + w - 1.0)  # beyond doubles
+    # the value at u = e^w is expm1(w) + w, read as +inf once w > 700 (e^w
+    # nears the top of the doubles); f*(+-inf) = +-inf and f*(NaN) = NaN
+    w = _sym_kl_log_u(v)
+    return np.where(np.isinf(v), v, np.where(w > 700.0, INF, np.expm1(w) + w))
 
 
 def _f_kl(u):
@@ -463,10 +473,8 @@ def check_A3(phi: SurrogateLoss) -> bool:
     if not math.isfinite(phi.alpha_star):
         return True
     a = phi.alpha_star
-    for eps in np.geomspace(1e-6, 10.0, 25):
-        if phi(a - eps) < phi(a + eps) - 1e-12:
-            return False
-    return True
+    return not any(phi(a - eps) < phi(a + eps) - 1e-12
+                   for eps in np.geomspace(1e-6, 10.0, 25))
 
 
 def curve_csv(fn: Callable, xs: Sequence[float],

@@ -17,9 +17,6 @@ from .errors import IncompatibleQuantizer, InfiniteValue, ZeroMassBin
 
 MASS_TOL = 1e-12
 
-NAMED_DIVERGENCES = ("variational", "hellinger_term", "triangular",
-                     "capacitory", "symmetric_kl")
-
 
 @dataclass(frozen=True)
 class Priors:

@@ -224,8 +224,8 @@ class TestPinnedDigests:
                       "3eadb3839e519900775ed5b0a1673585",
             "verify_checks.csv": "08cee1f5187a386b2fcece9d74cbe39c"
                                  "d42ee68ef36b47d01cffe6af0eb17f82",
-            "verify_conditions.csv": "1c43c47924dfd0799306e3c932eef166"
-                                     "b9f6b70689cf15189a69a750601cac49",
+            "verify_conditions.csv": "64977ae3db7b962ea1b76e66cfa5eed1"
+                                     "5fa67266a71a49ed06517e4218b8b4a1",
             "verify_correspondence.csv": "00ab362e6f0475dcceb408cb5a9edc4b"
                                          "63549fdf17e312ab6eef88987fd58161",
         }),

@@ -449,6 +449,13 @@ class TestPsiFromF:
         with pytest.raises(UnconfirmedBound, match="estimate 2.0"):
             duality._locate_beta2(f, psi)
 
+    @pytest.mark.parametrize("c", [1e12, 1e14])
+    def test_flat_beta2_is_confirmed(self, c):
+        # Psi(beta) = (2 - beta)^2 / 4c is 0.01 / 4c at est - 0.1 scale,
+        # under the 1e-14 scale margin: `below` is placed from f''(0) = 2c
+        f = Generator(lambda u: c * u * u - 2.0 * u, name="flat")
+        assert psi_from_f(f).beta2 == pytest.approx(2.0, abs=1e-9)
+
     @given(st.lists(st.tuples(st.sampled_from(SYMMETRIC),
                               st.floats(0.1, 10.0)), min_size=2, max_size=5))
     def test_symmetric_mixture_fixed_point_is_minus_half_f1(self, terms):
@@ -530,6 +537,22 @@ class TestTheorem1Conditions:
         assert not report["involution"].passed
         assert report["fixed_point"].passed
         assert not report.all_pass
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("other", ["hinge", "exponential",
+                                       "least_squares", "logistic"])
+    def test_sym_kl_mixtures_raise_no_warning(self, other):
+        # the numeric Psi is +inf at the window's left end (its maximizer
+        # lies beyond _WIDEN_CAP): inf - inf reads as an infinite residual,
+        # and the verdicts stand
+        a, b = catalog_generator("sym_kl"), catalog_generator(other)
+        mix = Generator(lambda u: 0.5 * a.fn(u) + 0.5 * b.fn(u), name="mix")
+        report = check_theorem1_conditions(psi_from_f(mix, numeric=True),
+                                           tol=1e-6)
+        convex = report["decreasing_convex"]
+        assert not convex.passed and convex.residual == INF
+        assert not report["involution"].passed
+        assert report["fixed_point"].passed
 
     def test_csv_shape(self):
         psi = psi_from_f(catalog_generator("hinge"))

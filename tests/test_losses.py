@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from fdual.duality import conjugate, psi_from_f
 from fdual.errors import BadLink, NotConvex, UnrealizableDivergence
-from fdual.losses import (GLink, SurrogateLoss, catalog_generator,
+from fdual.losses import (_SYM_KL_ROUNDS, GLink, SurrogateLoss,
+                          _sym_kl_log_u, catalog_generator,
                           catalog_link, catalog_loss, check_A3,
                           check_calibration_convex, check_calibration_general,
                           curve_csv, f_from_loss, loss_from_f,
@@ -64,6 +65,72 @@ class TestCatalogValues:
             SurrogateLoss(np.exp, "exp", convex=False, decreasing=False,
                           alpha_star=-INF, inf_value=0.0,
                           strictly_convex=True)
+
+
+class TestSymKlConjugate:
+    """f*(v) = sup_u v*u - (u - 1) log u by the Newton solve on w = log u.
+
+    REFERENCE holds (v, f*(v)) rounded from 60-digit values (mpmath, run
+    offline: Newton on w iterated to a fixed point at 60 + log10|v| digits,
+    checked against w = v - 1 + W(e^(1 - v)) at 700 digits).  The last two
+    v are the worst of 399 evenly spaced v in (1, 700].
+    """
+
+    REFERENCE = [
+        (-1e300, -691.7755278982137), (-1e100, -231.25850929940458),
+        (-1e6, -14.815496742371597), (-745.0, -7.604478701534277),
+        (-600.0, -7.3862274759294575), (-100.0, -5.5584594039795165),
+        (-20.0, -3.8408891550836906), (-5.0, -2.2809487503686636),
+        (-1.0, -0.8006536969425148), (-0.5, -0.4445012736990404),
+        (-0.1, -0.0975610964895008), (-1e-3, -0.00099975006248568),
+        (-1e-8, -9.999999975e-09), (-1e-12, -9.9999999999975e-13),
+        (-1e-300, -1e-300), (-0.0, 0.0), (0.0, 0.0), (1e-300, 1e-300),
+        (1e-12, 1.00000000000025e-12), (1e-8, 1.0000000025e-08),
+        (1e-3, 0.0010002500625143258), (0.1, 0.1025639621201201),
+        (0.5, 0.5713080749567703), (0.99, 1.3127899898153357),
+        (1.0, 1.3303661247616805), (1.5, 2.3757996788736677),
+        (2.0, 3.869586019429696), (3.0, 9.45140099288571),
+        (5.0, 58.607198277506406), (10.0, 8112.08398927521),
+        (50.0, 1.9073465724950998e+21), (100.0, 9.889030319346946e+42),
+        (300.0, 7.145787367980123e+129), (699.0, 1.372613823952135e+303),
+        (700.0, 3.7311512151407716e+303), (701.0, 1.0142320547350045e+304),
+        (16.76691729323308, 7038597.808031313),
+        (34.285714285714285, 285628829724914.94),
+    ]
+
+    def test_reference_values(self):
+        vs, want = np.array(self.REFERENCE).T
+        got = conjugate(catalog_generator("sym_kl"))(vs)
+        low = vs <= 1.0
+        # at most 2 ulps for v <= 1 (exact at the zeros); above, the value
+        # inherits the rounding of w, as d f*/dw = e^w + 1
+        ulps = np.abs(got[low] - want[low]) / np.spacing(np.abs(want[low]))
+        assert ulps.max() <= 2.0
+        assert np.abs(got[~low] / want[~low] - 1.0).max() <= 1e-14
+
+    def test_psi_is_exactly_zero_at_zero(self):
+        psi = psi_from_f(catalog_generator("sym_kl"))
+        assert psi(0.0) == 0.0 and psi(np.array([0.0]))[0] == 0.0
+
+    def test_infinite_and_nan_arguments(self):
+        fstar = conjugate(catalog_generator("sym_kl"))
+        got = fstar(np.array([INF, -INF, math.nan, 750.0]))
+        assert got[0] == INF and got[1] == -INF and math.isnan(got[2])
+        assert got[3] == INF  # e^749 is beyond the doubles
+        assert fstar(-INF) == -INF and math.isnan(fstar(math.nan))
+
+    def test_round_count_is_the_least_that_has_settled(self):
+        # 1e5 v log-spaced in magnitude over both signs: one round more moves
+        # w by at most 2 ulps anywhere, one round fewer by more somewhere
+        vs = np.concatenate([-np.geomspace(1e-300, 1e300, 50_000),
+                             np.geomspace(1e-300, 750.0, 50_000)])
+        with np.errstate(all="ignore"):
+            w, more, fewer = (_sym_kl_log_u(vs, n) for n in
+                              (_SYM_KL_ROUNDS, _SYM_KL_ROUNDS + 1,
+                               _SYM_KL_ROUNDS - 1))
+        ulp = np.spacing(np.abs(w))
+        assert np.all(np.abs(more - w) <= 2.0 * ulp)
+        assert np.any(np.abs(fewer - w) > 2.0 * ulp)
 
 
 class TestForwardMap:
@@ -319,8 +386,8 @@ class TestClosedFormContract:
                           "db9fbac87e804f228f9088a2628a547e",
         "f:sym_kl": "905d73e8b529cc66dc3efa0d6051e7a2"
                     "1d4a7bbfc8f33e039284c4094e0a6c1c",
-        "fstar:sym_kl": "636d08f684b594938ddbb4a20e2e0a81"
-                        "52256d64d643e776ef823e295cb81f30",
+        "fstar:sym_kl": "38285c3f70af53b8baec9c4fe2cc61a0"
+                        "2896bcbce463ad7a1841c856aeb9d2c7",
         "f:kl": "ac3bf3251c1e451cb977115a7c0776a9"
                 "9a46c6d7cd0a42a9640314a41272e460",
         "fstar:kl": "ee0e148b10e3588c1d33992477500e56"
