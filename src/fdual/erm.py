@@ -190,9 +190,13 @@ def joint_erm(phi: SurrogateLoss, s: SampleSet,
     """Minimize the empirical objective jointly over (gamma, Q).
 
     Threshold families are swept exhaustively (exact over the family, ties
-    to the smallest threshold).  Table families alternate exact gamma-steps
-    with exact per-row quantizer steps until the decrease drops below 1e-10
-    (at most 100 rounds); the objective trace is recorded.
+    to the smallest threshold): the smallest threshold whose total is within
+    ``1e-9 (1 + |least total|)`` of the least wins, so that search noise
+    between equal empirical risks picks nothing.  The slack assumes n well
+    below 1e9, where distinct empirical risks differ by more than it.  Table
+    families alternate exact gamma-steps with exact per-row quantizer steps
+    until the decrease drops below 1e-10 (at most 100 rounds); the objective
+    trace is recorded.
     """
     if not phi.convex:
         raise NonConvexLoss(f"{phi.name} is not convex; ERM requires a "
@@ -212,7 +216,10 @@ def _erm_thresholds(phi: SurrogateLoss, s: SampleSet,
     w_pos, w_neg = _threshold_weights(s, ts)
     gam, val = _gamma_step(phi, w_pos.ravel(), w_neg.ravel(), fc.gamma_bound)
     totals = val.reshape(w_pos.shape).sum(axis=1)
-    k = int(np.argmin(totals))
+    low = totals.min()
+    # the first (smallest) threshold within the slack of the least total:
+    # equal empirical risks differ by search noise, about 1e-11
+    k = int(np.argmax(totals <= low + 1e-9 * (1.0 + abs(low))))
     return _erm_result(phi, gam.reshape(w_pos.shape)[k].copy(),
                        ThresholdQuantizer(float(ts[k])), float(totals[k]),
                        s.src, fc)

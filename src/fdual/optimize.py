@@ -1,5 +1,5 @@
-"""One-dimensional search primitives: golden-section minimization, bisection
-and the per-element weighted minimization every module shares.
+"""One-dimensional search primitives: k-point bracketing minimization,
+bisection and the per-element weighted minimization every module shares.
 
 Everything here works on plain floats or on numpy arrays elementwise, so the
 per-bin minimizations of the risk, loss and ERM modules run as single
@@ -15,78 +15,48 @@ import numpy as np
 
 from .errors import InfiniteObjective, NanObjective
 
-INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
-_GOLDEN = np.array((INVPHI2, INVPHI))  # interior points a + _GOLDEN * h
 _SIGNS = np.array((1.0, -1.0))
 _LOOKAHEAD = 4  # bisection levels bisect_root evaluates per call (15 points)
+_K = 2 ** _LOOKAHEAD - 1  # points per bracket_min call, as many as _descend's
+_FRAC = np.arange(1, _K + 1) / (_K + 1)  # interior points a + _FRAC * h
+# the neighbours of point j, as fractions of the bracket (its ends 0 and 1)
+_LOF = np.concatenate(([0.0], _FRAC[:-1]))
+_HIF = np.concatenate((_FRAC[1:], [1.0]))
 
 # base half-width of the brackets callers pass to weighted_min: minimizers of
 # catalog losses sit within O(log(w_pos/w_neg)) of the origin
 BRACKET = 50.0
 
 
-def golden_min(f: Callable[[np.ndarray], np.ndarray], lo, hi,
-               tol: float = 1e-10, max_iter: int = 200):
-    """Minimize unimodal functions on [lo, hi], elementwise over arrays.
-
-    ``f`` maps an array of points, shaped like ``lo``, to their objective
-    values.  Every element follows the scalar golden-section recurrence,
-    reusing one interior point per round, and is frozen once its bracket is
-    within ``tol``; each round makes one call of ``f`` on the whole array.
-    A bracket already within ``tol`` reports its midpoint.  Returns
-    (argmin, value), as floats for scalar bounds.  On a flat plateau any
-    plateau point may be returned; the value is still the minimum.
-    """
-    a = np.asarray(lo, dtype=float)
-    b = np.asarray(hi, dtype=float)
-    h = b - a
-    cd = np.where(h <= tol, 0.5 * (a + b), a + np.multiply.outer(_GOLDEN, h))
-    c, d = cd[0, ...], cd[1, ...]  # arrays shaped like lo, also when 0-d
-    yc, yd = f(c), f(d)
-    for _ in range(max_iter):
-        active = ~(h <= tol)
-        if not active.any():
-            break
-        left = yc < yd
-        go_l, go_r = left & active, active & ~left  # frozen elements: neither
-        a, b = np.where(go_r, c, a), np.where(go_l, d, b)
-        h = b - a
-        x = np.where(left, a + INVPHI2 * h, a + INVPHI * h)
-        y = f(x)
-        c, d, yc, yd = np.where(go_l, (x, c, y, yc),
-                                np.where(go_r, (d, x, yd, y), (c, d, yc, yd)))
-    left = yc < yd
-    arg = np.where(left, c, d)
-    val = np.where(left, yc, yd)
-    if arg.ndim == 0:
-        return float(arg), float(val)
-    return arg, val
-
-
-def golden_min_vec(f: Callable[[np.ndarray], np.ndarray],
-                   lo: np.ndarray, hi: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise golden-section minimization over [lo_i, hi_i].
+def bracket_min(f: Callable[[np.ndarray], np.ndarray], lo, hi,
+                tol: float = 1e-10, max_iter: int = 200
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise minimization of unimodal functions over [lo_i, hi_i].
 
     ``f`` maps an array of points to the array of objective values, one
-    independent unimodal problem per element, and must broadcast over a
-    leading axis: each round evaluates both interior points in one call on
-    ``a + np.multiply.outer((INVPHI2, INVPHI), h)``, of shape ``(2,) +
-    lo.shape``.  Runs until every bracket is within 1e-10, at most 200
-    rounds, and returns the final bracket midpoints and their values.
+    independent problem per element, and must broadcast over a leading axis:
+    each round evaluates the _K interior points ``a + _FRAC * h`` of every
+    bracket in one call on shape ``(_K,) + lo.shape`` (a simultaneous k-point
+    search; Kiefer 1953).  With ``j`` the last of the equal minima, the
+    bracket shrinks to the neighbours ``[a + _LOF[j] h, a + _HIF[j] h]`` of
+    point j, an eighth of its width; j = _K - 1 keeps ``b`` exactly.  An
+    element is frozen once its bracket is within ``tol`` (or after max_iter
+    rounds), so it follows its own recurrence whatever it is stacked with.
+    Returns the final bracket midpoints and their values, from one more call
+    of ``f``.  On a plateau of equal values the search moves to the
+    plateau's right end (or to ``b``).
     """
     a = np.asarray(lo, dtype=float)
     b = np.asarray(hi, dtype=float)
-    for _ in range(200):
+    for _ in range(max_iter):
         h = b - a
-        if (h <= 1e-10).all():
+        live = h > tol
+        if not live.any():
             break
-        cd = a + np.multiply.outer(_GOLDEN, h)
-        y = f(cd)
-        left = y[0] < y[1]
-        b = np.where(left, cd[1], b)
-        a = np.where(left, a, cd[0])
+        y = f(a + np.multiply.outer(_FRAC, h))
+        j = _K - 1 - y[::-1].argmin(axis=0)  # the last of equal minima
+        b = np.where(live & (j < _K - 1), a + _HIF[j] * h, b)
+        a = np.where(live, a + _LOF[j] * h, a)
     mid = 0.5 * (a + b)
     return mid, f(mid)
 
@@ -111,11 +81,12 @@ def weighted_min(phi, w_pos, w_neg, b, dense_n: int = 20_001):
     The one per-element search of the package: the optimal risk takes it
     per bin with weights (mu_z, pi_z), the forward map with (u, 1) and ERM
     with the empirical weights.  Weights and half-widths broadcast together.
-    A convex ``phi`` (``phi.convex``) is searched by ``golden_min_vec``.  Any
-    other is scanned on the grid ``linspace(-1, 1, dense_n) * b``, with
-    phi(+-grid) evaluated once per distinct half-width; every element's best
-    grid cell is then refined by one array ``golden_min``, and the grid point
-    is kept when its value is ``<=`` the refined one.  An evaluation at
+    A convex ``phi`` (``phi.convex``) is searched by ``bracket_min`` on
+    [-b, b].  Any other is scanned on the grid ``linspace(-1, 1, dense_n) *
+    b``, with phi(+-grid) evaluated once per distinct half-width; every
+    element's best grid cell is then refined by one ``bracket_min``, and the
+    grid point is kept when its value is ``<=`` the refined one.  On a plateau
+    of equal values ``bracket_min`` moves to its right end.  An evaluation at
     ``a`` is one call of ``phi.fn`` (or phi without one), mapping elementwise
     over leading axes, on the finite sign pair ``phi_pair(fn, a)`` of shape
     ``(2,) + a.shape``, under the kernel's one ``np.errstate`` (no wrapper).
@@ -143,7 +114,7 @@ def weighted_min(phi, w_pos, w_neg, b, dense_n: int = 20_001):
         return y
 
     if phi.convex:
-        args, vals = golden_min_vec(objective, -b, b)
+        args, vals = bracket_min(objective, -b, b)
     else:
         # scan one element at a time in one reused buffer (an elements x
         # grid matrix costs memory and time); grid points are unit[i] * h,
@@ -167,7 +138,7 @@ def weighted_min(phi, w_pos, w_neg, b, dense_n: int = 20_001):
                 lo.flat[k] = unit[max(i - 1, 0)] * h
                 hi.flat[k] = unit[min(i + 1, dense_n - 1)] * h
                 grid_arg.flat[k], grid_val.flat[k] = unit[i] * h, obj[i]
-        args, vals = golden_min(objective, lo, hi)
+        args, vals = bracket_min(objective, lo, hi)
         args, vals = np.where(grid_val <= vals, (grid_arg, grid_val),
                               (args, vals))
     if np.isposinf(vals).any():

@@ -50,8 +50,10 @@ def min_per_bin(phi: SurrogateLoss, mu: np.ndarray, pi: np.ndarray
 
     ``weighted_min`` on the per-bin bracket [-b_z, b_z], b_z = BRACKET +
     |log(mu_z/pi_z)| with the ratio clipped to [1e-300, 1e300], so a bin
-    with one zero mass gets the bracket of its mirror bin.  Returns (argmins, values); on flat minimizer sets the
-    argmin is golden-section's deterministic interior point.
+    with one zero mass gets the bracket of its mirror bin.  Returns
+    (argmins, values); on a flat minimizer set the argmin is the
+    deterministic point where ``bracket_min`` ends, the set's right end
+    where its values are exactly equal.
     """
     mu, pi = np.asarray(mu, dtype=float), np.asarray(pi, dtype=float)
     ratio = np.where(pi > 0, mu / np.maximum(pi, 1e-300), INF)

@@ -226,16 +226,16 @@ class TestPinnedDigests:
                                  "d42ee68ef36b47d01cffe6af0eb17f82",
             "verify_conditions.csv": "64977ae3db7b962ea1b76e66cfa5eed1"
                                      "5fa67266a71a49ed06517e4218b8b4a1",
-            "verify_correspondence.csv": "00ab362e6f0475dcceb408cb5a9edc4b"
-                                         "63549fdf17e312ab6eef88987fd58161",
+            "verify_correspondence.csv": "0291cf03a551de719294d6f28ce439e1"
+                                         "9b1b50b8640c05540399831f8887f004",
         }),
         "erm_defaults": (["erm"], {
-            "stdout": "e52e7292ab557b64cdd657eb75b321fb"
-                      "30a4efba02054d89d63fb41daa2a25ec",
-            "erm_consistency.csv": "6adbec90a0a3220a451a31154a337e1d"
-                                   "a2d4515c00919cfa56f7defde72ade17",
-            "erm_summary.csv": "1f0329904a1cd0758cc2959def94ff17"
-                               "a131ebaaa9f5d8a7304d1a2763f02452",
+            "stdout": "f437764fa57bd6c36bcc72a6cb20acbd"
+                      "62ed93f5ec1ee93a8c38025911221374",
+            "erm_consistency.csv": "76f5c509ae4935552b4f36328a7f0b37"
+                                   "18a07bc22685ac733c323f0b6cbb4cdf",
+            "erm_summary.csv": "999d5802a45d9006f2d4efb03c6a6dff"
+                               "384168e130caa9af22b99c829fd21bd6",
         }),
         "verify": (["verify", "--measures", "20", "--losses",
                     "hinge,exponential"], {
@@ -245,20 +245,20 @@ class TestPinnedDigests:
                                  "508460d0de862f87d3ea163dadd75c14",
             "verify_conditions.csv": "a4904e2328f495d3d73c0046e225684a"
                                      "0722dade1c757414c1c93ed0bbe16735",
-            "verify_correspondence.csv": "e60c3f7a9c267e3a76ee48e4950e04e5"
-                                         "779ddb3113196b72678e357ccc2c7d91",
+            "verify_correspondence.csv": "eb4e157b579d3a9f362e068678ff9802"
+                                         "a8b0ea3375aa01e257b7532f2de18ade",
         }),
         "erm": (["erm", "--losses", "hinge", "--n", "100,1000", "--seeds",
                  "5", "--grid", "51", "--mismatch", "hellinger", "--lemma2",
                  "25"], {
-            "stdout": "2a99baba78c585fe7fb5a991a7427c3a"
-                      "50986335d6afaec9d4fabf688f72867d",
-            "erm_consistency.csv": "2a56a3b5818897814dca94d9fafd69ad"
-                                   "33fee081cd5a47f45b74c9d8835ad782",
+            "stdout": "e1d00cc13744190bc73c754abd6837aa"
+                      "36ca3ddba38c57b1f6b2b0fca62106af",
+            "erm_consistency.csv": "2604a0e28c5f45467c5716e85673a550"
+                                   "1fd82dcd9fd8222f03698a25ccb61857",
             "erm_mismatch.csv": "09e3e28a53032ee9fd652ef20a4f84f1"
                                 "0ecd38ccd2ae8c2113ef5f115a635a6b",
-            "erm_summary.csv": "bd4c587acc6169ed783acefe21a4534b"
-                               "0aba060807382e6066cc690d97179ddc",
+            "erm_summary.csv": "6ba60f93ddb2a54f4f535a5642697c57"
+                               "5c99a6831d2af921bdf30b51bb3ddbb7",
         }),
         "equiv": (["equiv"], {
             "stdout": "341065860562f9632a1f2c660e21c434"

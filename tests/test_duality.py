@@ -424,7 +424,7 @@ class TestPsiFromF:
         psi, calls = counted_psi_from_f(
             monkeypatch, induced_generator(catalog_loss("hinge")))
         assert abs(psi.beta1) <= 1e-9
-        assert psi.beta2 == 2.0000000000310667
+        assert psi.beta2 == 2.000000000010459
         assert psi.u_star == pytest.approx(1.0, abs=1e-6)
         assert calls <= 16
         grid = np.linspace(1e-3, 2.0 - 1e-3, 1000)

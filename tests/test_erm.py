@@ -246,6 +246,34 @@ class TestJointErm:
         step = ts[1] - ts[0]
         assert abs(res.t_selected - t_best) <= step + 1e-12
 
+    @pytest.mark.parametrize("name", ("hinge", "logistic", "exponential"))
+    def test_search_noise_does_not_pick_the_threshold(self, name, src_default,
+                                                      fc_default, monkeypatch):
+        # +-1e-12 on every per-bin value, far below the 1e-9 tie slack,
+        # leaves the selection as it is; thresholds with the same sample
+        # split have equal totals, and the smallest of them is selected
+        phi = catalog_loss(name)
+        samples = [generate_samples(src_default, n, seed)
+                   for n in (100, 1000) for seed in range(6)]
+        plain = [joint_erm(phi, s, fc_default) for s in samples]
+        step = erm._gamma_step
+        for sign in (1.0, -1.0):
+            def noisy(*args, sign=sign):
+                gam, val = step(*args)
+                wobble = np.where(np.arange(val.size) % 3 == 1, -sign, sign)
+                return gam, val + 1e-12 * wobble
+            monkeypatch.setattr(erm, "_gamma_step", noisy)
+            for s, res in zip(samples, plain):
+                got = joint_erm(phi, s, fc_default)
+                assert got.t_selected == res.t_selected, (s.n, s.seed)
+        ts = fc_default.thresholds
+        for s, res in zip(samples, plain):
+            k = int(np.flatnonzero(ts == res.t_selected)[0])
+            w_pos, w_neg = erm._threshold_weights(s, ts[:k + 1])
+            # no smaller threshold splits the sample as the selected one
+            assert k == 0 or not (np.array_equal(w_pos[k - 1], w_pos[k])
+                                  and np.array_equal(w_neg[k - 1], w_neg[k]))
+
     def test_single_class_sample_pushes_to_bound(self, src_default,
                                                  fc_default):
         s = generate_samples(src_default, 200, 4)
@@ -261,14 +289,14 @@ class TestJointErm:
         s = generate_samples(src_default, 500, 8)
         phi = catalog_loss("hinge")
         res = joint_erm(phi, s, fc)
-        from fdual.optimize import golden_min
+        from fdual.optimize import bracket_min
         for t in fc.thresholds:
             total = 0.0
             for z in (0, 1):
                 in_bin = (s.x < t) if z == 0 else (s.x >= t)
                 npos = float(np.sum(in_bin & (s.y > 0))) / s.n
                 nneg = float(np.sum(in_bin & (s.y < 0))) / s.n
-                _, v = golden_min(
+                _, v = bracket_min(
                     lambda a: phi(a) * npos + phi(-a) * nneg, -4.0, 4.0)
                 total += v
             assert res.empirical_risk <= total + 1e-9

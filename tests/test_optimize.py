@@ -1,8 +1,8 @@
 """The array search kernels against the scalar recurrences they batch.
 
-The oracles below are the scalar golden-section and bisection loops, the
-two-call ``golden_min_vec`` round and the scalar root bisection; the kernels
-must reproduce them bit for bit, element by element.
+The oracles below are the scalar k-point bracketing and bisection loops, the
+k-point round with one call of f per point and the scalar root bisection;
+the kernels must reproduce them bit for bit, element by element.
 """
 
 import math
@@ -11,38 +11,25 @@ import numpy as np
 import pytest
 
 from fdual import duality, losses
-from fdual.optimize import (INVPHI, INVPHI2, bisect_predicate, bisect_root,
-                            golden_min, golden_min_vec)
+from fdual.optimize import bisect_predicate, bisect_root, bracket_min
+
+K = 15  # interior points per bracket_min round
 
 
-def scalar_golden(f, lo, hi, tol=1e-10, max_iter=200):
+def scalar_bracket(f, lo, hi, tol=1e-10, max_iter=200):
+    """The scalar k-point recurrence: f at the K points a + k h / 16, one
+    call each; the bracket becomes the neighbours of the last least point."""
     a, b = float(lo), float(hi)
-    h = b - a
-    if h <= tol:
-        m = 0.5 * (a + b)
-        return m, f(m)
-    c = a + INVPHI2 * h
-    d = a + INVPHI * h
-    yc = f(c)
-    yd = f(d)
     for _ in range(max_iter):
-        if h <= tol:
+        h = b - a
+        if not h > tol:
             break
-        if yc < yd:
-            b = d
-            d, yd = c, yc
-            h = b - a
-            c = a + INVPHI2 * h
-            yc = f(c)
-        else:
-            a = c
-            c, yc = d, yd
-            h = b - a
-            d = a + INVPHI * h
-            yd = f(d)
-    if yc < yd:
-        return c, yc
-    return d, yd
+        xs = [a + k / (K + 1) * h for k in range(1, K + 1)]
+        ys = [f(x) for x in xs]
+        j = K - 1 - ys[::-1].index(min(ys))
+        a, b = (a if j == 0 else xs[j - 1]), (b if j == K - 1 else xs[j + 1])
+    m = 0.5 * (a + b)
+    return m, f(m)
 
 
 def scalar_bisect(pred, lo, hi, tol=1e-10, max_iter=200):
@@ -74,18 +61,22 @@ def scalar_bisect_root(f, lo, hi, tol=1e-10, max_iter=200):
     return 0.5 * (a + b)
 
 
-def two_call_golden_vec(f, lo, hi, tol=1e-10, max_iter=200):
+def per_point_loop(f, lo, hi, tol=1e-10, max_iter=200):
+    """bracket_min's array recurrence with one call of f per interior point
+    instead of one stacked call."""
     a = np.asarray(lo, dtype=float).copy()
     b = np.asarray(hi, dtype=float).copy()
     for _ in range(max_iter):
         h = b - a
-        if np.all(h <= tol):
+        live = h > tol
+        if not live.any():
             break
-        c = a + INVPHI2 * h
-        d = a + INVPHI * h
-        left = f(c) < f(d)
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
+        xs = [a + k / (K + 1) * h for k in range(1, K + 1)]
+        ys = np.array([f(x) for x in xs])
+        j = np.expand_dims(K - 1 - np.argmin(ys[::-1], axis=0), 0)
+        ends = np.array([a] + xs + [b])  # x_0 = a, the K points, x_16 = b
+        new_a, new_b = (np.take_along_axis(ends, j + d, 0)[0] for d in (0, 2))
+        a, b = np.where(live, new_a, a), np.where(live, new_b, b)
     mid = 0.5 * (a + b)
     return mid, f(mid)
 
@@ -111,17 +102,26 @@ def _bowl(x):
     return np.cosh(d) + 0.1 * np.square(np.square(d))
 
 
+def _rounds(evals):
+    """bracket_min rounds of a scalar_bracket run that made evals calls."""
+    return (evals - 1) // K
+
+
+# The k-point kernel bracket_min replaced both golden-section kernels; the
+# two classes keep their names and test it in their roles: the per-element
+# grid-cell refinement (golden_min) and the stacked convex search
+# (golden_min_vec).
 class TestGoldenMin:
     def test_array_equals_scalar_recurrence(self):
         def f(x):
             return np.cosh(x - CENTRE) + 0.1 * np.square(np.square(x - CENTRE))
 
-        arg, val = golden_min(f, LO, HI)
+        arg, val = bracket_min(f, LO, HI)
         for z in range(LO.size):
             def fz(x, z=z):
                 d = x - CENTRE[z]
                 return float(np.cosh(d) + 0.1 * np.square(np.square(d)))
-            a, v = scalar_golden(fz, LO[z], HI[z])
+            a, v = scalar_bracket(fz, LO[z], HI[z])
             assert _same(arg[z], a) and _same(val[z], v), z
 
     def test_elements_converge_in_different_rounds(self):
@@ -132,7 +132,7 @@ class TestGoldenMin:
             def fz(x, z=z, n=n):
                 n[0] += 1
                 return abs(x - CENTRE[z])
-            scalar_golden(fz, LO[z], HI[z], tol=1e-6)
+            scalar_bracket(fz, LO[z], HI[z], tol=1e-6)
             evals.append(n[0])
         assert len(set(evals)) > 2
         calls = [0]
@@ -141,31 +141,31 @@ class TestGoldenMin:
             calls[0] += 1
             return np.abs(x - CENTRE)
 
-        golden_min(f, LO, HI, tol=1e-6)
-        assert calls[0] == max(evals)
+        bracket_min(f, LO, HI, tol=1e-6)
+        assert calls[0] == _rounds(max(evals)) + 1
 
     def test_bracket_within_tol_reports_midpoint(self):
         lo = np.array([1.0, -2.0])
         hi = np.array([1.0 + 1e-11, 2.0])
-        arg, val = golden_min(lambda x: np.square(x - 0.5), lo, hi)
+        arg, val = bracket_min(lambda x: np.square(x - 0.5), lo, hi)
         assert _same(arg[0], 0.5 * (lo[0] + hi[0]))
         assert _same(val[0], np.square(arg[0] - 0.5))
-        a, v = scalar_golden(lambda x: np.square(x - 0.5), lo[1], hi[1])
+        a, v = scalar_bracket(lambda x: np.square(x - 0.5), lo[1], hi[1])
         assert _same(arg[1], a) and _same(val[1], v)
 
     def test_scalar_bounds_give_floats(self):
-        arg, val = golden_min(lambda x: np.square(x - 0.3), -1.0, 2.0)
-        assert type(arg) is float and type(val) is float
-        a, v = scalar_golden(lambda x: np.square(x - 0.3), -1.0, 2.0)
+        arg, val = bracket_min(lambda x: np.square(x - 0.3), -1.0, 2.0)
+        assert isinstance(arg, float) and isinstance(val, float)
+        a, v = scalar_bracket(lambda x: np.square(x - 0.3), -1.0, 2.0)
         assert _same(arg, a) and _same(val, v)
 
     def test_max_iter_caps_each_element(self):
-        arg, _ = golden_min(lambda x: np.square(x - CENTRE), LO, HI, max_iter=7)
+        arg, _ = bracket_min(lambda x: np.square(x - CENTRE), LO, HI,
+                             max_iter=2)
         for z in range(LO.size):
-            a, _ = scalar_golden(lambda x, z=z: np.square(x - CENTRE[z]),
-                                 LO[z], HI[z], max_iter=7)
+            a, _ = scalar_bracket(lambda x, z=z: np.square(x - CENTRE[z]),
+                                  LO[z], HI[z], max_iter=2)
             assert _same(arg[z], a), z
-
 
     @pytest.mark.parametrize("tol", (1e-10, 1e-8))
     def test_mixed_brackets_equal_scalar_recurrence(self, tol):
@@ -176,7 +176,7 @@ class TestGoldenMin:
             def fz(x, z=z, n=n):
                 n[0] += 1
                 return float(_bowl(np.full(CENTRE.shape, x))[z])
-            a, v = scalar_golden(fz, MIXED_LO[z], MIXED_HI[z], tol=tol)
+            a, v = scalar_bracket(fz, MIXED_LO[z], MIXED_HI[z], tol=tol)
             evals.append((n[0], a, v))
         counts = [e[0] for e in evals]
         assert min(counts) > 2 and len(set(counts)) > 2
@@ -186,22 +186,89 @@ class TestGoldenMin:
             calls[0] += 1
             return _bowl(x)
 
-        arg, val = golden_min(f, MIXED_LO, MIXED_HI, tol=tol)
-        assert calls[0] == max(counts)
+        arg, val = bracket_min(f, MIXED_LO, MIXED_HI, tol=tol)
+        assert calls[0] == _rounds(max(counts)) + 1
         for z, (_, a, v) in enumerate(evals):
             assert _same(arg[z], a) and _same(val[z], v), z
 
-    def test_0d_bounds_call_f_on_0d_arrays(self):
-        args = []
+    def test_0d_bounds_give_0d_results(self):
+        shapes = []
 
         def f(x):
-            args.append(x)
+            shapes.append(np.shape(x))
             return np.square(x - 0.3)
 
-        got = golden_min(f, np.array(-1.0), np.array(2.0))
-        assert all(type(x) is np.ndarray and x.shape == () for x in args)
-        a, v = scalar_golden(lambda x: np.square(x - 0.3), -1.0, 2.0)
+        got = bracket_min(f, np.array(-1.0), np.array(2.0))
+        assert set(shapes[:-1]) == {(K,)} and shapes[-1] == ()
+        assert np.ndim(got[0]) == np.ndim(got[1]) == 0
+        a, v = scalar_bracket(lambda x: np.square(x - 0.3), -1.0, 2.0)
         assert _same(got[0], a) and _same(got[1], v)
+
+    def test_last_of_equal_minima(self):
+        # one round on [0, 16] puts the points at 1, ..., 15; the least
+        # value 0 is taken at 3 and at 10, so the bracket becomes [9, 11]
+        # (the first of them would give [2, 4])
+        def f(x):
+            return np.where((x == 3.0) | (x == 10.0), 0.0, 1.0)
+
+        arg, _ = bracket_min(f, 0.0, 16.0, tol=2.5)
+        assert arg == 10.0
+
+    def test_right_end_is_kept_exactly(self):
+        # a decreasing f moves every round to the last point: b stays b,
+        # where a + 1.0 * (b - a) would not (-3 + 3.1 is 0.1 + 8e-17)
+        lo = np.array([-3.0, -0.3, 1.1, -7.7])
+        hi = np.array([0.1, 0.7, 2.3, 0.9])
+        assert np.any(lo + (hi - lo) != hi)
+        arg, val = bracket_min(lambda x: -x, lo, hi)
+        assert np.all(arg <= hi) and np.all(hi - arg <= 1e-10)
+        for z in range(lo.size):
+            a, v = scalar_bracket(lambda x: -x, lo[z], hi[z])
+            assert _same(arg[z], a) and _same(val[z], v), z
+
+    @pytest.mark.parametrize("lo, hi", ((0.0, 1.0), (-5.0, 1.0),
+                                        (-60.0, -2.0)))
+    def test_plateau_ends_at_its_right_end(self, lo, hi):
+        # flat on [lo, c] and rising after it: equal values move the search
+        # right, to c, or to hi when the plateau reaches it
+        c = min(0.5 * (lo + hi) + 0.1, hi)
+        arg, _ = bracket_min(lambda x: np.maximum(x - c, 0.0), lo, hi)
+        assert abs(arg - c) <= 1e-10
+        arg, _ = bracket_min(lambda x: np.zeros_like(x), lo, hi)
+        assert hi - 1e-10 <= arg <= hi
+
+    @pytest.mark.parametrize("h0", (100.0, 2.0 * (50.0 + math.log(1e3)),
+                                    1480.0, 0.02, 3.0))
+    def test_calls_per_solve(self, h0):
+        # each round shrinks every bracket to 2/16 of its width: a solve
+        # takes ceil(log(h0 / tol) / log 8) rounds and one call for the
+        # midpoints; the brackets here are not near a power of 8 of tol
+        tol = 1e-10
+        rounds = math.log(h0 / tol) / math.log(8.0)
+        assert abs(rounds - round(rounds)) > 0.01
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            return np.square(x - 0.3 * h0)
+
+        bracket_min(f, np.array([0.0, -h0 / 2]), np.array([h0, h0 / 2]),
+                    tol=tol)
+        assert calls[0] == math.ceil(rounds) + 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stack_equals_per_element_loop(self, seed):
+        # a frozen element stops where it would alone: brackets of widths
+        # 1e-9 to 1e3 take 2 to 15 rounds
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-100.0, 100.0, 40)
+        hi = lo + 10.0 ** rng.uniform(-9.0, 3.0, 40)
+        centre = lo + rng.uniform(-0.2, 1.2, 40) * (hi - lo)
+        arg, val = bracket_min(lambda x: np.abs(x - centre) ** 1.5, lo, hi)
+        for z in range(lo.size):
+            a, v = bracket_min(lambda x, z=z: np.abs(x - centre[z]) ** 1.5,
+                               lo[z:z + 1], hi[z:z + 1])
+            assert _same(arg[z], a[0]) and _same(val[z], v[0]), z
 
 
 class TestGoldenMinVec:
@@ -212,11 +279,11 @@ class TestGoldenMinVec:
             shapes.append(x.shape)
             return np.square(x - CENTRE)
 
-        golden_min_vec(f, LO, HI)
+        bracket_min(f, LO, HI)
         assert shapes[-1] == LO.shape
-        assert set(shapes[:-1]) == {(2,) + LO.shape}
+        assert set(shapes[:-1]) == {(K,) + LO.shape}
 
-    def test_matches_two_call_loop(self):
+    def test_matches_per_point_loop(self):
         mu = np.array([0.3, 0.1, 1e-9, 0.25, 0.05, 0.2, 0.1])
         pi = np.array([0.1, 0.4, 0.3, 0.25, 0.2, 1e-12, 0.2])
 
@@ -224,15 +291,17 @@ class TestGoldenMinVec:
             return np.logaddexp(0.0, -alpha) * mu + \
                 np.logaddexp(0.0, alpha) * pi
 
-        got = golden_min_vec(objective, -60.0 + 0 * mu, 60.0 + 0 * mu)
-        want = two_call_golden_vec(objective, -60.0 + 0 * mu, 60.0 + 0 * mu)
+        got = bracket_min(objective, -60.0 + 0 * mu, 60.0 + 0 * mu)
+        want = per_point_loop(objective, -60.0 + 0 * mu, 60.0 + 0 * mu)
         assert _same(got[0], want[0]) and _same(got[1], want[1])
-
+        # against the closed form log(mu / pi), as the criteria's 1e-7
+        np.testing.assert_allclose(got[0], np.log(mu / pi), rtol=0.0,
+                                   atol=1e-7)
 
     @pytest.mark.parametrize("lo, hi", ((MIXED_LO, MIXED_HI),
                                         (np.array(-3.0), np.array(4.0))),
                              ids=("mixed", "0-d"))
-    def test_bracket_batches_match_two_call_loop(self, lo, hi):
+    def test_bracket_batches_match_per_point_loop(self, lo, hi):
         shapes = []
 
         def f(x):
@@ -242,12 +311,12 @@ class TestGoldenMinVec:
             shapes.append(x.shape)
             return f(x)
 
-        got = golden_min_vec(counted, lo, hi)
-        want = two_call_golden_vec(f, lo, hi)
+        got = bracket_min(counted, lo, hi)
+        want = per_point_loop(f, lo, hi)
         assert np.shape(got[0]) == lo.shape
         assert _same(got[0], want[0]) and _same(got[1], want[1])
         assert shapes[-1] == lo.shape
-        assert set(shapes[:-1]) == {(2,) + lo.shape}
+        assert set(shapes[:-1]) == {(K,) + lo.shape}
 
 
 class TestBisectPredicate:

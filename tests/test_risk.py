@@ -16,7 +16,7 @@ from fdual.optimize import zero_safe
 from fdual.risk import (RiskReport, closed_form_discriminant, min_per_bin,
                         optimal_phi_risk, phi_risk, verify_correspondence,
                         zero_one_risk)
-from test_optimize import scalar_bisect, scalar_golden
+from test_optimize import scalar_bisect, scalar_bracket
 
 CONVEX_NAMES = ("hinge", "exponential", "logistic", "least_squares", "sym_kl")
 
@@ -49,8 +49,8 @@ def _counted(phi, shapes):
 
 
 def scalar_dense_min(phi, mu, pi):
-    """The per-bin grid scan plus scalar golden refinement that
-    min_per_bin's non-convex branch batched."""
+    """The per-bin grid scan plus scalar k-point refinement that
+    min_per_bin's non-convex branch batches."""
     b = 50.0 + np.abs(np.log(mu / pi))
     args = np.empty_like(mu)
     vals = np.empty_like(mu)
@@ -60,7 +60,7 @@ def scalar_dense_min(phi, mu, pi):
         obj = phi(grid) * mu[z] + phi(-grid) * pi[z]
         i = int(np.argmin(obj))
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-        arg, val = scalar_golden(
+        arg, val = scalar_bracket(
             lambda a: float(phi(a) * mu[z] + phi(-a) * pi[z]), lo, hi)
         if obj[i] <= val:
             arg, val = float(grid[i]), float(obj[i])
@@ -248,13 +248,21 @@ class TestTieRule:
         assert 2.0 ** 20 <= args[0] - gamma[0] <= 2.0 ** 21
 
     def test_one_loss_call_per_stage(self):
-        # the doubling stage evaluates its candidate column, of shape
-        # (steps, bins), in one loss call on (2, steps, bins)
-        shapes = []
+        # after min_per_bin's calls (its search rounds are 3-d too, on
+        # (2, 15, bins)), the rule makes one call for the probe, one for
+        # the doubling column, of shape (steps, bins), on (2, steps, bins),
+        # and then the bisection's
+        phi = catalog_loss("zero_one")
         m = JointMeasure([0.2, 0.3], [0.4, 0.1], Priors(0.5, 0.5))
-        optimal_phi_risk(_counted(catalog_loss("zero_one"), shapes), m)
-        column = [s for s in shapes if len(s) == 3]
+        search, shapes = [], []
+        min_per_bin(_counted(phi, search), m.mu, m.pi)
+        optimal_phi_risk(_counted(phi, shapes), m)
+        assert shapes[:len(search)] == search
+        rule = shapes[len(search):]
+        column = [s for s in rule if len(s) == 3]
+        assert rule[0] == (2, 2) and rule[1] in column
         assert len(column) == 1 and column[0][::2] == (2, 2)
+        assert column[0][1] > 15  # 2**20 needs 21 doublings
 
     def test_strictly_convex_loss_skips_the_rule(self, m_standard):
         shapes = []
@@ -270,11 +278,15 @@ class TestMinPerBinNonConvex:
     def test_matches_scalar_refinement_per_bin(self, name, rng):
         phi = catalog_loss(name)
         measures = [random_measure(rng, 2 + k % 7) for k in range(8)]
+        f = catalog_generator(name)
         for m in measures + _plateau_measures():
             args, vals = min_per_bin(phi, m.mu, m.pi)
             want_args, want_vals = scalar_dense_min(phi, m.mu, m.pi)
             assert args.tobytes() == want_args.tobytes()
             assert vals.tobytes() == want_vals.tobytes()
+            # and the closed form -pi_z f(mu_z / pi_z), within 1e-12
+            np.testing.assert_allclose(vals, -m.pi * f(m.mu / m.pi),
+                                       rtol=0.0, atol=1e-12)
 
 
 class TestOneEmptyMass:

@@ -3,9 +3,11 @@ its thin wrappers ``risk.min_per_bin``, ``losses.f_from_loss`` and the ERM
 gamma step.
 
 The oracles below are frozen copies of the three routines the kernel
-replaced: the forward map's convex golden search with edge doubling, its
-dense grid scan with refinement, and the ERM gamma step.  The new routes
-must reproduce them bit for bit.
+replaced: the forward map's convex search with edge doubling, its dense grid
+scan with refinement, and the ERM gamma step.  They call today's search
+kernel ``bracket_min`` (tested against its scalar recurrence in
+``test_optimize.py``), and the new routes must reproduce them bit for bit;
+the results are also checked against the closed forms.
 """
 
 import math
@@ -22,10 +24,13 @@ from fdual.errors import (FdualError, InfiniteObjective, NanObjective,
 from fdual.erm import (FunctionClassSpec, _gamma_step, _table_counts,
                        _threshold_weights, empirical_phi_risk,
                        generate_samples, joint_erm, threshold_grid)
-from fdual.losses import (LOSS_NAMES, SurrogateLoss, catalog_loss,
-                          check_calibration_general, f_from_loss)
-from fdual.measures import BinnedSource, Priors, TableQuantizer
-from fdual.optimize import golden_min, golden_min_vec, weighted_min
+from fdual.duality import psi_from_f
+from fdual.losses import (LOSS_NAMES, SurrogateLoss, catalog_generator,
+                          catalog_loss, check_calibration_general,
+                          f_from_loss, induced_generator)
+from fdual.measures import (BinnedSource, JointMeasure, Priors,
+                            TableQuantizer, random_measure)
+from fdual.optimize import bracket_min, weighted_min
 from fdual.risk import min_per_bin, optimal_phi_risk, phi_risk
 
 U_SETS = (np.geomspace(1e-2, 1e2, 21), np.geomspace(1e-6, 1e6, 301),
@@ -42,7 +47,7 @@ def old_min_objective_convex(phi, u_arr, bracket=50.0):
         def objective(alpha):
             return phi(-alpha) + phi(alpha) * u_arr
 
-        arg, val = golden_min_vec(objective, lo, hi)
+        arg, val = bracket_min(objective, lo, hi)
         near_edge = np.any(b - np.abs(arg) < 1e-6 * b)
         if not near_edge:
             return val
@@ -67,7 +72,7 @@ def old_min_objective_dense(phi, u_arr, bracket=50.0):
         lo[k] = grid[max(i - 1, 0)]
         hi[k] = grid[min(i + 1, len(grid) - 1)]
         best[k] = vals[i]
-    _, refined = golden_min(lambda a: phi(-a) + phi(a) * u_arr, lo, hi)
+    _, refined = bracket_min(lambda a: phi(-a) + phi(a) * u_arr, lo, hi)
     return np.where(refined < best, refined, best)
 
 
@@ -83,7 +88,7 @@ def old_gamma_step(phi, w_pos, w_neg, bound):
 
     lo = np.full(w_pos.shape, -bound)
     hi = np.full(w_pos.shape, bound)
-    gam, val = golden_min_vec(objective, lo, hi)
+    gam, val = bracket_min(objective, lo, hi)
     empty = (w_pos + w_neg) == 0.0
     gam = np.where(empty, 0.0, gam)
     val = np.where(empty, 0.0, val)
@@ -114,6 +119,28 @@ class TestForwardMapOracle:
         assert _same(f_from_loss(phi, us), old_f_from_loss(phi, us))
         assert f_from_loss(phi, float(us[-1])) == \
             old_f_from_loss(phi, us[-1:])[0]
+
+    @pytest.mark.parametrize("name,k", [
+        (name, k) for name in LOSS_NAMES for k in range(len(U_SETS))
+        if not (name == "sym_kl" and k == 2)])
+    def test_values_match_closed_form_generators(self, name, k):
+        # within 1e-9 (1 + |f|), tighter than criterion 02's 1e-8
+        us = U_SETS[k]
+        want = catalog_generator(name)(us)
+        got = f_from_loss(catalog_loss(name), us)
+        assert np.all(np.abs(got - want) <= 1e-9 * (1.0 + np.abs(want)))
+
+    def test_hinge_plateau_leaves_the_bracket_edge(self):
+        # at u = 0 the objective max(0, 1 + a) is least on [-50, -1]; the
+        # search ends at the plateau's right end, off the edge, so the
+        # bracket never widens and the numeric route raises no Unbounded
+        hinge = catalog_loss("hinge")
+        args, vals, at_edge = weighted_min(hinge, 0.0, 1.0, 50.0)
+        assert not at_edge.any() and vals[()] == 0.0
+        assert abs(args[()] + 1.0) <= 1e-9
+        assert f_from_loss(hinge, 0.0) == 0.0
+        psi = psi_from_f(induced_generator(hinge))
+        assert abs(psi.beta2 - 2.0) <= 1e-9
 
     def test_sym_kl_at_zero_raises(self):
         # inf_a e^a + a - 1 is -inf; the old golden search read the NaN of
@@ -165,6 +192,33 @@ class TestGammaStepOracle:
             assert got[0][1] == got[1][1] == 0.0
 
 
+def _stack_measures(rng):
+    """Random measures of 1 to 8 bins, then the plateau cases: mu == pi
+    (hinge's flat [-1, 1]), zero_one's half-lines and one-zero-mass bins."""
+    ms = [random_measure(rng, 1 + k % 8) for k in range(16)]
+    half = Priors(0.5, 0.5)
+    ms += [JointMeasure([0.25, 0.25], [0.25, 0.25], half),
+           JointMeasure([0.2, 0.3], [0.4, 0.1], half),
+           JointMeasure([0.3, 0.2 - 1e-12, 1e-12], [0.3, 0.1, 0.1], half)]
+    return ms
+
+
+class TestStack:
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_stack_equals_per_element_loop(self, name, rng):
+        # every element follows its own recurrence: one min_per_bin on all
+        # bins of all measures gives each bin's bits alone; the two bins
+        # with one zero mass (b = 50 + 690.8) take a round more than the rest
+        phi = catalog_loss(name)
+        ms = _stack_measures(rng)
+        mu = np.concatenate([m.mu for m in ms] + [[0.0, 0.5]])
+        pi = np.concatenate([m.pi for m in ms] + [[0.5, 0.0]])
+        args, vals = min_per_bin(phi, mu, pi)
+        for z in range(mu.size):
+            a, v = min_per_bin(phi, mu[z:z + 1], pi[z:z + 1])
+            assert _same(args[z], a[0]) and _same(vals[z], v[0]), (name, z)
+
+
 class TestKernel:
     def test_dense_grid_is_evaluated_once_per_half_width(self):
         zero_one = catalog_loss("zero_one")
@@ -193,8 +247,11 @@ class TestKernel:
 
     @pytest.mark.parametrize("name", ("exponential", "zero_one"))
     def test_one_loss_call_per_objective_evaluation(self, name, monkeypatch):
-        # golden_min_vec (convex) or golden_min (grid refinement) evaluates
-        # the objective; each evaluation calls phi once on (2,) + its shape
+        # bracket_min (on [-b, b] or on the best grid cells) evaluates the
+        # objective; each evaluation calls phi once on (2,) + its shape.  The
+        # widest bracket is 2 b = 102.8 (convex) or 4e-4 b = 0.0206 (two grid
+        # cells): ceil(log(h0 / 1e-10) / log 8) rounds and the midpoints
+        solve_calls = {"exponential": 15, "zero_one": 10}[name]
         base = catalog_loss(name)
         calls, evals = [], []
 
@@ -202,24 +259,21 @@ class TestKernel:
             calls.append(a.shape)
             return base.fn(a)
 
-        def counted(search):
-            def run(f, *bounds):
-                return search(lambda x: evals.append(x.shape) or f(x),
-                              *bounds)
-            return run
+        def counted(f, *bounds):
+            return search(lambda x: evals.append(x.shape) or f(x), *bounds)
 
-        for search in ("golden_min", "golden_min_vec"):
-            monkeypatch.setattr(optimize, search,
-                                counted(getattr(optimize, search)))
+        search = optimize.bracket_min
+        monkeypatch.setattr(optimize, "bracket_min", counted)
         min_per_bin(replace(base, fn=fn), np.array([0.1, 0.2, 0.3, 0.4]),
                     np.array([0.4, 0.1, 0.3, 0.2]))
         objective_calls = [c for c in calls if c != (20_001,)]  # not the grid
         assert evals and objective_calls == [(2,) + e for e in evals]
+        assert evals == [(15, 4)] * (solve_calls - 1) + [(4,)]
 
     @pytest.mark.parametrize("name", ("logistic", "hinge", "zero_one",
                                       "eq10_nonconvex"))
     def test_kernels_bypass_the_loss_wrapper(self, name, monkeypatch):
-        # weighted_min (golden or grid branch) and the tie rule evaluate the
+        # weighted_min (convex or grid branch) and the tie rule evaluate the
         # closed form under their own guard: no SurrogateLoss.__call__ at all
         calls = []
         wrapper = SurrogateLoss.__call__
@@ -275,7 +329,7 @@ class TestNanObjective:
 
     def test_grid_scan_counts_zero_weight_times_inf_as_zero(self):
         # exp(-a), +inf below -10, flagged non-convex: at weights (0, 1) the
-        # term 0 * phi(a) is 0 on the grid too, as in the golden branch
+        # term 0 * phi(a) is 0 on the grid too, as in the convex branch
         def fn(a):
             a = np.asarray(a, dtype=float)
             with np.errstate(over="ignore"):
@@ -293,20 +347,33 @@ class TestNanObjective:
         assert vals[1] == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
-class TestInfiniteObjective:
-    def test_golden_branch_raises_on_an_infinite_minimum(self):
-        # exp(-a), +inf below -10, flagged convex: at weights (0.5, 1) the
-        # first interior points -11.8 and 11.8 are both infinite, so golden
-        # search never meets a finite value and ends at the edge a = 50 with
-        # value inf (the minimum is sqrt 2); the 0 * inf of element 0 must
-        # not leak a warning either
-        def fn(a):
-            return np.where(a < -10.0, math.inf, np.exp(-a))
+def _capped_exp(cap):
+    """exp(-a), +inf below ``cap``, flagged convex (it is, as an extended
+    real function)."""
+    def fn(a):
+        return np.where(a < cap, math.inf, np.exp(-a))
 
-        phi = SurrogateLoss(fn, "capped_exp", convex=True, decreasing=True,
-                            alpha_star=math.inf, inf_value=0.0)
+    return SurrogateLoss(fn, "capped_exp", convex=True, decreasing=True,
+                         alpha_star=math.inf, inf_value=0.0)
+
+
+class TestInfiniteObjective:
+    def test_convex_branch_raises_on_an_infinite_minimum(self):
+        # capped below 10, phi(a) or phi(-a) is +inf at every a, so the
+        # objective at weights (0.5, 1) is +inf on the whole bracket; the
+        # 0 * inf of element 0 must not leak a warning either
         with pytest.raises(InfiniteObjective, match="capped_exp"):
-            weighted_min(phi, [0.0, 0.5], [1.0, 1.0], 50.0)
+            weighted_min(_capped_exp(10.0), [0.0, 0.5], [1.0, 1.0], 50.0)
+
+    def test_convex_branch_finds_a_minimum_beside_infinite_values(self):
+        # capped below -10, the objective 0.5 e^-a + e^a is finite only on
+        # [-10, 10]: 15 points on [-50, 50] see it, and the search finds
+        # its minimum sqrt 2 at a = -log(2) / 2
+        args, vals, at_edge = weighted_min(_capped_exp(-10.0), [0.0, 0.5],
+                                           [1.0, 1.0], 50.0)
+        assert at_edge.tolist() == [True, False]
+        assert vals[1] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert args[1] == pytest.approx(-0.5 * math.log(2.0), abs=1e-6)
 
 
 def _outcome(call):
