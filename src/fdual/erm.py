@@ -256,8 +256,7 @@ def _erm_result(phi: SurrogateLoss, gamma: np.ndarray, q: Quantizer,
                 trace: tuple[float, ...] = ()) -> ErmResult:
     """The ERM output, scored on one read of the population masses."""
     mu, pi = quantizer_masses(q, src)
-    pos, neg = phi_pair(phi, gamma)
-    return ErmResult(gamma, q, empirical, float(np.sum(pos * mu + neg * pi)),
+    return ErmResult(gamma, q, empirical, _weighted_risk(phi, gamma, mu, pi),
                      _excess_bayes(gamma, mu, pi, src, fc), trace)
 
 

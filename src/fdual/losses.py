@@ -230,10 +230,10 @@ def _sym_kl_log_u(v, rounds=_SYM_KL_ROUNDS):
 
 
 def _fstar_sym_kl(v):
-    # the value at u = e^w is expm1(w) + w, read as +inf once w > 700 (e^w
-    # nears the top of the doubles); f*(+-inf) = +-inf and f*(NaN) = NaN
+    # the value at u = e^w is expm1(w) + w, which overflows to +inf by
+    # itself past w = 709.78; f*(+-inf) = +-inf and f*(NaN) = NaN
     w = _sym_kl_log_u(v)
-    return np.where(np.isinf(v), v, np.where(w > 700.0, INF, np.expm1(w) + w))
+    return np.where(np.isinf(v), v, np.expm1(w) + w)
 
 
 def _f_kl(u):

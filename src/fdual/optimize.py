@@ -1,9 +1,9 @@
-"""One-dimensional search primitives: k-point bracketing minimization,
-bisection and the per-element weighted minimization every module shares.
-
-Everything here works on plain floats or on numpy arrays elementwise, so the
-per-bin minimizations of the risk, loss and ERM modules run as single
-vectorized sweeps.  All routines are deterministic.
+"""One-dimensional search primitives and the per-element weighted
+minimization every module shares.  One 15-point search round serves both
+minimization (``bracket_min``) and bisection (``bisect_predicate``,
+``bisect_root``).  Everything works on plain floats or on numpy arrays
+elementwise, so the per-bin searches run as single vectorized sweeps.  All
+routines are deterministic.
 """
 
 from __future__ import annotations
@@ -16,16 +16,45 @@ import numpy as np
 from .errors import InfiniteObjective, NanObjective
 
 _SIGNS = np.array((1.0, -1.0))
-_LOOKAHEAD = 4  # bisection levels bisect_root evaluates per call (15 points)
-_K = 2 ** _LOOKAHEAD - 1  # points per bracket_min call, as many as _descend's
-_FRAC = np.arange(1, _K + 1) / (_K + 1)  # interior points a + _FRAC * h
-# the neighbours of point j, as fractions of the bracket (its ends 0 and 1)
-_LOF = np.concatenate(([0.0], _FRAC[:-1]))
-_HIF = np.concatenate((_FRAC[1:], [1.0]))
+_K = 15  # points per search round
+_ENDS = np.arange(_K + 2) / (_K + 1)  # a bracket's ends and points, k/16
+_FRAC = _ENDS[1:-1]  # interior points a + _FRAC * h
 
 # base half-width of the brackets callers pass to weighted_min: minimizers of
 # catalog losses sit within O(log(w_pos/w_neg)) of the origin
 BRACKET = 50.0
+
+
+def _search(f, pick, lo, hi, tol: float, max_iter: int):
+    """Final brackets (a, b) of the 15-point search of [lo_i, hi_i]: each
+    round calls ``f`` once on the points ``a + (k/16) h`` of every bracket,
+    shape ``(15,) + shape``, and ``pick`` maps the values to the cell kept,
+    ``[a + p h, a + q h]`` (q = 1 keeps ``b`` exactly).  An element is frozen
+    once ``b - a <= tol``, so a stack gives each element its result alone;
+    ``max_iter`` counts rounds."""
+    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    for _ in range(max_iter):
+        h = b - a
+        live = h > tol
+        if not live.any():
+            break
+        p, q = pick(f(a + np.multiply.outer(_FRAC, h)))
+        b = np.where(live & (q < 1.0), a + q * h, b)
+        a = np.where(live, a + p * h, a)
+    return a, b
+
+
+def _last_min(y):
+    """The neighbours of the last of the equal minima: 1/8 of the bracket."""
+    j = _K - 1 - y[::-1].argmin(axis=0)
+    return _ENDS[j], _ENDS[2:][j]
+
+
+def _first_true(y):
+    """The first true point and its left neighbour (1/16 of the bracket),
+    or the last point and ``b`` where no point is true."""
+    j = _K - np.logical_or.accumulate(y, axis=0).sum(axis=0)
+    return _ENDS[j], _ENDS[1:][j]
 
 
 def bracket_min(f: Callable[[np.ndarray], np.ndarray], lo, hi,
@@ -33,30 +62,19 @@ def bracket_min(f: Callable[[np.ndarray], np.ndarray], lo, hi,
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise minimization of unimodal functions over [lo_i, hi_i].
 
-    ``f`` maps an array of points to the array of objective values, one
-    independent problem per element, and must broadcast over a leading axis:
-    each round evaluates the _K interior points ``a + _FRAC * h`` of every
-    bracket in one call on shape ``(_K,) + lo.shape`` (a simultaneous k-point
-    search; Kiefer 1953).  With ``j`` the last of the equal minima, the
-    bracket shrinks to the neighbours ``[a + _LOF[j] h, a + _HIF[j] h]`` of
-    point j, an eighth of its width; j = _K - 1 keeps ``b`` exactly.  An
-    element is frozen once its bracket is within ``tol`` (or after max_iter
-    rounds), so it follows its own recurrence whatever it is stacked with.
-    Returns the final bracket midpoints and their values, from one more call
-    of ``f``.  On a plateau of equal values the search moves to the
-    plateau's right end (or to ``b``).
+    ``f`` maps an array of points to their values, one independent problem
+    per element, and must broadcast over a leading axis: a round of
+    ``_search`` calls it once on the 15 points ``a + (k/16) h`` of every
+    bracket, shape ``(15,) + lo.shape`` (a simultaneous k-point search;
+    Kiefer 1953), and keeps the two neighbours of the last of the equal
+    minima, 1/8 of the bracket (the last point keeps ``b`` exactly).  An
+    element is frozen once its bracket is within ``tol``, so it follows its
+    own recurrence whatever it is stacked with; ``max_iter`` caps the
+    rounds.  Returns the final midpoints and their values, from one more
+    call of ``f``.  On a plateau of equal values the search moves to its
+    right end (or to ``b``).
     """
-    a = np.asarray(lo, dtype=float)
-    b = np.asarray(hi, dtype=float)
-    for _ in range(max_iter):
-        h = b - a
-        live = h > tol
-        if not live.any():
-            break
-        y = f(a + np.multiply.outer(_FRAC, h))
-        j = _K - 1 - y[::-1].argmin(axis=0)  # the last of equal minima
-        b = np.where(live & (j < _K - 1), a + _HIF[j] * h, b)
-        a = np.where(live, a + _LOF[j] * h, a)
+    a, b = _search(f, _last_min, lo, hi, tol, max_iter)
     mid = 0.5 * (a + b)
     return mid, f(mid)
 
@@ -152,63 +170,25 @@ def bisect_predicate(pred: Callable[[np.ndarray], np.ndarray], lo, hi,
     assuming pred is monotone (false then true).  Requires pred(hi) true;
     pred(lo) may be anything, and an element with pred(lo) true reports lo.
 
-    ``pred`` maps an array of points, shaped like ``lo``, to booleans.
-    Every element follows the scalar bisection and is frozen once its
-    bracket is within ``tol``; each round makes one call of ``pred``.  Scalar
-    bounds descend _LOOKAHEAD levels per call (``_descend``) and return a
-    float.
+    ``pred`` maps an array of points to booleans.  After one call on ``lo``,
+    each round of ``_search`` calls it once on the 15 points ``a + (k/16)
+    h`` of every bracket and keeps the first true point and its left
+    neighbour, 1/16 of the bracket, or ``[a + 15/16 h, b]`` where none is
+    true.  An element is frozen once ``b - a <= tol``; ``max_iter`` caps the
+    rounds.  Returns the final ``b``: pred(b) holds, and pred(a) fails
+    unless a is lo, for any pred.  Scalar bounds return a float.
     """
     a = np.asarray(lo, dtype=float)
-    b = np.asarray(hi, dtype=float)
-    at_lo = np.asarray(pred(a), dtype=bool)
-    if a.ndim == 0 and b.ndim == 0:
-        return float(a) if at_lo else _descend(pred, a, b, tol, max_iter)[1]
-    active = ~at_lo
-    for _ in range(max_iter):
-        active = active & ~(b - a <= tol)
-        if not active.any():
-            break
-        m = 0.5 * (a + b)
-        p = np.asarray(pred(m), dtype=bool)
-        b = np.where(active & p, m, b)
-        a = np.where(active & ~p, m, a)
-    return np.where(at_lo, a, b)
+    b = np.where(np.asarray(pred(a), dtype=bool), a, hi)  # [lo, lo]: done
+    b = _search(pred, _first_true, a, b, tol, max_iter)[1]
+    return b if b.ndim else float(b)
 
 
 def bisect_root(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
                 tol: float = 1e-10, max_iter: int = 200) -> float:
     """Root of a decreasing function with f(lo) > 0 > f(hi): the midpoint of
-    the final bracket of ``_descend``.  ``f`` maps an array of points to
-    their values, element by element."""
-    a, b = _descend(lambda x: ~(np.asarray(f(x)) > 0.0), lo, hi, tol,
-                    max_iter)
-    return 0.5 * (a + b)
-
-
-def _descend(right: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float,
-             max_iter: int) -> tuple[float, float]:
-    """Final bracket (a, b) of the scalar bisection of [lo, hi] that moves b
-    to each midpoint where ``right`` holds and a to the others, until
-    b - a <= tol or after max_iter midpoints.
-
-    One call of ``right`` (an array of points to booleans) evaluates the
-    midpoints of the next _LOOKAHEAD levels and the scalar recurrence
-    descends them: the bracket is the scalar loop's, bit for bit.
-    """
-    a, b = float(lo), float(hi)
-    steps = 0
-    while steps < max_iter and not b - a <= tol:
-        edges, pts = [a, b], []
-        for _ in range(_LOOKAHEAD):  # heap order: node i splits into 2i+1, 2i+2
-            mids = [0.5 * (x + y) for x, y in zip(edges, edges[1:])]
-            pts += mids
-            edges = [e for pair in zip(edges, mids) for e in pair] + [b]
-        go_left = np.asarray(right(np.array(pts)), dtype=bool)
-        node = 0
-        while node < len(pts) and steps < max_iter and not b - a <= tol:
-            if go_left[node]:
-                b, node = pts[node], 2 * node + 1
-            else:
-                a, node = pts[node], 2 * node + 2
-            steps += 1
-    return a, b
+    the final bracket of ``bisect_predicate``'s search for ``not f > 0``.
+    ``f`` maps an array of points to their values, element by element."""
+    a, b = _search(lambda x: ~(np.asarray(f(x)) > 0.0), _first_true, lo, hi,
+                   tol, max_iter)
+    return float(0.5 * (a + b))

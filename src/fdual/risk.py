@@ -71,10 +71,11 @@ def optimal_phi_risk(phi: SurrogateLoss,
     objective there is at most ``v + 1e-12 (1 + |v|)``.  If the probe
     ``a - 1e-6 (1 + |a|)`` is on the plateau, the bin reports the left end
     of the plateau: the first of ``a - 1, a - 2, a - 4, ...`` off it, or
-    ``2**20`` or more left of ``a``, bounds a bisection to 1e-12; each
-    evaluation is one ``phi.fn`` call, a zero-mass term counting 0 (also
-    times an infinite loss).  The rule skips the bins with mu_z, pi_z > 0 of
-    a ``strictly_convex`` loss (one minimizer).  As it behaves:
+    ``2**20`` or more left of ``a``, bounds a ``bisect_predicate`` search to
+    1e-12 (at most 16 rounds where 1e-12 exceeds the spacing of the floats);
+    each evaluation is one ``phi.fn`` call, a zero-mass term counting 0
+    (also times an infinite loss).  The rule skips the bins with mu_z,
+    pi_z > 0 of a ``strictly_convex`` loss (one minimizer).  As it behaves:
 
     - on an interval of minimizers the smallest one is reported;
     - an unbounded plateau stops at the doubling cap, 2**20 to 2**21 left of

@@ -20,7 +20,7 @@ from fdual.measures import (BinnedSource, Priors, TableQuantizer,
                             ThresholdQuantizer, UniformPairSource, bayes_risk,
                             induce_measures, named_divergence,
                             quantizer_masses)
-from fdual.risk import min_per_bin, zero_one_risk
+from fdual.risk import min_per_bin, phi_risk, zero_one_risk
 
 
 def old_family_bayes(fc, src):
@@ -245,6 +245,18 @@ class TestJointErm:
         t_best = ts[int(np.argmin(bayes))]
         step = ts[1] - ts[0]
         assert abs(res.t_selected - t_best) <= step + 1e-12
+
+    @pytest.mark.parametrize("name", ("hinge", "logistic", "exponential"))
+    def test_population_risk_is_phi_risk_on_induced_measures(
+            self, name, src_default, fc_default):
+        # the result is scored by the one weighted-risk route, phi_risk's
+        phi = catalog_loss(name)
+        for n, seed in ((100, 0), (1000, 3), (10_000, 7)):
+            res = joint_erm(phi, generate_samples(src_default, n, seed),
+                            fc_default)
+            m = induce_measures(res.q_star, src_default)
+            assert res.population_phi_risk.hex() == \
+                phi_risk(phi, res.gamma_star, m).hex()
 
     @pytest.mark.parametrize("name", ("hinge", "logistic", "exponential"))
     def test_search_noise_does_not_pick_the_threshold(self, name, src_default,

@@ -1,12 +1,11 @@
 """The numeric Legendre route, bit for bit against frozen copies.
 
-``frozen_sup_batch`` and ``frozen_descend`` are copies of the numeric
-conjugate's kernel and of the scalar bisection as they were before the
-kernel called ``f.fn`` under the conjugate's one warning guard, built its
-grid levels once per process and descended its midpoints in Python floats;
-``frozen_locate_beta2`` and ``frozen_locate_fixed_point`` probe Psi one
-point per call, as before the probes were batched, and search for the fixed
-point, as before the certificate.  The live numeric ``conjugate`` and
+``frozen_sup_batch`` is a copy of the numeric conjugate's kernel as it was
+before the kernel called ``f.fn`` under the conjugate's one warning guard
+and built its grid levels once per process; ``frozen_locate_beta2`` and
+``frozen_locate_fixed_point`` probe Psi one point per call, as before the
+probes were batched, and search for the fixed point, as before the
+certificate, with the live bisections.  The live numeric ``conjugate`` and
 ``psi_from_f(numeric=True)`` must reproduce them bit for bit: values, domain
 bounds, fixed point and raised errors.  The one exception is the fixed point
 of a generator with f(1)/2 in its subdifferential at 1 (every symmetric
@@ -20,7 +19,7 @@ import pickle
 import numpy as np
 import pytest
 
-from fdual import duality, optimize
+from fdual import duality
 from fdual.duality import Generator, conjugate, psi_from_f
 from fdual.errors import FdualError, NoFixedPoint
 from fdual.losses import catalog_generator
@@ -91,27 +90,6 @@ def frozen_sup_batch(f, vs, cache):
     return out
 
 
-def frozen_descend(right, lo, hi, tol, max_iter):
-    a, b = float(lo), float(hi)
-    steps = 0
-    while steps < max_iter and not b - a <= tol:
-        los, his, mids = np.array([a]), np.array([b]), []
-        for _ in range(optimize._LOOKAHEAD):
-            mids.append(0.5 * (los + his))
-            los = np.stack((los, mids[-1]), 1).ravel()
-            his = np.stack((mids[-1], his), 1).ravel()
-        pts = np.concatenate(mids)
-        go_left = np.asarray(right(pts), dtype=bool)
-        node = 0
-        while node < pts.size and steps < max_iter and not b - a <= tol:
-            if go_left[node]:
-                b, node = float(pts[node]), 2 * node + 1
-            else:
-                a, node = float(pts[node]), 2 * node + 2
-            steps += 1
-    return a, b
-
-
 def frozen_locate_beta2(f, psi):
     beta1 = duality._locate_beta1(f)
     f0 = f(0.0)
@@ -169,7 +147,6 @@ def frozen_locate_fixed_point(psi, beta1, beta2, probe):
 
 
 FROZEN = ((duality, "_sup_batch", frozen_sup_batch),
-          (optimize, "_descend", frozen_descend),
           (duality, "_locate_beta2", frozen_locate_beta2),
           (duality, "_locate_fixed_point", frozen_locate_fixed_point))
 # the frozen kernels and fixed-point search under the live beta2, whose old

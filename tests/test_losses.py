@@ -72,8 +72,9 @@ class TestSymKlConjugate:
 
     REFERENCE holds (v, f*(v)) rounded from 60-digit values (mpmath, run
     offline: Newton on w iterated to a fixed point at 60 + log10|v| digits,
-    checked against w = v - 1 + W(e^(1 - v)) at 700 digits).  The last two
-    v are the worst of 399 evenly spaced v in (1, 700].
+    checked against w = v - 1 + W(e^(1 - v)) at 700 digits; v = 705, 710
+    and 710.75, finite up to the top of the doubles, at 800 digits).  The
+    last two v are the worst of 399 evenly spaced v in (1, 700].
     """
 
     REFERENCE = [
@@ -94,6 +95,8 @@ class TestSymKlConjugate:
         (50.0, 1.9073465724950998e+21), (100.0, 9.889030319346946e+42),
         (300.0, 7.145787367980123e+129), (699.0, 1.372613823952135e+303),
         (700.0, 3.7311512151407716e+303), (701.0, 1.0142320547350045e+304),
+        (705.0, 5.5375193892845935e+305), (710.0, 8.218407461554972e+307),
+        (710.75, 1.7398368732641605e+308),
         (16.76691729323308, 7038597.808031313),
         (34.285714285714285, 285628829724914.94),
     ]
@@ -114,9 +117,9 @@ class TestSymKlConjugate:
 
     def test_infinite_and_nan_arguments(self):
         fstar = conjugate(catalog_generator("sym_kl"))
-        got = fstar(np.array([INF, -INF, math.nan, 750.0]))
+        got = fstar(np.array([INF, -INF, math.nan, 711.0, 750.0]))
         assert got[0] == INF and got[1] == -INF and math.isnan(got[2])
-        assert got[3] == INF  # e^749 is beyond the doubles
+        assert got[3] == got[4] == INF  # e^710 is beyond the doubles
         assert fstar(-INF) == -INF and math.isnan(fstar(math.nan))
 
     def test_round_count_is_the_least_that_has_settled(self):

@@ -1,8 +1,11 @@
-"""The array search kernels against the scalar recurrences they batch.
+"""The one 15-point search round against the scalar recurrences it batches.
 
-The oracles below are the scalar k-point bracketing and bisection loops, the
-k-point round with one call of f per point and the scalar root bisection;
-the kernels must reproduce them bit for bit, element by element.
+The oracles below are the scalar 15-point recurrences of its two pick rules
+(the last of the equal minima, the first true point), one call of f or pred
+per point, and the k-point round with one call of f per point; the kernels
+must reproduce them bit for bit, element by element.  The one-midpoint
+bisection loops ``scalar_bisect`` and ``scalar_bisect_root`` stay as
+references the bisections must land within ``tol`` of.
 """
 
 import math
@@ -10,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from fdual import duality, losses
+from fdual import duality, losses, optimize
 from fdual.optimize import bisect_predicate, bisect_root, bracket_min
 
 K = 15  # interior points per bracket_min round
@@ -59,6 +62,51 @@ def scalar_bisect_root(f, lo, hi, tol=1e-10, max_iter=200):
         else:
             b = m
     return 0.5 * (a + b)
+
+
+def scalar_first_true(pred, lo, hi, tol=1e-10, max_iter=200):
+    """The scalar 15-point predicate recurrence: pred at a + k h / 16, one
+    call each; the bracket becomes the first true point and its left
+    neighbour, or [a + 15 h / 16, b] where none is true.  Returns the final
+    bracket and the number of rounds."""
+    a, b = float(lo), float(hi)
+    rounds = 0
+    while rounds < max_iter and b - a > tol:
+        h = b - a
+        xs = [a] + [a + k / (K + 1) * h for k in range(1, K + 1)] + [b]
+        k = next((k for k in range(1, K + 1) if pred(xs[k])), K + 1)
+        a, b = xs[k - 1], xs[k]
+        rounds += 1
+    return a, b, rounds
+
+
+def scalar_predicate(pred, lo, hi, tol=1e-10, max_iter=200):
+    """bisect_predicate's scalar recurrence and its number of rounds."""
+    if pred(float(lo)):
+        return float(lo), 0
+    return scalar_first_true(pred, lo, hi, tol, max_iter)[1:]
+
+
+def scalar_root(f, lo, hi, tol=1e-10, max_iter=200):
+    """bisect_root's scalar recurrence and its number of rounds."""
+    a, b, rounds = scalar_first_true(lambda x: not f(x) > 0.0, lo, hi, tol,
+                                     max_iter)
+    return 0.5 * (a + b), rounds
+
+
+def search_bracket(pred, lo, hi, tol, max_iter=200):
+    """The final brackets (a, b) of the predicate search, whose b
+    bisect_predicate reports where pred(lo) fails."""
+    return optimize._search(pred, optimize._first_true, lo, hi, tol,
+                            max_iter)
+
+
+def rounds16(width, tol):
+    """Rounds that cut width to tol by sixteenths; width / tol must not
+    sit near a power of 16."""
+    r = math.log(width / tol) / math.log(16.0)
+    assert abs(r - round(r)) > 0.01
+    return math.ceil(r)
 
 
 def per_point_loop(f, lo, hi, tol=1e-10, max_iter=200):
@@ -321,18 +369,20 @@ class TestGoldenMinVec:
 
 class TestBisectPredicate:
     def test_array_equals_scalar_bisection(self):
+        # each element gets the scalar recurrence's bits, within tol of the
+        # one-midpoint bisection
         roots = np.array([0.7, 0.2, -13.0, 1.0, 8.9, 6.0, 29.0])
-
-        def pred(x):
-            return x >= roots
-
-        got = bisect_predicate(pred, LO, HI, tol=1e-12)
+        got = bisect_predicate(lambda x: x >= roots, LO, HI, tol=1e-12)
         for z in range(LO.size):
-            want = scalar_bisect(lambda x, z=z: x >= roots[z], LO[z], HI[z],
-                                 tol=1e-12)
-            assert _same(got[z], want), z
+            def pz(x, z=z):
+                return x >= roots[z]
+            assert _same(got[z], scalar_predicate(pz, LO[z], HI[z],
+                                                  tol=1e-12)[0]), z
+            assert abs(got[z] - scalar_bisect(pz, LO[z], HI[z],
+                                              tol=1e-12)) <= 1e-12, z
 
     def test_pred_true_at_lo_reports_lo(self):
+        # an element true at lo is frozen at once: it adds no round
         lo = np.array([-1.0, 0.0, 2.0])
         hi = np.array([1.0, 1.0, 3.0])
         calls = [0]
@@ -343,29 +393,24 @@ class TestBisectPredicate:
 
         got = bisect_predicate(pred, lo, hi)
         assert got[0] == -1.0 and got[2] == 2.0
-        evals = [0]
-
-        def pred1(x):
-            evals[0] += 1
-            return x >= 0.5
-
-        assert _same(got[1], scalar_bisect(pred1, 0.0, 1.0))
-        assert calls[0] == evals[0]
+        want, rounds = scalar_predicate(lambda x: x >= 0.5, 0.0, 1.0)
+        assert _same(got[1], want)
+        assert calls[0] == 1 + rounds
 
     def test_bracket_within_tol_reports_hi(self):
         lo = np.array([-1.0, 0.0])
         hi = np.array([-1.0 + 1e-13, 1.0])
         got = bisect_predicate(lambda x: x >= 0.25, lo, hi, tol=1e-12)
         assert got[0] == hi[0]
-        assert _same(got[1], scalar_bisect(lambda x: x >= 0.25, 0.0, 1.0,
-                                           tol=1e-12))
+        assert _same(got[1], scalar_predicate(lambda x: x >= 0.25, 0.0, 1.0,
+                                              tol=1e-12)[0])
 
     def test_scalar_bounds_give_a_float(self):
         got = bisect_predicate(lambda x: x * x >= 2.0, 0.0, 2.0, tol=1e-12)
         assert type(got) is float
-        assert _same(got, scalar_bisect(lambda x: x * x >= 2.0, 0.0, 2.0,
-                                        tol=1e-12))
-
+        assert _same(got, scalar_predicate(lambda x: x * x >= 2.0, 0.0, 2.0,
+                                           tol=1e-12)[0])
+        assert 0.0 <= got - math.sqrt(2.0) <= 1e-12
 
     @pytest.mark.parametrize("shift", (0.0, 1.5),
                              ids=("all_active_first", "some_true_at_lo"))
@@ -376,16 +421,10 @@ class TestBisectPredicate:
         roots[::3] -= shift * (MIXED_HI - MIXED_LO)[::3]
         at_lo = MIXED_LO >= roots
         assert at_lo.any() == (shift > 0.0) and not at_lo.all()
-        evals, want = [], []
-        for z in range(MIXED_LO.size):
-            n = [0]
-
-            def pz(x, z=z, n=n):
-                n[0] += 1
-                return x >= roots[z]
-            want.append(scalar_bisect(pz, MIXED_LO[z], MIXED_HI[z],
-                                      tol=1e-12))
-            evals.append(n[0])
+        want = [scalar_predicate(lambda x, z=z: x >= roots[z], MIXED_LO[z],
+                                 MIXED_HI[z], tol=1e-12)
+                for z in range(MIXED_LO.size)]
+        rounds = [r for _, r in want]
         calls = [0]
 
         def pred(x):
@@ -393,24 +432,102 @@ class TestBisectPredicate:
             return x >= roots
 
         got = bisect_predicate(pred, MIXED_LO, MIXED_HI, tol=1e-12)
-        assert calls[0] == max(evals) and len(set(evals)) > 2
-        for z in range(MIXED_LO.size):
-            assert _same(got[z], want[z]), z
+        assert calls[0] == 1 + max(rounds) and len(set(rounds)) > 2
+        for z, (b, _) in enumerate(want):
+            assert _same(got[z], b), z
+
+
+class TestOneSearchRound:
+    """What both pick rules share: a stack gives each element its bits
+    alone, every returned bracket keeps the predicate's contract, a round
+    cuts the bracket to 1/16 (predicate) and ``max_iter`` counts rounds."""
+
+    @pytest.mark.parametrize("mode", ("minimize", "predicate"))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stack_equals_per_element_loop(self, mode, seed):
+        # widths 1e-13 to 1e3 (some already within tol); a quarter of the
+        # predicate roots lie left of lo, where pred(lo) holds; each
+        # element alone is searched on 0-d bounds
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-100.0, 100.0, 40)
+        hi = lo + 10.0 ** rng.uniform(-13.0, 3.0, 40)
+        centre = lo + rng.uniform(-0.3, 1.0, 40) * (hi - lo)
+        if mode == "minimize":
+            # arithmetic only: numpy's pow may round a 0-d value apart from
+            # an array's, so the objective itself would differ
+            def search(c, lo, hi):
+                return bracket_min(lambda x: np.abs(x - c) + np.square(x - c),
+                                   lo, hi, tol=1e-12)
+        else:
+            def search(c, lo, hi):
+                return bisect_predicate(lambda x: x >= c, lo, hi, tol=1e-12)
+        got = search(centre, lo, hi)
+        for z in range(lo.size):
+            alone = search(centre[z], lo[z], hi[z])
+            assert _same(np.asarray(got)[..., z], alone), z
+        if mode == "predicate":
+            assert (centre <= lo).any() and not (centre <= lo).all()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_returned_bracket_contract(self, seed):
+        # for any predicate true at hi, monotone or not: pred(b) holds,
+        # pred(a) fails unless a is lo, and b - a <= tol
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-20.0, 20.0, 60)
+        hi = lo + 10.0 ** rng.uniform(-11.0, 2.0, 60)
+        freq = rng.uniform(0.5, 40.0, 60)
+
+        def pred(x):
+            wave = np.sin(freq * x) + 0.3 * np.cos(3.1 * freq * x) - 0.1
+            return (wave <= 0.0) | (x >= hi)
+
+        tol = 1e-12
+        a, b = search_bracket(pred, lo, hi, tol)
+        assert pred(b).all() and not (pred(a) & (a != lo)).any()
+        assert (b - a <= tol).all() and (lo <= a).all() and (b <= hi).all()
+        got = bisect_predicate(pred, lo, hi, tol=tol)
+        assert _same(got, np.where(pred(lo), lo, b))
+
+    @pytest.mark.parametrize("width, tol", ((1.0, 1e-12), (3.0, 1e-12),
+                                            (100.0, 1e-12), (0.02, 1e-12),
+                                            (2.0 ** 21, 1e-6)))
+    def test_calls_per_solve(self, width, tol):
+        # the pred(lo) probe, then ceil(log16(width / tol)) rounds of one
+        # call on (15,) + shape, wherever the root lies; a bracket must not
+        # be so far out that tol is below the spacing of its floats
+        roots = np.array([0.3, 1.0, 0.01, 0.5 + 1e-7]) * width
+        lo = np.zeros(4)
+        shapes = []
+
+        def pred(x):
+            shapes.append(np.shape(x))
+            return x >= roots
+
+        got = bisect_predicate(pred, lo, lo + width, tol=tol)
+        assert shapes[0] == (4,) and set(shapes[1:]) == {(K, 4)}
+        assert len(shapes) == 1 + rounds16(width, tol)
+        assert np.all((got >= roots) & (got - roots <= tol))
+
+    def test_max_iter_caps_rounds(self):
+        for max_iter in (1, 2, 3):
+            calls = [0]
+
+            def pred(x):
+                calls[0] += 1
+                return x >= 0.3
+
+            got = bisect_predicate(pred, np.zeros(2), np.ones(2),
+                                   max_iter=max_iter)
+            want, rounds = scalar_predicate(lambda x: x >= 0.3, 0.0, 1.0,
+                                            max_iter=max_iter)
+            assert rounds == max_iter and calls[0] == 1 + max_iter
+            assert _same(got, [want, want])
 
 
 class TestBisectRoot:
     @staticmethod
-    def _levels(f, lo, hi, **kw):
-        """The scalar loop's result and its number of halvings."""
-        n = [0]
-
-        def counted(x):
-            n[0] += 1
-            return f(x)
-        return scalar_bisect_root(counted, lo, hi, **kw), n[0]
-
-    @staticmethod
-    def _lookahead(f, lo, hi, **kw):
+    def _kernel(f, lo, hi, **kw):
+        """bisect_root's root and the shapes of its calls of f."""
         calls = []
 
         def batched(x):
@@ -419,6 +536,7 @@ class TestBisectRoot:
         return bisect_root(batched, lo, hi, **kw), calls
 
     def test_random_brackets_match_scalar_loop(self, rng):
+        # the recurrence's bits, within tol of the one-midpoint bisection
         for _ in range(200):
             root = float(rng.uniform(-50.0, 50.0))
             lo = root - float(rng.uniform(1e-9, 100.0))
@@ -428,59 +546,61 @@ class TestBisectRoot:
             def f(x, root=root):
                 return np.tanh(root - np.asarray(x)) ** 3
 
-            want, levels = self._levels(f, lo, hi, tol=tol)
-            got, calls = self._lookahead(f, lo, hi, tol=tol)
-            assert _same(got, want)
-            # one call per four levels, each on the 15 midpoints of the tree
-            assert len(calls) == math.ceil(levels / 4)
-            assert set(calls) <= {(15,)}
+            want, rounds = scalar_root(f, lo, hi, tol=tol)
+            got, calls = self._kernel(f, lo, hi, tol=tol)
+            assert type(got) is float and _same(got, want)
+            assert abs(got - scalar_bisect_root(f, lo, hi, tol=tol)) <= tol
+            # one call per round, on the 15 points of the bracket
+            assert len(calls) == rounds and set(calls) <= {(15,)}
 
-    def test_non_monotone_function_follows_the_same_path(self):
+    def test_non_monotone_function_keeps_the_contract(self, rng):
+        # the root is the midpoint of a bracket within tol whose ends keep
+        # f(a) > 0 and f(b) <= 0 (a sign change) unless they are lo and hi
         def f(x):
             x = np.asarray(x)
             return np.sin(7.0 * x) + 0.3 * np.cos(31.0 * x) - 0.1 * x
 
-        for lo, hi in ((-3.0, 4.0), (0.1, 9.7), (-20.0, 1.0)):
-            want, levels = self._levels(f, lo, hi, tol=1e-12)
-            got, calls = self._lookahead(f, lo, hi, tol=1e-12)
-            assert _same(got, want)
-            assert len(calls) == math.ceil(levels / 4)
+        brackets = [(lo, hi) for lo, hi in rng.uniform(-20.0, 20.0, (80, 2))
+                    if lo < hi and f(lo) > 0.0 > f(hi)]
+        assert len(brackets) > 10
+        for lo, hi in brackets:
+            root, calls = self._kernel(f, lo, hi, tol=1e-12)
+            a, b = search_bracket(lambda x: ~(f(x) > 0.0), lo, hi, 1e-12)
+            assert _same(root, 0.5 * (a + b)) and b - a <= 1e-12
+            assert f(a) > 0.0 and (b == hi or not f(b) > 0.0)
+            assert _same(root, scalar_root(f, lo, hi, tol=1e-12)[0])
 
     def test_bracket_within_tol_makes_no_call(self):
-        got, calls = self._lookahead(lambda x: 1.0 - x, 1.0, 1.0 + 1e-13,
+        got, calls = self._kernel(lambda x: 1.0 - x, 1.0, 1.0 + 1e-13,
                                      tol=1e-12)
         assert calls == [] and _same(got, 0.5 * (1.0 + (1.0 + 1e-13)))
 
-    def test_max_iter_stops_mid_lookahead(self):
+    def test_max_iter_caps_rounds(self):
         def f(x):
             return 0.3 - np.asarray(x)
 
-        for max_iter in (1, 6, 9):
-            want, levels = self._levels(f, 0.0, 1.0, max_iter=max_iter)
-            got, calls = self._lookahead(f, 0.0, 1.0, max_iter=max_iter)
-            assert levels == max_iter and _same(got, want)
-            assert len(calls) == math.ceil(max_iter / 4)
+        for max_iter in (1, 2, 3):
+            want, rounds = scalar_root(f, 0.0, 1.0, max_iter=max_iter)
+            got, calls = self._kernel(f, 0.0, 1.0, max_iter=max_iter)
+            assert rounds == max_iter and _same(got, want)
+            assert len(calls) == max_iter
 
 
 class TestScalarPredicateDescent:
-    """Scalar bounds: bisect_predicate descends four levels per call of
-    pred and returns the one-midpoint-per-call loop's result bit for bit."""
+    """Scalar bounds: bisect_predicate searches a 0-d stack of one, one call
+    of pred per round on its 15 points, and returns a float."""
 
     @staticmethod
     def _both(pred, lo, hi, **kw):
-        calls, n = [], [0]
+        calls = []
 
         def batched(x):
             calls.append(np.shape(x))
             return pred(x)
 
-        def counted(x):
-            n[0] += 1
-            return pred(x)
-
         got = bisect_predicate(batched, lo, hi, **kw)
-        want = scalar_bisect(counted, lo, hi, **kw)
-        return got, want, calls, n[0]
+        want, rounds = scalar_predicate(pred, lo, hi, **kw)
+        return got, want, calls, rounds
 
     def test_random_brackets_match_scalar_loop(self, rng):
         for _ in range(200):
@@ -488,28 +608,31 @@ class TestScalarPredicateDescent:
             lo = root - float(rng.uniform(1e-9, 100.0))
             hi = root + float(rng.uniform(1e-9, 100.0))
             tol = float(10.0 ** rng.uniform(-13, -2))
-            got, want, calls, evals = self._both(
-                lambda x, root=root: np.asarray(x) >= root, lo, hi, tol=tol)
+
+            def pred(x, root=root):
+                return np.asarray(x) >= root
+
+            got, want, calls, rounds = self._both(pred, lo, hi, tol=tol)
             assert type(got) is float and _same(got, want)
-            # pred(lo), then one call per four levels on 15 midpoints
-            assert calls[0] == ()
-            assert len(calls) == 1 + math.ceil((evals - 1) / 4)
+            assert abs(got - scalar_bisect(pred, lo, hi, tol=tol)) <= tol
+            # pred(lo), then one call per round on its 15 points
+            assert calls[0] == () and len(calls) == 1 + rounds
             assert set(calls[1:]) <= {(15,)}
 
     def test_pred_true_at_lo_and_max_iter(self):
         got, want, calls, _ = self._both(lambda x: np.asarray(x) >= -1.0,
                                          0.0, 1.0)
         assert got == want == 0.0 and calls == [()]
-        for max_iter in (1, 6, 9):
-            got, want, calls, evals = self._both(
+        for max_iter in (1, 2, 3):
+            got, want, calls, rounds = self._both(
                 lambda x: np.asarray(x) >= 0.3, 0.0, 1.0, max_iter=max_iter)
-            assert evals == max_iter + 1 and _same(got, want)
-            assert len(calls) == 1 + math.ceil(max_iter / 4)
+            assert rounds == max_iter and _same(got, want)
+            assert len(calls) == 1 + max_iter
 
 
 class TestScalarBisectionCallers:
-    """phi_inverse and the recipe's alpha* search give the results of the
-    old one-midpoint-per-call loop bit for bit."""
+    """phi_inverse and the recipe's alpha* search land within their search's
+    tol (1e-12) of the one-midpoint-per-call loop."""
 
     @staticmethod
     def _old_loop(monkeypatch):
@@ -526,7 +649,8 @@ class TestScalarBisectionCallers:
         new = [duality.phi_inverse(phi, b) for phi in phis for b in betas]
         self._old_loop(monkeypatch)
         old = [duality.phi_inverse(phi, b) for phi in phis for b in betas]
-        assert _same(new, old)
+        assert all(math.isinf(x) and x == y or abs(x - y) <= 1e-12
+                   for x, y in zip(new, old))
 
     def test_recipe_alpha_star(self, monkeypatch):
         def alpha_stars():
@@ -537,4 +661,4 @@ class TestScalarBisectionCallers:
 
         new = alpha_stars()
         self._old_loop(monkeypatch)
-        assert _same(new, alpha_stars())
+        assert np.all(np.abs(np.subtract(new, alpha_stars())) <= 1e-12)

@@ -1,11 +1,14 @@
-"""The package surface: every exported name resolves, and the class hooks the
-traced benchmark (``bench/tracing.py``) wraps stay defined on the classes it
-names, so ``bench/run.py --trace 1`` keeps working."""
+"""The package surface: every exported name resolves, and the class hooks and
+search functions the traced benchmark (``bench/tracing.py``) wraps stay
+defined where it looks for them, so ``bench/run.py --trace 1`` keeps
+working."""
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import fdual
+from fdual import optimize
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -41,3 +44,17 @@ def test_traced_bench_hooks_are_own_attributes():
     finally:
         tracer.uninstall()
     assert [cls.__dict__[attr] for cls, attr in hooks] == originals
+
+
+def test_traced_search_kernels_are_module_functions():
+    # the tracer wraps public functions defined in their layer's module and
+    # names the bisection spans after bisect_predicate and bisect_root; the
+    # three search wrappers must stay such functions for it to see them
+    tracing = _load_tracing()
+    assert optimize in tracing.LAYERS
+    for name in ("bracket_min", "bisect_predicate", "bisect_root"):
+        fn = optimize.__dict__.get(name)
+        assert inspect.isfunction(fn), name
+        assert fn.__module__ == optimize.__name__, name
+    assert {"optimize.bisect_predicate",
+            "optimize.bisect_root"} <= set(tracing.RENAMED)

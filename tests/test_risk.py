@@ -8,35 +8,37 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fdual import risk
 from fdual.errors import InfiniteRisk, MismatchedPair
 from fdual.losses import LOSS_NAMES, catalog_generator, catalog_loss
 from fdual.measures import (JointMeasure, Priors, bayes_risk, f_divergence,
                             named_divergence, random_measure)
-from fdual.optimize import zero_safe
+from fdual.optimize import bisect_predicate, zero_safe
 from fdual.risk import (RiskReport, closed_form_discriminant, min_per_bin,
                         optimal_phi_risk, phi_risk, verify_correspondence,
                         zero_one_risk)
-from test_optimize import scalar_bisect, scalar_bracket
+from test_optimize import scalar_bracket
 
 CONVEX_NAMES = ("hinge", "exponential", "logistic", "least_squares", "sym_kl")
 
 
 def scalar_tie_rule(phi, m, args, vals):
-    """The per-bin scalar tie-rule loop that the masked pass replaced."""
+    """The per-bin tie-rule loop that the masked pass replaced: one
+    bisect_predicate search per bin, on 0-d bounds."""
     args = args.copy()
     for z in range(m.z_count):
         a, v = float(args[z]), float(vals[z])
         slack = 1e-12 * (1.0 + abs(v))
 
         def on_plateau(x, z=z, v=v, slack=slack):
-            return float(phi(x) * m.mu[z] + phi(-x) * m.pi[z]) <= v + slack
+            return phi(x) * m.mu[z] + phi(-x) * m.pi[z] <= v + slack
 
         probe = a - 1e-6 * (1.0 + abs(a))
         if on_plateau(probe):
             lo = a - 1.0
             while on_plateau(lo) and a - lo < 2.0 ** 20:
                 lo = a - 2.0 * (a - lo)
-            args[z] = scalar_bisect(on_plateau, lo, a, tol=1e-12)
+            args[z] = bisect_predicate(on_plateau, lo, a, tol=1e-12)
     return args
 
 
@@ -251,18 +253,41 @@ class TestTieRule:
         # after min_per_bin's calls (its search rounds are 3-d too, on
         # (2, 15, bins)), the rule makes one call for the probe, one for
         # the doubling column, of shape (steps, bins), on (2, steps, bins),
-        # and then the bisection's
+        # then the bisection's: one on lo, and one per round on its 15
+        # points, (2, 15, bins)
         phi = catalog_loss("zero_one")
         m = JointMeasure([0.2, 0.3], [0.4, 0.1], Priors(0.5, 0.5))
         search, shapes = [], []
         min_per_bin(_counted(phi, search), m.mu, m.pi)
         optimal_phi_risk(_counted(phi, shapes), m)
         assert shapes[:len(search)] == search
-        rule = shapes[len(search):]
-        column = [s for s in rule if len(s) == 3]
-        assert rule[0] == (2, 2) and rule[1] in column
-        assert len(column) == 1 and column[0][::2] == (2, 2)
-        assert column[0][1] > 15  # 2**20 needs 21 doublings
+        probe, column, at_lo, *rounds = shapes[len(search):]
+        assert probe == at_lo == (2, 2)
+        assert column[::2] == (2, 2) and column[1] > 15  # 2**20: 21 steps
+        assert 0 < len(rounds) <= 16 and set(rounds) == {(2, 15, 2)}
+
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_bisection_calls_per_search(self, name, monkeypatch):
+        # a bracket of at most 2**21 cut by sixteenths to 1e-12 takes 16
+        # rounds, plus the pred(lo) probe, where 1e-12 exceeds the spacing
+        # of the floats at the plateau's end (here the finite ends lie
+        # within 30 of 0; the unbounded plateaus stop at lo)
+        calls, search = [], risk.bisect_predicate
+
+        def counting(pred, lo, hi, **kw):
+            calls.append(0)
+
+            def counted(x):
+                calls[-1] += 1
+                return pred(x)
+            return search(counted, lo, hi, **kw)
+
+        monkeypatch.setattr(risk, "bisect_predicate", counting)
+        phi = catalog_loss(name)
+        for m in _plateau_measures():
+            optimal_phi_risk(phi, m)
+        assert bool(calls) == (not phi.strictly_convex)
+        assert all(n <= 17 for n in calls)
 
     def test_strictly_convex_loss_skips_the_rule(self, m_standard):
         shapes = []
