@@ -58,7 +58,7 @@ def generate_samples(src: SourceSpec, n: int, seed) -> SampleSet:
     if n < 1:
         raise EmptySample("need at least one sample")
     rng = np.random.default_rng(seed)
-    y = np.where(rng.random(n) < src.priors.q, -1, 1).astype(np.int8)
+    y = 1 - 2 * (rng.random(n) < src.priors.q).view(np.int8)  # -1 or 1
     u = rng.random(n)
     if isinstance(src, UniformPairSource):
         x = np.where(y < 0, u * src.b, src.a + u * (src.c - src.a))
@@ -121,8 +121,8 @@ def _threshold_weights(s: SampleSet, thresholds: np.ndarray
     """Empirical per-bin weights (w_pos, w_neg), shape (m, 2), for every
     threshold: bin 0 is x < t, bin 1 is x >= t."""
     n = s.n
-    xp = np.sort(s.x[s.y > 0])
-    xn = np.sort(s.x[s.y < 0])
+    xp = np.sort(np.compress(s.y > 0, s.x))  # a mask costs branch misses
+    xn = np.sort(np.compress(s.y < 0, s.x))
     below_p = np.searchsorted(xp, thresholds, side="left")
     below_n = np.searchsorted(xn, thresholds, side="left")
     w_pos = np.column_stack([below_p, xp.size - below_p]) / n

@@ -129,7 +129,7 @@ def _phi_sym_kl(a):
 def _phi_eq10(a):
     e = np.abs(a, out=np.empty_like(a))  # one buffer for exp(-|a|): exp(a)
     np.exp(np.negative(e, out=e), out=e)  # for a <= 0, exp(-a) otherwise
-    return np.where(a <= 0.0, np.maximum(0.0, 2.0 - e), e)
+    return np.subtract(2.0, e, out=e, where=a <= 0.0)  # 2 - e >= 1 there
 
 
 _LOSSES: dict[str, SurrogateLoss] = {
@@ -322,25 +322,22 @@ def catalog_link(name: str) -> GLink:
 
 # --- forward map: loss -> generator ------------------------------------------
 
-_DENSE_N = 100_000
-
-
 def f_from_loss(phi: SurrogateLoss, u):
     """Generator value f(u) = -inf_alpha(phi(-alpha) + phi(alpha) u).
 
     Accepts a scalar or an array of nonnegative u, and minimizes with
     ``weighted_min`` at weights (u, 1) on [-BRACKET, BRACKET].  For a convex
     loss the bracket doubles while a minimizer sits on its edge and the
-    values still move; a non-convex loss is scanned once (its minimizer
-    sets, such as zero_one's half-lines, may reach the edge).  Raises
-    Unbounded if the infimum diverges.
+    values still move; a non-convex loss is scanned once, on the lattice of
+    step 2**-10 (``grid_bits=16``), where minimizer sets such as zero_one's
+    half-lines may reach the edge.  Raises Unbounded if the infimum diverges.
     """
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(u_arr < 0.0):
         raise ValueError("u must be nonnegative")
     b, prev = BRACKET, None
     for _ in range(12):
-        _, vals, at_edge = weighted_min(phi, u_arr, 1.0, b, _DENSE_N)
+        _, vals, at_edge = weighted_min(phi, u_arr, 1.0, b, grid_bits=16)
         # an infimum approached asymptotically settles as the bracket grows
         settled = prev is not None and np.all(
             np.abs(vals - prev) <= 1e-12 * (1.0 + np.abs(prev)))

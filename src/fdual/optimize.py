@@ -31,16 +31,21 @@ def _search(f, pick, lo, hi, tol: float, max_iter: int):
     shape ``(15,) + shape``, and ``pick`` maps the values to the cell kept,
     ``[a + p h, a + q h]`` (q = 1 keeps ``b`` exactly).  An element is frozen
     once ``b - a <= tol``, so a stack gives each element its result alone;
-    ``max_iter`` counts rounds."""
+    ``max_iter`` caps the rounds, which end once no bracket moved (a fixed
+    point of the recurrence: ``tol`` is below the spacing of its floats)."""
     a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    # a bracket (a <= b) wider than 64 of its floats moves in every round
+    stall = tol < 2.0**-46 * max(-a.min(initial=0.0), b.max(initial=0.0))
     for _ in range(max_iter):
         h = b - a
         live = h > tol
         if not live.any():
             break
         p, q = pick(f(a + np.multiply.outer(_FRAC, h)))
-        b = np.where(live & (q < 1.0), a + q * h, b)
-        a = np.where(live, a + p * h, a)
+        b, b0 = np.where(live & (q < 1.0), a + q * h, b), b
+        a, a0 = np.where(live, a + p * h, a), a
+        if stall and (a == a0).all() and (b == b0).all():
+            break
     return a, b
 
 
@@ -93,21 +98,21 @@ def zero_safe(pos, neg, w_pos, w_neg):
 
 
 @np.errstate(all="ignore")  # the one guard of the kernel's evaluations
-def weighted_min(phi, w_pos, w_neg, b, dense_n: int = 20_001):
+def weighted_min(phi, w_pos, w_neg, b, grid_bits: int = 14):
     """Minimize phi(a)*w_pos + phi(-a)*w_neg per element on [-b, b].
 
     The one per-element search of the package: the optimal risk takes it
     per bin with weights (mu_z, pi_z), the forward map with (u, 1) and ERM
     with the empirical weights.  Weights and half-widths broadcast together.
     A convex ``phi`` (``phi.convex``) is searched by ``bracket_min`` on
-    [-b, b].  Any other is scanned on the grid ``linspace(-1, 1, dense_n) *
-    b``, with phi(+-grid) evaluated once per distinct half-width; every
-    element's best grid cell is then refined by one ``bracket_min``, and the
-    grid point is kept when its value is ``<=`` the refined one.  On a plateau
-    of equal values ``bracket_min`` moves to its right end.  An evaluation at
-    ``a`` is one call of ``phi.fn`` (or phi without one), mapping elementwise
-    over leading axes, on the finite sign pair ``phi_pair(fn, a)`` of shape
-    ``(2,) + a.shape``, under the kernel's one ``np.errstate`` (no wrapper).
+    [-b, b].  Any other is scanned on the exact lattice ``k 2**e`` (e =
+    ceil(log2 b) - grid_bits, |k| <= ceil(b / 2**e), at most 2**(grid_bits
+    + 1) + 1 points; one phi call per step, on the widest window, also
+    gives phi(-a), reversed), and each element's best cell is refined by
+    one ``bracket_min``; the lattice point is kept when its value is ``<=``
+    the refined one.  An evaluation at ``a`` is one call of ``phi.fn`` (or
+    phi without one), elementwise over leading axes, on ``phi_pair(fn, a)``
+    of shape ``(2,) + a.shape``, under the kernel's one ``np.errstate``.
 
     Returns (args, vals, at_edge); at_edge marks arguments within 1e-6 b of
     the bracket edge.  Raises ValueError unless every half-width is finite
@@ -134,30 +139,32 @@ def weighted_min(phi, w_pos, w_neg, b, dense_n: int = 20_001):
     if phi.convex:
         args, vals = bracket_min(objective, -b, b)
     else:
-        # scan one element at a time in one reused buffer (an elements x
-        # grid matrix costs memory and time); grid points are unit[i] * h,
-        # computed where needed so that no grid array outlives phi's calls
-        lo, hi, grid_arg, grid_val = (np.empty(b.shape) for _ in range(4))
-        unit = np.linspace(-1.0, 1.0, dense_n)
-        for h in np.unique(b):
-            pos, neg = fn(unit * h), fn(unit * -h)
-            obj = np.empty(dense_n)
-            for k in np.flatnonzero(b == h):
-                wn = w_neg.flat[k]
+        # one element at a time in one reused buffer (an elements x lattice
+        # matrix costs memory and time), on the middle of its step's window
+        mant, ex = np.frexp(b)  # ceil(log2 b) is ex, or ex - 1 at a power
+        step = np.ldexp(1.0, np.maximum(ex - (mant == 0.5) - grid_bits, -1074))
+        n = np.ceil(b / step).astype(int)
+        i, grid_val = np.empty(b.shape, int), np.empty(b.shape)
+        for s in np.unique(step):
+            top = n[step == s].max()
+            phi_s = fn(np.arange(-top, top + 1) * s)  # k * s is exact
+            buf = np.empty(phi_s.size)
+            for k in np.flatnonzero(step == s):
+                pos = phi_s[top - n.flat[k]:top + n.flat[k] + 1]
+                neg, obj, wn = pos[::-1], buf[:pos.size], w_neg.flat[k]
                 np.multiply(pos, w_pos.flat[k], out=obj)
                 obj += neg if wn == 1.0 else neg * wn  # x * 1.0 == x exactly
-                i = int(np.argmin(obj))  # the first NaN, if there is one
-                if math.isnan(obj[i]):
+                j = int(np.argmin(obj))  # the first NaN, if there is one
+                if math.isnan(obj[j]):
                     obj = zero_safe(pos, neg, w_pos.flat[k], wn)
-                    i = int(np.argmin(obj))
-                    if math.isnan(obj[i]):
+                    j = int(np.argmin(obj))
+                    if math.isnan(obj[j]):
                         raise NanObjective(
                             f"the objective of {phi.name} is NaN on the grid")
-                lo.flat[k] = unit[max(i - 1, 0)] * h
-                hi.flat[k] = unit[min(i + 1, dense_n - 1)] * h
-                grid_arg.flat[k], grid_val.flat[k] = unit[i] * h, obj[i]
+                i.flat[k], grid_val.flat[k] = j, obj[j]
+        lo, hi = ((np.clip(i + d, 0, 2 * n) - n) * step for d in (-1, 1))
         args, vals = bracket_min(objective, lo, hi)
-        args, vals = np.where(grid_val <= vals, (grid_arg, grid_val),
+        args, vals = np.where(grid_val <= vals, ((i - n) * step, grid_val),
                               (args, vals))
     if np.isposinf(vals).any():
         raise InfiniteObjective(f"the minimum of {phi.name} is not finite")

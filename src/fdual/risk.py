@@ -49,11 +49,12 @@ def min_per_bin(phi: SurrogateLoss, mu: np.ndarray, pi: np.ndarray
     """Minimize phi(a)*mu_z + phi(-a)*pi_z independently per bin.
 
     ``weighted_min`` on the per-bin bracket [-b_z, b_z], b_z = BRACKET +
-    |log(mu_z/pi_z)| with the ratio clipped to [1e-300, 1e300], so a bin
-    with one zero mass gets the bracket of its mirror bin.  Returns
-    (argmins, values); on a flat minimizer set the argmin is the
-    deterministic point where ``bracket_min`` ends, the set's right end
-    where its values are exactly equal.
+    |log(mu_z/pi_z)| with the ratio clipped to [1e-300, 1e300] (a bin with
+    one zero mass gets its mirror bin's bracket; a non-convex loss is scanned
+    on the lattice of ``grid_bits=14``, step 2**-8 where 32 < b_z <= 64).
+    Returns (argmins, values); a flat minimizer set's argmin is the point
+    where ``bracket_min`` ends, the set's right end where its values are
+    exactly equal.
     """
     mu, pi = np.asarray(mu, dtype=float), np.asarray(pi, dtype=float)
     ratio = np.where(pi > 0, mu / np.maximum(pi, 1e-300), INF)

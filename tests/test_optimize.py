@@ -508,6 +508,26 @@ class TestOneSearchRound:
         assert len(shapes) == 1 + rounds16(width, tol)
         assert np.all((got >= roots) & (got - roots <= tol))
 
+    def test_search_ends_at_a_fixed_point(self):
+        # tol is below the spacing of the floats near 1e6 (1.2e-10), so the
+        # bracket stops shrinking: the pred(lo) probe and 15 rounds, the
+        # last of which moves no bracket, rather than max_iter = 200 rounds
+        calls = [0]
+
+        def pred(x):
+            calls[0] += 1
+            return x >= 1e6 + 0.3
+
+        got = bisect_predicate(pred, 0.0, 2e6, tol=1e-12)
+        assert got == 1e6 + 0.3 and calls[0] == 16
+        # stacked with a bracket that still moves after it stopped (16
+        # rounds from width 1e7), both keep their bits
+        both = bisect_predicate(lambda x: x >= np.array([1e6 + 0.3, 0.1]),
+                                np.array([0.0, -1e7]), np.array([2e6, 1.0]),
+                                tol=1e-12)
+        alone = bisect_predicate(lambda x: x >= 0.1, -1e7, 1.0, tol=1e-12)
+        assert _same(both, [got, alone])
+
     def test_max_iter_caps_rounds(self):
         for max_iter in (1, 2, 3):
             calls = [0]

@@ -50,15 +50,18 @@ def _counted(phi, shapes):
     return replace(phi, fn=fn)
 
 
-def scalar_dense_min(phi, mu, pi):
-    """The per-bin grid scan plus scalar k-point refinement that
-    min_per_bin's non-convex branch batches."""
+def scalar_lattice_min(phi, mu, pi):
+    """The per-bin lattice scan plus scalar k-point refinement that
+    min_per_bin's non-convex branch batches: bin z's lattice is k * step,
+    step = 2**(ceil(log2 b_z) - 14), |k| <= ceil(b_z / step), with phi
+    called on the lattice and on its negation."""
     b = 50.0 + np.abs(np.log(mu / pi))
     args = np.empty_like(mu)
     vals = np.empty_like(mu)
-    grid_unit = np.linspace(-1.0, 1.0, 20001)
     for z in range(mu.size):
-        grid = grid_unit * float(b[z])
+        step = 2.0 ** (math.ceil(math.log2(b[z])) - 14)
+        top = math.ceil(b[z] / step)
+        grid = np.arange(-top, top + 1) * step
         obj = phi(grid) * mu[z] + phi(-grid) * pi[z]
         i = int(np.argmin(obj))
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
@@ -306,12 +309,24 @@ class TestMinPerBinNonConvex:
         f = catalog_generator(name)
         for m in measures + _plateau_measures():
             args, vals = min_per_bin(phi, m.mu, m.pi)
-            want_args, want_vals = scalar_dense_min(phi, m.mu, m.pi)
+            want_args, want_vals = scalar_lattice_min(phi, m.mu, m.pi)
             assert args.tobytes() == want_args.tobytes()
             assert vals.tobytes() == want_vals.tobytes()
             # and the closed form -pi_z f(mu_z / pi_z), within 1e-12
             np.testing.assert_allclose(vals, -m.pi * f(m.mu / m.pi),
                                        rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ("zero_one", "eq10_nonconvex"))
+    def test_closed_form_on_random_measures(self, name, rng):
+        # 400 measures of 2 to 8 bins, stacked into one min_per_bin call
+        # (each bin gets its bits alone): every bin's minimum is within
+        # 1e-12 of -pi_z f(mu_z / pi_z)
+        ms = [random_measure(rng, 2 + k % 7) for k in range(400)]
+        mu = np.concatenate([m.mu for m in ms])
+        pi = np.concatenate([m.pi for m in ms])
+        _, vals = min_per_bin(catalog_loss(name), mu, pi)
+        want = -pi * catalog_generator(name)(mu / pi)
+        np.testing.assert_allclose(vals, want, rtol=0.0, atol=1e-12)
 
 
 class TestOneEmptyMass:

@@ -220,23 +220,57 @@ class TestStack:
 
 
 class TestKernel:
-    def test_dense_grid_is_evaluated_once_per_half_width(self):
+    @staticmethod
+    def _grid_sizes(sizes):
+        """zero_one, recording the size of every lattice its closed form
+        gets (objective evaluations come as (2,) + shape, the lattice 1-d)."""
         zero_one = catalog_loss("zero_one")
-        sizes = []
 
         def fn(a):
-            sizes.append(np.size(a))
+            if a.ndim == 1:
+                sizes.append(a.size)
             return zero_one.fn(a)
+        return replace(zero_one, fn=fn)
 
-        phi = SurrogateLoss(fn, "counted", convex=False, decreasing=True,
-                            alpha_star=0.0, inf_value=0.0)
+    def test_lattice_is_evaluated_once_per_step(self):
+        # every bin has 50 <= b < 64, so one step 2**-8 and one call on the
+        # widest window, b = 50 + log 4; the forward map's u share b = 50
+        sizes = []
+        phi = self._grid_sizes(sizes)
         mu = np.array([0.1, 0.2, 0.1, 0.4])
-        pi = np.array([0.2, 0.4, 0.3, 0.1])  # bins 0 and 1 share a ratio
+        pi = np.array([0.2, 0.4, 0.3, 0.1])
         min_per_bin(phi, mu, pi)
-        assert sizes.count(20_001) == 2 * 3
+        assert sizes == [2 * math.ceil((50.0 + math.log(4.0)) * 2**8) + 1]
         sizes.clear()
         f_from_loss(phi, np.geomspace(1e-2, 1e2, 21))
-        assert sizes.count(100_000) == 2
+        assert sizes == [2 * 50 * 2**10 + 1]
+
+    def test_two_octaves_cost_two_lattice_calls(self):
+        # b in (32, 64] has step 2**-8, b in (64, 128] step 2**-7; the
+        # widest of each octave sets its window
+        sizes = []
+        phi = self._grid_sizes(sizes)
+        b = np.array([50.0, 100.0, 64.0, 70.5, 33.0])
+        weighted_min(phi, np.full(5, 0.3), np.full(5, 0.7), b)
+        assert sorted(sizes) == [2 * 100 * 2**7 + 1, 2 * 64 * 2**8 + 1]
+
+    @pytest.mark.parametrize("b", (1e6, 2.0**20, 2.0**20 + 1.0, 5e-3,
+                                   1e-320))
+    def test_window_is_bounded_for_any_half_width(self, b):
+        # at most 2**(14 + 1) + 1 points, whatever b; the lattice reaches
+        # less than one step past b (the step is at least 2**-1074)
+        sizes = []
+        phi = self._grid_sizes(sizes)
+        args, vals, _ = weighted_min(phi, [0.3], [0.7], [b])
+        step = 2.0 ** max(math.ceil(math.log2(b)) - 14, -1074)
+        assert len(sizes) == 1 and sizes[0] <= 2**15 + 1
+        assert vals == 0.3 and np.abs(args) < b + step
+
+    @pytest.mark.parametrize("name", ("hinge", "zero_one"))
+    def test_empty_stack(self, name):
+        # no element: no lattice, no search round, three empty results
+        args, vals, at_edge = weighted_min(catalog_loss(name), [], [], [])
+        assert args.shape == vals.shape == at_edge.shape == (0,)
 
     def test_at_edge_marks_minimizers_on_the_bracket(self):
         phi = catalog_loss("exponential")
@@ -249,8 +283,9 @@ class TestKernel:
     def test_one_loss_call_per_objective_evaluation(self, name, monkeypatch):
         # bracket_min (on [-b, b] or on the best grid cells) evaluates the
         # objective; each evaluation calls phi once on (2,) + its shape.  The
-        # widest bracket is 2 b = 102.8 (convex) or 4e-4 b = 0.0206 (two grid
-        # cells): ceil(log(h0 / 1e-10) / log 8) rounds and the midpoints
+        # widest bracket is 2 b = 102.8 (convex) or 2**-7 (two lattice cells
+        # of step 2**-8): ceil(log(h0 / 1e-10) / log 8) rounds and the
+        # midpoints
         solve_calls = {"exponential": 15, "zero_one": 10}[name]
         base = catalog_loss(name)
         calls, evals = [], []
@@ -266,7 +301,7 @@ class TestKernel:
         monkeypatch.setattr(optimize, "bracket_min", counted)
         min_per_bin(replace(base, fn=fn), np.array([0.1, 0.2, 0.3, 0.4]),
                     np.array([0.4, 0.1, 0.3, 0.2]))
-        objective_calls = [c for c in calls if c != (20_001,)]  # not the grid
+        objective_calls = [c for c in calls if len(c) > 1]  # not the lattice
         assert evals and objective_calls == [(2,) + e for e in evals]
         assert evals == [(15, 4)] * (solve_calls - 1) + [(4,)]
 
