@@ -23,11 +23,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GridTooNarrow, NoFixedPoint, UnconfirmedBound
-from .optimize import bisect_predicate, bisect_root
+from .optimize import bisect_root, sublevel_end
 
 INF = math.inf
 
-_PROBE_CAP = 2.0 ** 40  # beyond this a bound is reported as +/- inf
 _WIDEN_CAP = 1e9
 _HULL_PASSES = 32  # vectorized hull passes before the monotone chain
 _ZOOM_ROUNDS, _ZOOM_PTS = 11, 33  # each round shrinks the bracket 16-fold
@@ -496,45 +495,23 @@ def check_theorem1_conditions(psi: PsiFunction, tol: float) -> ConditionReport:
     return ConditionReport(tuple(checks))
 
 
-def phi_inverse(phi, beta: float) -> float:
-    """inf of the sublevel set {alpha : phi(alpha) <= beta}.
-
-    Returns +inf when the set is empty and -inf when the loss stays below
-    beta all the way down.  ``phi`` must expose ``inf_value`` and
-    ``alpha_star`` and map arrays elementwise (the bisection evaluates
-    several levels of midpoints per call).
-    """
-    inf_phi = phi.inf_value
-    if beta < inf_phi:
-        return INF
-    # right anchor: a point known to satisfy phi <= beta
-    a_star = phi.alpha_star
-    if math.isfinite(a_star) and phi(a_star) <= beta:
-        anchor = a_star
-    else:
-        # infimum attained only in the limit (or not at alpha_star itself):
-        # march right until the sublevel set is entered
-        anchor = (a_star if math.isfinite(a_star) else 0.0) + 1.0
-        step = 1.0
-        while phi(anchor) > beta:
-            anchor += step
-            step *= 2.0
-            if anchor > _PROBE_CAP:
-                return INF  # empty sublevel set
-
-    # left anchor: a point with phi > beta, or -inf if none exists
-    left = anchor - 1.0
-    step = 2.0
-    while phi(left) <= beta:
-        left = anchor - step
-        step *= 2.0
-        if anchor - left > _PROBE_CAP:
-            return -INF
-    return bisect_predicate(lambda x: phi(x) <= beta, left, anchor, tol=1e-12)
+def phi_inverse(phi, beta):
+    """inf of the sublevel set {alpha : phi(alpha) <= beta} for an array of
+    betas (a float for a scalar), by one ``sublevel_end`` stack from the
+    start ``alpha_star`` (0 where it is not finite): leftward where phi(start)
+    <= beta (-inf when the set reaches the cap), else rightward to the first
+    point with phi <= beta (+inf, an empty set, when there is none).
+    ``phi`` must expose ``alpha_star`` and map arrays elementwise."""
+    beta = np.asarray(beta, dtype=float)
+    start = phi.alpha_star if math.isfinite(phi.alpha_star) else 0.0
+    inside = phi(start) <= beta
+    return sublevel_end(lambda x: (phi(x) <= beta) == inside,
+                        np.full(beta.shape, start), np.where(inside, -1.0, 1.0))
 
 
 def psi_tilde_from_loss(phi) -> PsiFunction:
-    """Rebuild the bridge function directly from a loss: phi(-phi_inverse(.)).
+    """Rebuild the bridge function directly from a loss: phi(-phi_inverse(.))
+    (+inf where it is not finite), one ``phi_inverse`` stack per Psi call.
 
     Domain bounds follow from the loss itself: the lower bound is the loss
     minimum phi(alpha*), the upper bound phi(-alpha*); the fixed point is
@@ -544,14 +521,11 @@ def psi_tilde_from_loss(phi) -> PsiFunction:
     beta1 = phi(a_star) if math.isfinite(a_star) else phi.inf_value
     beta2 = phi(-a_star) if math.isfinite(a_star) else INF
 
-    def fn(beta: float) -> float:
+    def fn(beta):
         r = phi_inverse(phi, beta)
-        if not math.isfinite(r):
-            return INF
-        return float(phi(-r))
+        return np.where(np.isfinite(r), phi(-r), INF)
 
-    return PsiFunction(fn=np.vectorize(fn, otypes=[float]),
-                       beta1=float(beta1), beta2=float(beta2),
+    return PsiFunction(fn=fn, beta1=float(beta1), beta2=float(beta2),
                        u_star=float(phi(0.0)), name=f"PsiTilde[{phi.name}]")
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .duality import (Generator, check_convex_sampled,
                       check_theorem1_conditions, psi_from_f)
 from .errors import BadLink, NotConvex, Unbounded, UnrealizableDivergence
-from .optimize import BRACKET, bisect_predicate, phi_pair, weighted_min
+from .optimize import BRACKET, phi_pair, sublevel_end, weighted_min
 
 INF = math.inf
 
@@ -36,8 +36,9 @@ class SurrogateLoss:
     one minimizer of phi(a) mu + phi(-a) pi at mu, pi > 0 (no tie rule).
 
     ``fn`` gets a float ndarray (0-d for a scalar) with every floating-point
-    warning ignored, by ``__call__`` or by a kernel's one guard (finite points
-    only: ``__call__`` alone maps -inf to +inf).
+    warning ignored, by ``__call__`` or by a kernel's one guard, and gives
+    its own limits at +-inf (zero_one(-inf) = 1, eq10(-inf) = 2, hinge(-inf)
+    = +inf).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -56,8 +57,6 @@ class SurrogateLoss:
         arr = np.asarray(alpha, dtype=float)
         with np.errstate(all="ignore"):
             vals = np.asarray(self.fn(arr), dtype=float)
-        # losses are +inf at alpha = -inf by convention
-        vals = np.where(arr == -INF, INF, vals)
         return float(vals) if arr.ndim == 0 else vals
 
     @property
@@ -330,7 +329,9 @@ def f_from_loss(phi: SurrogateLoss, u):
     loss the bracket doubles while a minimizer sits on its edge and the
     values still move; a non-convex loss is scanned once, on the lattice of
     step 2**-10 (``grid_bits=16``), where minimizer sets such as zero_one's
-    half-lines may reach the edge.  Raises Unbounded if the infimum diverges.
+    half-lines may reach the edge.  Where the infimum diverges, f(0) is +inf
+    (the zero weight leaves -inf phi, as sym_kl's) and any u > 0 raises
+    Unbounded.
     """
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(u_arr < 0.0):
@@ -339,15 +340,20 @@ def f_from_loss(phi: SurrogateLoss, u):
     for _ in range(12):
         _, vals, at_edge = weighted_min(phi, u_arr, 1.0, b, grid_bits=16)
         # an infimum approached asymptotically settles as the bracket grows
-        settled = prev is not None and np.all(
+        falling = at_edge if prev is None else ~(
             np.abs(vals - prev) <= 1e-12 * (1.0 + np.abs(prev)))
-        if not (phi.convex and at_edge.any()) or settled:
-            return float(-vals[0]) if np.ndim(u) == 0 else -vals
+        if not (phi.convex and at_edge.any() and falling.any()):
+            break
         prev = vals
         b *= 2.0
-    # every expansion left a minimizer at the edge with the value still
-    # falling: the infimum is -inf
-    raise Unbounded("objective of the forward map diverges to -inf")
+    else:
+        # every expansion left these minimizers at the edge with their values
+        # still falling: their infimum is -inf
+        falling &= at_edge
+        if np.any(falling & (u_arr > 0.0)):
+            raise Unbounded("objective of the forward map diverges to -inf")
+        vals = np.where(falling, -INF, vals)
+    return float(-vals[0]) if np.ndim(u) == 0 else -vals
 
 
 def induced_generator(phi: SurrogateLoss) -> Generator:
@@ -392,7 +398,9 @@ def loss_from_f(f: Generator, g: GLink) -> SurrogateLoss:
              lambda x: g_anchored(-x + u_star),
              u_star])
 
-    alpha_star = _recipe_alpha_star(g_anchored, u_star, psi.beta2)
+    # the first alpha >= 0 with g(alpha + u*) >= beta2, +inf beyond the cap
+    alpha_star = INF if not math.isfinite(psi.beta2) else sublevel_end(
+        lambda x: g_anchored(x + u_star) < psi.beta2, 0.0, 1.0)
     inf_value = -f(0.0) if math.isfinite(f(0.0)) else -INF
     probe = np.linspace(-6.0, 6.0, 401)
     loss_name = f"recipe[{f.name},{g.name}]"
@@ -402,20 +410,6 @@ def loss_from_f(f: Generator, g: GLink) -> SurrogateLoss:
     decreasing = bool(np.all(np.diff(tmp(probe)) <= 1e-9))
     return SurrogateLoss(fn, loss_name, convex=convex, decreasing=decreasing,
                          alpha_star=alpha_star, inf_value=inf_value)
-
-
-def _recipe_alpha_star(g: GLink, u_star: float, beta2: float) -> float:
-    if not math.isfinite(beta2):
-        return INF
-    if g(u_star) >= beta2:
-        return 0.0
-    hi = 1.0
-    while g(hi + u_star) < beta2:
-        hi *= 2.0
-        if hi > 2.0 ** 40:
-            return INF
-    return bisect_predicate(lambda x: g(x + u_star) >= beta2, 0.0, hi,
-                            tol=1e-12)
 
 
 # --- calibration and shape checks --------------------------------------------
@@ -469,9 +463,8 @@ def check_A3(phi: SurrogateLoss) -> bool:
     true when the minimizer is at +inf."""
     if not math.isfinite(phi.alpha_star):
         return True
-    a = phi.alpha_star
-    return not any(phi(a - eps) < phi(a + eps) - 1e-12
-                   for eps in np.geomspace(1e-6, 10.0, 25))
+    a, eps = phi.alpha_star, np.geomspace(1e-6, 10.0, 25)
+    return not np.any(phi(a - eps) < phi(a + eps) - 1e-12)
 
 
 def curve_csv(fn: Callable, xs: Sequence[float],

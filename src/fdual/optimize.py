@@ -1,9 +1,10 @@
 """One-dimensional search primitives and the per-element weighted
 minimization every module shares.  One 15-point search round serves both
 minimization (``bracket_min``) and bisection (``bisect_predicate``,
-``bisect_root``).  Everything works on plain floats or on numpy arrays
-elementwise, so the per-bin searches run as single vectorized sweeps.  All
-routines are deterministic.
+``bisect_root``, and ``sublevel_end``, which brackets the end of a
+predicate's run by doubling away from an anchor).  Everything works on plain
+floats or on numpy arrays elementwise, so the per-bin searches run as single
+vectorized sweeps.  All routines are deterministic.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ _FRAC = _ENDS[1:-1]  # interior points a + _FRAC * h
 # base half-width of the brackets callers pass to weighted_min: minimizers of
 # catalog losses sit within O(log(w_pos/w_neg)) of the origin
 BRACKET = 50.0
+# a run of a predicate this far from its anchor is read as unbounded
+SUBLEVEL_CAP = 2.0 ** 40
 
 
 def _search(f, pick, lo, hi, tol: float, max_iter: int):
@@ -188,6 +191,39 @@ def bisect_predicate(pred: Callable[[np.ndarray], np.ndarray], lo, hi,
     a = np.asarray(lo, dtype=float)
     b = np.where(np.asarray(pred(a), dtype=bool), a, hi)  # [lo, lo]: done
     b = _search(pred, _first_true, a, b, tol, max_iter)[1]
+    return b if b.ndim else float(b)
+
+
+def sublevel_end(pred: Callable[[np.ndarray], np.ndarray], anchor, sign):
+    """End of the run of pred going out from ``anchor`` (``sign`` < 0: left,
+    > 0: right), elementwise; sign broadcasts to anchor's shape, and a 0-d
+    anchor gives a float.
+
+    One call of ``pred`` on the doubling column: the anchor, ``x_1 = anchor
+    + sign`` and ``x_{k+1} = anchor + 2 (x_k - anchor)`` out to
+    ``SUBLEVEL_CAP``.  The first column point off pred and the anchor bound
+    one ``_search`` stack (``bisect_predicate``'s rounds) to 1e-12 for pred
+    where sign < 0 (its leftmost point found), for not pred where sign > 0
+    (the first point found off pred).  An element off pred at the anchor
+    returns it, one on pred along the whole column ``sign * inf``; both keep
+    zero-width brackets, so pred always gets ``(k,) + anchor.shape``.
+    """
+    anchor = np.asarray(anchor, dtype=float)
+    # a 0-d column runs on Python floats: the same IEEE double arithmetic,
+    # without numpy's cost per call
+    a, s = (anchor, sign) if anchor.ndim else (float(anchor), float(sign))
+    col = [a, a + s]
+    for _ in range(int(math.log2(SUBLEVEL_CAP))):
+        col.append(a + 2.0 * (col[-1] - a))
+    col = np.array(col)
+    on = pred(col)
+    # the first point off pred; the anchor where pred holds throughout
+    end = col[(on.argmin(axis=0), *np.indices(anchor.shape, sparse=True))]
+    flip = np.asarray(sign) > 0.0
+    b = _search(lambda x: pred(x) != flip, _first_true,
+                np.where(flip, anchor, end), np.where(flip, end, anchor),
+                1e-12, 200)[1]
+    b = np.where(on.all(axis=0), sign * math.inf, b)
     return b if b.ndim else float(b)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import InfiniteRisk, MismatchedPair
 from .losses import SurrogateLoss, f_from_loss
 from .measures import JointMeasure, bayes_risk, f_divergence
-from .optimize import (BRACKET, bisect_predicate, phi_pair, weighted_min,
+from .optimize import (BRACKET, phi_pair, sublevel_end, weighted_min,
                        zero_safe)
 
 INF = math.inf
@@ -28,8 +28,10 @@ def phi_risk(phi: SurrogateLoss, gamma: np.ndarray, m: JointMeasure) -> float:
 
 
 def _weighted_risk(phi, g, w_pos, w_neg) -> float:
-    """sum phi(g) w_pos + phi(-g) w_neg by ``phi.__call__`` (phi(-inf) is
-    +inf); InfiniteRisk unless every term is finite."""
+    """sum phi(g) w_pos + phi(-g) w_neg by ``phi.__call__`` (each closed
+    form's own limits at +-inf: a -inf zero_one or eq10 discriminant scores
+    finitely, a -inf hinge one does not); InfiniteRisk unless every term is
+    finite."""
     with np.errstate(invalid="ignore"):
         pos, neg = phi_pair(phi, g)
         terms = pos * w_pos + neg * w_neg
@@ -71,17 +73,17 @@ def optimal_phi_risk(phi: SurrogateLoss,
     value ``v`` from ``min_per_bin``; a point is on the plateau when the bin
     objective there is at most ``v + 1e-12 (1 + |v|)``.  If the probe
     ``a - 1e-6 (1 + |a|)`` is on the plateau, the bin reports the left end
-    of the plateau: the first of ``a - 1, a - 2, a - 4, ...`` off it, or
-    ``2**20`` or more left of ``a``, bounds a ``bisect_predicate`` search to
-    1e-12 (at most 16 rounds where 1e-12 exceeds the spacing of the floats);
-    each evaluation is one ``phi.fn`` call, a zero-mass term counting 0
-    (also times an infinite loss).  The rule skips the bins with mu_z,
+    of the plateau by one ``sublevel_end`` stack from ``a`` leftward: the
+    first of ``a - 1, a - 2, a - 4, ...`` off it and ``a`` bound a search to
+    1e-12; each evaluation is one ``phi.fn`` call, a zero-mass term counting
+    0 (also times an infinite loss).  The rule skips the bins with mu_z,
     pi_z > 0 of a ``strictly_convex`` loss (one minimizer).  As it behaves:
 
     - on an interval of minimizers the smallest one is reported;
-    - an unbounded plateau stops at the doubling cap, 2**20 to 2**21 left of
-      ``a`` (zero_one with mu = (0.2, 0.3), pi = (0.4, 0.1) reports -2.1e6
-      in bin 0);
+    - a plateau still held ``SUBLEVEL_CAP`` (2**40) left of ``a`` has no
+      left end and reports -inf (zero_one with mu = (0.2, 0.3), pi = (0.4,
+      0.1) in bin 0, where every a < 0 is a minimizer; zero_one(-inf) = 1,
+      so ``phi_risk`` scores it finitely);
     - where the rule runs, its slack band also covers points beside a
       unique argmin, which then moves left.
     """
@@ -98,14 +100,7 @@ def optimal_phi_risk(phi: SurrogateLoss,
         a = args[tied]
         tied[tied] = plateau(tied)(a - 1e-6 * (1.0 + np.abs(a)))
     if tied.any():
-        on_plateau, a = plateau(tied), args[tied]
-        steps = [a - 1.0]  # the doubling column, evaluated in one call
-        while np.any(a - steps[-1] < 2.0 ** 20):
-            steps.append(a - 2.0 * (a - steps[-1]))
-        steps = np.array(steps)
-        grow = on_plateau(steps) & (a - steps < 2.0 ** 20)
-        lo = steps[np.argmin(grow, axis=0), np.arange(a.size)]
-        args[tied] = bisect_predicate(on_plateau, lo, a, tol=1e-12)
+        args[tied] = sublevel_end(plateau(tied), args[tied], -1.0)
     return float(vals.sum()), args
 
 

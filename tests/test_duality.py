@@ -2,6 +2,7 @@ import importlib.util
 import math
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,8 @@ from fdual.duality import (Generator, _locate_beta1, check_convex_sampled,
                            check_theorem1_conditions, conjugate, phi_inverse,
                            psi_from_f, psi_tilde_from_loss)
 from fdual.errors import GridTooNarrow, NoFixedPoint, UnconfirmedBound
-from fdual.losses import catalog_generator, catalog_loss, induced_generator
+from fdual.losses import (LOSS_NAMES, catalog_generator, catalog_loss,
+                          induced_generator)
 
 INF = math.inf
 
@@ -667,6 +669,24 @@ class TestPsiTilde:
                 val = tilde(float(beta))
                 assert tilde(val) <= beta + 1e-8
                 assert tilde(val) == pytest.approx(beta, abs=1e-6)
+
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_one_stack_for_an_array_of_betas(self, name):
+        # 3 loss calls for the bounds and the fixed point, then per call of
+        # Psi: phi at the start, the doubling column, at most 20 bisection
+        # rounds (2**40 cut by sixteenths to 1e-12) and phi(-alpha); each
+        # beta gets the bits of its own call
+        shapes, base = [], catalog_loss(name)
+
+        def fn(a):
+            shapes.append(a.shape)
+            return base.fn(a)
+
+        tilde = psi_tilde_from_loss(replace(base, fn=fn))
+        betas = np.linspace(-0.5, 5.0, 200)
+        vals = tilde(betas)
+        assert len(shapes) <= 30
+        assert vals.tobytes() == np.array([tilde(b) for b in betas]).tobytes()
 
     def test_loss_sublevel_consistency(self):
         # evaluating the loss at its own inverse never exceeds the level

@@ -214,11 +214,11 @@ class TestEmpiricalPhiRisk:
                                    + w_neg * base(-gamma)))
 
     def test_minus_infinity_discriminant_raises(self, src_default):
-        # phi(-inf) = +inf by the loss convention (zero_one's closed form
-        # reads 1 there): an infinite term raises, as in phi_risk
+        # hinge's closed form reads +inf at -inf: an infinite term raises,
+        # as in phi_risk
         s = generate_samples(src_default, 50, 4)
         with pytest.raises(InfiniteRisk):
-            empirical_phi_risk(catalog_loss("zero_one"),
+            empirical_phi_risk(catalog_loss("hinge"),
                                np.array([-math.inf, 1.0]),
                                ThresholdQuantizer(1.5), s)
 

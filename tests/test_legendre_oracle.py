@@ -23,7 +23,7 @@ from fdual import duality
 from fdual.duality import Generator, conjugate, psi_from_f
 from fdual.errors import FdualError, NoFixedPoint
 from fdual.losses import catalog_generator
-from fdual.optimize import bisect_predicate, bisect_root
+from fdual.optimize import SUBLEVEL_CAP, bisect_predicate, bisect_root
 
 INF = math.inf
 
@@ -111,7 +111,7 @@ def frozen_locate_beta2(f, psi):
     lo = beta1 if math.isfinite(beta1) else -1.0
     step = 1.0
     prev = lo
-    while step <= duality._PROBE_CAP:
+    while step <= SUBLEVEL_CAP:
         cand = lo + step
         if psi(cand) <= inf_psi + tol:
             return bisect_predicate(lambda b: psi(b) <= inf_psi + tol,

@@ -12,9 +12,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fdual import duality, losses, optimize
-from fdual.optimize import bisect_predicate, bisect_root, bracket_min
+from fdual.optimize import (SUBLEVEL_CAP, bisect_predicate, bisect_root,
+                            bracket_min, sublevel_end)
 
 K = 15  # interior points per bracket_min round
 
@@ -78,6 +81,26 @@ def scalar_first_true(pred, lo, hi, tol=1e-10, max_iter=200):
         a, b = xs[k - 1], xs[k]
         rounds += 1
     return a, b, rounds
+
+
+def scalar_sublevel_end(pred, anchor, sign):
+    """sublevel_end's scalar recurrence: pred at the anchor, then outward at
+    anchor + sign, doubling the distance (x -> anchor + 2 (x - anchor)) up
+    to 40 times, one call each; the first point off pred and the anchor
+    bound the 15-point search of pred (sign < 0) or not pred (sign > 0)."""
+    if not pred(anchor):
+        return anchor
+    x = anchor + sign
+    for _ in range(40):
+        if not pred(x):
+            break
+        x = anchor + 2.0 * (x - anchor)
+    else:
+        if pred(x):
+            return sign * math.inf
+    if sign < 0.0:
+        return scalar_first_true(pred, x, anchor, 1e-12)[1]
+    return scalar_first_true(lambda y: not pred(y), anchor, x, 1e-12)[1]
 
 
 def scalar_predicate(pred, lo, hi, tol=1e-10, max_iter=200):
@@ -650,35 +673,88 @@ class TestScalarPredicateDescent:
             assert len(calls) == 1 + max_iter
 
 
+class TestSublevelEnd:
+    # per element: an anchor, a direction and the distance out to the run's
+    # end (negative: pred fails at the anchor; inf: pred holds to the cap)
+    ELEMENT = st.tuples(
+        st.floats(-100.0, 100.0), st.sampled_from((-1.0, 1.0)),
+        st.one_of(st.floats(-5.0, 5.0), st.floats(0.0, 2.0 * SUBLEVEL_CAP),
+                  st.just(math.inf)))
+
+    @given(st.lists(ELEMENT, min_size=1, max_size=6))
+    def test_matches_scalar_loop_per_element(self, elements):
+        anchor, sign, dist = map(np.array, zip(*elements))
+        end = anchor + sign * dist
+        shapes = []
+
+        def pred(x):  # within the run: between the anchor side and its end
+            shapes.append(x.shape)
+            return sign * (end - x) >= 0.0
+
+        got = sublevel_end(pred, anchor, sign)
+        assert shapes[0] == (42, anchor.size)
+        assert set(shapes[1:]) <= {(15, anchor.size)}
+        for z, (a, s, _) in enumerate(elements):
+            want = scalar_sublevel_end(
+                lambda x: s * (end[z] - x) >= 0.0, a, s)
+            assert _same(got[z], want)
+            if dist[z] == math.inf:
+                assert got[z] == s * math.inf
+
+    def test_scalar_anchor_returns_a_float(self):
+        got = sublevel_end(lambda x: x <= 3.0, 0.0, 1.0)
+        assert isinstance(got, float) and abs(got - 3.0) <= 1e-12
+        assert sublevel_end(lambda x: x >= 1.0, 0.0, -1.0) == 0.0
+        assert sublevel_end(lambda x: x <= 1.0, 0.0, -1.0) == -math.inf
+
+
 class TestScalarBisectionCallers:
     """phi_inverse and the recipe's alpha* search land within their search's
-    tol (1e-12) of the one-midpoint-per-call loop."""
+    tol (1e-12) of the scalar marching loops, one midpoint per call, that
+    sublevel_end replaced."""
 
     @staticmethod
-    def _old_loop(monkeypatch):
-        def old(pred, lo, hi, tol=1e-10, max_iter=200):
-            return scalar_bisect(lambda x: bool(pred(np.asarray(x))), lo, hi,
-                                 tol=tol, max_iter=max_iter)
+    def _phi_inverse(phi, beta):
+        if beta < phi.inf_value:
+            return math.inf
+        a_star = phi.alpha_star
+        if math.isfinite(a_star) and phi(a_star) <= beta:
+            anchor = a_star
+        else:
+            anchor = (a_star if math.isfinite(a_star) else 0.0) + 1.0
+            step = 1.0
+            while phi(anchor) > beta:
+                anchor += step
+                step *= 2.0
+                if anchor > SUBLEVEL_CAP:
+                    return math.inf
+        left, step = anchor - 1.0, 2.0
+        while phi(left) <= beta:
+            left = anchor - step
+            step *= 2.0
+            if anchor - left > SUBLEVEL_CAP:
+                return -math.inf
+        return scalar_bisect(lambda x: phi(x) <= beta, left, anchor,
+                             tol=1e-12)
 
-        monkeypatch.setattr(duality, "bisect_predicate", old)
-        monkeypatch.setattr(losses, "bisect_predicate", old)
-
-    def test_phi_inverse(self, monkeypatch):
+    def test_phi_inverse(self):
         betas = [0.01, 0.3, 0.5, 0.9, 1.0, 1.7, 3.0, 12.0]
-        phis = [losses.catalog_loss(n) for n in losses.LOSS_NAMES]
-        new = [duality.phi_inverse(phi, b) for phi in phis for b in betas]
-        self._old_loop(monkeypatch)
-        old = [duality.phi_inverse(phi, b) for phi in phis for b in betas]
-        assert all(math.isinf(x) and x == y or abs(x - y) <= 1e-12
-                   for x, y in zip(new, old))
+        for phi in map(losses.catalog_loss, losses.LOSS_NAMES):
+            new = duality.phi_inverse(phi, betas)
+            old = [self._phi_inverse(phi, b) for b in betas]
+            assert all(math.isinf(x) and x == y or abs(x - y) <= 1e-12
+                       for x, y in zip(new, old))
 
-    def test_recipe_alpha_star(self, monkeypatch):
-        def alpha_stars():
-            return [losses.loss_from_f(
-                losses.catalog_generator(n),
-                losses.catalog_link(losses.RECIPE_LINKS[n])).alpha_star
-                for n in ("hinge", "least_squares")]
-
-        new = alpha_stars()
-        self._old_loop(monkeypatch)
-        assert np.all(np.abs(np.subtract(new, alpha_stars())) <= 1e-12)
+    def test_recipe_alpha_star(self):
+        for n in ("hinge", "least_squares"):
+            f = losses.catalog_generator(n)
+            g = losses.catalog_link(losses.RECIPE_LINKS[n])
+            psi = duality.psi_from_f(f)
+            u_star, beta2 = psi.u_star, psi.beta2
+            hi = 1.0
+            while g(hi + u_star) < beta2:
+                hi *= 2.0
+            old = scalar_bisect(lambda x: g(x + u_star) >= beta2, 0.0, hi,
+                                tol=1e-12)
+            new = losses.loss_from_f(f, g).alpha_star
+            assert g(u_star) < beta2 and abs(new - old) <= 1e-12

@@ -13,7 +13,7 @@ from fdual.errors import InfiniteRisk, MismatchedPair
 from fdual.losses import LOSS_NAMES, catalog_generator, catalog_loss
 from fdual.measures import (JointMeasure, Priors, bayes_risk, f_divergence,
                             named_divergence, random_measure)
-from fdual.optimize import bisect_predicate, zero_safe
+from fdual.optimize import SUBLEVEL_CAP, bisect_predicate, zero_safe
 from fdual.risk import (RiskReport, closed_form_discriminant, min_per_bin,
                         optimal_phi_risk, phi_risk, verify_correspondence,
                         zero_one_risk)
@@ -24,7 +24,8 @@ CONVEX_NAMES = ("hinge", "exponential", "logistic", "least_squares", "sym_kl")
 
 def scalar_tie_rule(phi, m, args, vals):
     """The per-bin tie-rule loop that the masked pass replaced: one
-    bisect_predicate search per bin, on 0-d bounds."""
+    bisect_predicate search per bin, on 0-d bounds; -inf where the plateau
+    holds out to the cap."""
     args = args.copy()
     for z in range(m.z_count):
         a, v = float(args[z]), float(vals[z])
@@ -36,9 +37,10 @@ def scalar_tie_rule(phi, m, args, vals):
         probe = a - 1e-6 * (1.0 + abs(a))
         if on_plateau(probe):
             lo = a - 1.0
-            while on_plateau(lo) and a - lo < 2.0 ** 20:
+            while on_plateau(lo) and a - lo < SUBLEVEL_CAP:
                 lo = a - 2.0 * (a - lo)
-            args[z] = bisect_predicate(on_plateau, lo, a, tol=1e-12)
+            args[z] = (-math.inf if on_plateau(lo) else
+                       bisect_predicate(on_plateau, lo, a, tol=1e-12))
     return args
 
 
@@ -119,10 +121,10 @@ class TestPhiRisk:
             phi_risk(catalog_loss("hinge"), np.zeros(3), m_standard)
 
     def test_minus_infinity_discriminant_raises(self, m_standard):
-        # zero_one's closed form reads 1 at -inf; phi_risk keeps the loss
-        # convention phi(-inf) = +inf, so the term is infinite
+        # hinge's closed form reads +inf at -inf, so the term is infinite
+        # (zero_one's reads 1 there, and its term is finite)
         with pytest.raises(InfiniteRisk):
-            phi_risk(catalog_loss("zero_one"), np.array([-math.inf, 1.0]),
+            phi_risk(catalog_loss("hinge"), np.array([-math.inf, 1.0]),
                      m_standard)
 
     def test_one_loss_call_on_the_sign_pair(self, m_standard):
@@ -217,12 +219,12 @@ class TestTieRule:
         want[[1, 3]] = args[[1, 3]]
         assert gamma.tobytes() == want.tobytes()
         if name == "logistic":
-            assert 2.0 ** 20 <= args[0] - gamma[0] <= 2.0 ** 21
+            assert gamma[0] == -math.inf
 
     def test_zero_mass_term_counts_as_zero(self):
         # exponential is inf far left of its empty bin's argmin, where the
-        # objective's 0 * inf counts as 0 (no warning, no NaN), so the bin
-        # follows the rule to the doubling cap, as logistic's does
+        # objective's 0 * inf counts as 0 (no warning, no NaN), so the bin's
+        # plateau has no left end, as logistic's has not
         m = SimpleNamespace(mu=np.array([0.0, 0.5]),
                             pi=np.array([0.25, 0.25]), z_count=2)
         ends = []
@@ -233,9 +235,8 @@ class TestTieRule:
                 warnings.simplefilter("error")
                 _, gamma = optimal_phi_risk(phi, m)
             assert gamma[1] == args[1]
-            assert 2.0 ** 20 <= args[0] - gamma[0] <= 2.0 ** 21
             ends.append(gamma[0])
-        assert ends[0] == ends[1]
+        assert ends == [-math.inf, -math.inf]
 
     @pytest.mark.parametrize("name", ("hinge", "zero_one", "eq10_nonconvex"))
     def test_matches_scalar_loop_on_plateaus(self, name):
@@ -246,51 +247,52 @@ class TestTieRule:
             want = scalar_tie_rule(phi, m, args, vals)
             assert gamma.tobytes() == want.tobytes()
 
-    def test_unbounded_plateau_stops_at_the_doubling_cap(self):
+    def test_unbounded_plateau_reports_minus_infinity(self):
+        # every a < 0 minimizes bin 0; zero_one(-inf) = 1, so the -inf
+        # argmin scores finitely
         m = JointMeasure([0.2, 0.3], [0.4, 0.1], Priors(0.5, 0.5))
-        args, _ = min_per_bin(catalog_loss("zero_one"), m.mu, m.pi)
-        _, gamma = optimal_phi_risk(catalog_loss("zero_one"), m)
-        assert 2.0 ** 20 <= args[0] - gamma[0] <= 2.0 ** 21
+        r_opt, gamma = optimal_phi_risk(catalog_loss("zero_one"), m)
+        assert gamma[0] == -math.inf and math.isfinite(gamma[1])
+        assert phi_risk(catalog_loss("zero_one"), gamma, m) == r_opt
 
     def test_one_loss_call_per_stage(self):
         # after min_per_bin's calls (its search rounds are 3-d too, on
         # (2, 15, bins)), the rule makes one call for the probe, one for
-        # the doubling column, of shape (steps, bins), on (2, steps, bins),
-        # then the bisection's: one on lo, and one per round on its 15
-        # points, (2, 15, bins)
+        # sublevel_end's doubling column of 42 points per bin, on
+        # (2, 42, bins), then one per bisection round on its 15 points,
+        # (2, 15, bins)
         phi = catalog_loss("zero_one")
         m = JointMeasure([0.2, 0.3], [0.4, 0.1], Priors(0.5, 0.5))
         search, shapes = [], []
         min_per_bin(_counted(phi, search), m.mu, m.pi)
         optimal_phi_risk(_counted(phi, shapes), m)
         assert shapes[:len(search)] == search
-        probe, column, at_lo, *rounds = shapes[len(search):]
-        assert probe == at_lo == (2, 2)
-        assert column[::2] == (2, 2) and column[1] > 15  # 2**20: 21 steps
-        assert 0 < len(rounds) <= 16 and set(rounds) == {(2, 15, 2)}
+        probe, column, *rounds = shapes[len(search):]
+        assert probe == (2, 2) and column == (2, 42, 2)
+        assert 0 < len(rounds) <= 20 and set(rounds) == {(2, 15, 2)}
 
     @pytest.mark.parametrize("name", LOSS_NAMES)
     def test_bisection_calls_per_search(self, name, monkeypatch):
-        # a bracket of at most 2**21 cut by sixteenths to 1e-12 takes 16
-        # rounds, plus the pred(lo) probe, where 1e-12 exceeds the spacing
-        # of the floats at the plateau's end (here the finite ends lie
-        # within 30 of 0; the unbounded plateaus stop at lo)
-        calls, search = [], risk.bisect_predicate
+        # the column call, then at most 12 rounds: here the finite ends lie
+        # within 30 of their anchors, so a bracket is at most 64 wide, and
+        # 64 cut by sixteenths to 1e-12 takes 12 rounds; an unbounded
+        # plateau's zero-width bracket takes none
+        calls, search = [], risk.sublevel_end
 
-        def counting(pred, lo, hi, **kw):
+        def counting(pred, anchor, sign, **kw):
             calls.append(0)
 
             def counted(x):
                 calls[-1] += 1
                 return pred(x)
-            return search(counted, lo, hi, **kw)
+            return search(counted, anchor, sign, **kw)
 
-        monkeypatch.setattr(risk, "bisect_predicate", counting)
+        monkeypatch.setattr(risk, "sublevel_end", counting)
         phi = catalog_loss(name)
         for m in _plateau_measures():
             optimal_phi_risk(phi, m)
         assert bool(calls) == (not phi.strictly_convex)
-        assert all(n <= 17 for n in calls)
+        assert all(n <= 13 for n in calls)
 
     def test_strictly_convex_loss_skips_the_rule(self, m_standard):
         shapes = []

@@ -109,7 +109,7 @@ def _nan_loss(convex):
 
 
 class TestForwardMapOracle:
-    # sym_kl at u = 0 has infimum -inf and raises Unbounded (test below)
+    # sym_kl at u = 0 has infimum -inf, so f(0) = +inf (test below)
     @pytest.mark.parametrize("name,k", [
         (name, k) for name in LOSS_NAMES for k in range(len(U_SETS))
         if not (name == "sym_kl" and k == 2)])
@@ -142,13 +142,16 @@ class TestForwardMapOracle:
         psi = psi_from_f(induced_generator(hinge))
         assert abs(psi.beta2 - 2.0) <= 1e-9
 
-    def test_sym_kl_at_zero_raises(self):
-        # inf_a e^a + a - 1 is -inf; the old golden search read the NaN of
-        # 0 * inf as "not smaller" and returned f(0) = 710.78.  The zero
-        # weight makes that term 0, so the bracket doubling sees the
-        # divergence
-        with pytest.raises(Unbounded), np.errstate(invalid="ignore"):
-            f_from_loss(catalog_loss("sym_kl"), 0.0)
+    def test_sym_kl_at_zero_is_infinite(self):
+        # inf_a e^a + a - 1 is -inf: only the zero weight's term is left, so
+        # f(0) = -inf phi = +inf, the closed form's value; the other
+        # elements of the stack keep finite values
+        sym_kl = catalog_loss("sym_kl")
+        assert f_from_loss(sym_kl, 0.0) == catalog_generator("sym_kl")(0.0)
+        got = f_from_loss(sym_kl, np.array([0.0, 0.5, 2.0]))
+        assert got[0] == math.inf
+        want = catalog_generator("sym_kl")(np.array([0.5, 2.0]))
+        assert np.all(np.abs(got[1:] - want) <= 1e-9 * (1.0 + np.abs(want)))
 
     def test_edge_doubling_matches_old_route(self):
         # e^(a/40) + u e^(-a/40) is least at a = 20 log u = -138 for
