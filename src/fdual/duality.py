@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GridTooNarrow, NoFixedPoint, UnconfirmedBound
-from .optimize import bisect_root, sublevel_end
+from .optimize import sublevel_end
 
 INF = math.inf
 
@@ -351,9 +351,10 @@ def _locate_beta2(f: Generator, psi: Callable) -> float:
 
 def _locate_fixed_point(psi: Callable[[np.ndarray], np.ndarray],
                         beta1: float, beta2: float, probe: float) -> float:
-    """Root of s = Psi - beta in (beta1, beta2): ``probe`` (-0.0 as +0.0)
-    when one 2-row Psi call sees s(probe - eps) > 0 >= s(probe + eps) with
-    eps = 1e-12 max(1, |probe|), the bisection's resolution; else searched."""
+    """u* = inf {beta : s(beta) <= 0} for the decreasing s = Psi - beta:
+    ``probe`` (-0.0 as +0.0) when it lies in (beta1, beta2) and one 2-row
+    Psi call sees s(probe - eps) > 0 >= s(probe + eps), eps = 1e-12 max(1,
+    |probe|) (the search's resolution); else ``_sublevel_inf`` from 0."""
     def s(beta):
         return psi(beta) - beta
 
@@ -362,31 +363,7 @@ def _locate_fixed_point(psi: Callable[[np.ndarray], np.ndarray],
         s_left, s_right = s(np.array([probe - eps, probe + eps]))
         if s_left > 0.0 >= s_right:
             return probe + 0.0
-    lo = beta1 + 1e-9 if math.isfinite(beta1) else -1.0
-    # expand left until s > 0 (Psi = +inf below beta1 makes this terminate);
-    # each call also probes the first right end, hi = max(lo + 1, 1)
-    steps = 0
-    while True:
-        hi = max(lo + 1.0, 1.0)
-        s_lo, s_hi = s(np.array([lo, hi]))
-        if s_lo > 0.0:
-            break
-        lo -= max(1.0, abs(lo))
-        steps += 1
-        if steps > 60:
-            raise NoFixedPoint("Psi(beta) - beta has no positive branch")
-    steps = 0
-    while s_hi > 0.0:
-        hi += max(1.0, abs(hi))
-        steps += 1
-        if steps > 60 or (math.isfinite(beta2) and hi > beta2 + 2.0):
-            if not math.isfinite(beta2) or s(beta2 - 1e-9) > 0.0:
-                raise NoFixedPoint("no sign change of Psi(beta) - beta "
-                                   "inside (beta1, beta2)")
-            hi = beta2 - 1e-9
-            break
-        s_hi = s(hi)
-    return bisect_root(s, lo, hi, tol=1e-12)
+    return _sublevel_inf(s, 0.0, np.array(0.0))
 
 
 def psi_from_f(f: Generator, numeric: bool = False) -> PsiFunction:
@@ -397,8 +374,8 @@ def psi_from_f(f: Generator, numeric: bool = False) -> PsiFunction:
     machinery against closed forms).  beta1 = -f'_inf comes from the
     recession slope of f (-inf for sym_kl).  A symmetric f has f(1)/2 in
     its subdifferential at 1, so u* = -f(1)/2 (Rockafellar 1970, Thm 23.5);
-    ``_locate_fixed_point`` certifies it from f alone.  Raises NoFixedPoint
-    when Psi(beta) - beta has no sign change (the divergence is not
+    ``_locate_fixed_point`` certifies it from f alone, else searches.  Raises
+    NoFixedPoint when u* is not in (beta1, beta2) (the divergence is not
     loss-realizable) and UnconfirmedBound when Psi does not confirm beta2.
     """
     ev = _psi_eval(f, numeric)
@@ -495,18 +472,24 @@ def check_theorem1_conditions(psi: PsiFunction, tol: float) -> ConditionReport:
     return ConditionReport(tuple(checks))
 
 
+def _sublevel_inf(g, start, level):
+    """inf {x : g(x) <= level} for an array of levels (a float for a 0-d
+    one) by one ``sublevel_end`` stack from ``start``: leftward where
+    g(start) <= level (-inf when the set reaches the cap), else rightward to
+    the first point with g <= level (+inf when there is none).  The set must
+    be an interval holding start or right of it; g maps arrays elementwise."""
+    inside = g(start) <= level
+    return sublevel_end(lambda x: (g(x) <= level) == inside,
+                        np.full(level.shape, start),
+                        np.where(inside, -1.0, 1.0))
+
+
 def phi_inverse(phi, beta):
-    """inf of the sublevel set {alpha : phi(alpha) <= beta} for an array of
-    betas (a float for a scalar), by one ``sublevel_end`` stack from the
-    start ``alpha_star`` (0 where it is not finite): leftward where phi(start)
-    <= beta (-inf when the set reaches the cap), else rightward to the first
-    point with phi <= beta (+inf, an empty set, when there is none).
-    ``phi`` must expose ``alpha_star`` and map arrays elementwise."""
-    beta = np.asarray(beta, dtype=float)
+    """inf {alpha : phi(alpha) <= beta} for an array of betas (a float for a
+    scalar) by ``_sublevel_inf`` from ``phi.alpha_star`` (0 where it is not
+    finite); ``phi`` must map arrays elementwise."""
     start = phi.alpha_star if math.isfinite(phi.alpha_star) else 0.0
-    inside = phi(start) <= beta
-    return sublevel_end(lambda x: (phi(x) <= beta) == inside,
-                        np.full(beta.shape, start), np.where(inside, -1.0, 1.0))
+    return _sublevel_inf(phi, start, np.asarray(beta, dtype=float))
 
 
 def psi_tilde_from_loss(phi) -> PsiFunction:

@@ -26,6 +26,15 @@ LOSS_NAMES = ("zero_one", "hinge", "exponential", "logistic",
               "least_squares", "sym_kl", "eq10_nonconvex")
 
 
+def _evaluate(self, x):
+    """self.fn on a float array, every floating-point warning ignored; a float
+    for a scalar (the ``__call__`` of losses and links)."""
+    arr = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        vals = np.asarray(self.fn(arr), dtype=float)
+    return float(vals) if arr.ndim == 0 else vals
+
+
 @dataclass(frozen=True)
 class SurrogateLoss:
     """Margin loss alpha -> extended real, with calibration metadata.
@@ -53,11 +62,7 @@ class SurrogateLoss:
         if self.strictly_convex and not self.convex:
             raise ValueError("a strictly convex loss must be flagged convex")
 
-    def __call__(self, alpha):
-        arr = np.asarray(alpha, dtype=float)
-        with np.errstate(all="ignore"):
-            vals = np.asarray(self.fn(arr), dtype=float)
-        return float(vals) if arr.ndim == 0 else vals
+    __call__ = _evaluate
 
     @property
     def u_star(self) -> float:
@@ -74,11 +79,7 @@ class GLink:
     u_star: float
     name: str = ""
 
-    def __call__(self, u):
-        arr = np.asarray(u, dtype=float)
-        with np.errstate(all="ignore"):
-            vals = np.asarray(self.fn(arr), dtype=float)
-        return float(vals) if arr.ndim == 0 else vals
+    __call__ = _evaluate
 
     def validate(self) -> None:
         """Raise BadLink unless anchor, monotonicity, convexity (sampled at

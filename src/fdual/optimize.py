@@ -1,10 +1,10 @@
 """One-dimensional search primitives and the per-element weighted
 minimization every module shares.  One 15-point search round serves both
-minimization (``bracket_min``) and bisection (``bisect_predicate``,
-``bisect_root``, and ``sublevel_end``, which brackets the end of a
-predicate's run by doubling away from an anchor).  Everything works on plain
-floats or on numpy arrays elementwise, so the per-bin searches run as single
-vectorized sweeps.  All routines are deterministic.
+public searches: minimization (``bracket_min``) and bisection
+(``sublevel_end``, which brackets the end of a predicate's run by doubling
+away from an anchor).  Everything works on plain floats or on numpy arrays
+elementwise, so the per-bin searches run as single vectorized sweeps.  All
+routines are deterministic.
 """
 
 from __future__ import annotations
@@ -26,20 +26,21 @@ _FRAC = _ENDS[1:-1]  # interior points a + _FRAC * h
 BRACKET = 50.0
 # a run of a predicate this far from its anchor is read as unbounded
 SUBLEVEL_CAP = 2.0 ** 40
+_ROUNDS = 200  # cap on the rounds of a search
 
 
-def _search(f, pick, lo, hi, tol: float, max_iter: int):
+def _search(f, pick, lo, hi, tol: float):
     """Final brackets (a, b) of the 15-point search of [lo_i, hi_i]: each
     round calls ``f`` once on the points ``a + (k/16) h`` of every bracket,
     shape ``(15,) + shape``, and ``pick`` maps the values to the cell kept,
     ``[a + p h, a + q h]`` (q = 1 keeps ``b`` exactly).  An element is frozen
     once ``b - a <= tol``, so a stack gives each element its result alone;
-    ``max_iter`` caps the rounds, which end once no bracket moved (a fixed
+    at most ``_ROUNDS`` rounds, which end once no bracket moved (a fixed
     point of the recurrence: ``tol`` is below the spacing of its floats)."""
     a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     # a bracket (a <= b) wider than 64 of its floats moves in every round
     stall = tol < 2.0**-46 * max(-a.min(initial=0.0), b.max(initial=0.0))
-    for _ in range(max_iter):
+    for _ in range(_ROUNDS):
         h = b - a
         live = h > tol
         if not live.any():
@@ -65,9 +66,8 @@ def _first_true(y):
     return _ENDS[j], _ENDS[1:][j]
 
 
-def bracket_min(f: Callable[[np.ndarray], np.ndarray], lo, hi,
-                tol: float = 1e-10, max_iter: int = 200
-                ) -> tuple[np.ndarray, np.ndarray]:
+def bracket_min(f: Callable[[np.ndarray], np.ndarray],
+                lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise minimization of unimodal functions over [lo_i, hi_i].
 
     ``f`` maps an array of points to their values, one independent problem
@@ -76,13 +76,12 @@ def bracket_min(f: Callable[[np.ndarray], np.ndarray], lo, hi,
     bracket, shape ``(15,) + lo.shape`` (a simultaneous k-point search;
     Kiefer 1953), and keeps the two neighbours of the last of the equal
     minima, 1/8 of the bracket (the last point keeps ``b`` exactly).  An
-    element is frozen once its bracket is within ``tol``, so it follows its
-    own recurrence whatever it is stacked with; ``max_iter`` caps the
-    rounds.  Returns the final midpoints and their values, from one more
-    call of ``f``.  On a plateau of equal values the search moves to its
-    right end (or to ``b``).
+    element is frozen once its bracket is within 1e-10, so it follows its
+    own recurrence whatever it is stacked with.  Returns the final midpoints
+    and their values, from one more call of ``f``.  On a plateau of equal
+    values the search moves to its right end (or to ``b``).
     """
-    a, b = _search(f, _last_min, lo, hi, tol, max_iter)
+    a, b = _search(f, _last_min, lo, hi, 1e-10)
     mid = 0.5 * (a + b)
     return mid, f(mid)
 
@@ -174,26 +173,6 @@ def weighted_min(phi, w_pos, w_neg, b, grid_bits: int = 14):
     return args, vals, b - np.abs(args) < 1e-6 * b
 
 
-def bisect_predicate(pred: Callable[[np.ndarray], np.ndarray], lo, hi,
-                     tol: float = 1e-10, max_iter: int = 200):
-    """Smallest x in [lo, hi] with pred(x) true, elementwise over arrays,
-    assuming pred is monotone (false then true).  Requires pred(hi) true;
-    pred(lo) may be anything, and an element with pred(lo) true reports lo.
-
-    ``pred`` maps an array of points to booleans.  After one call on ``lo``,
-    each round of ``_search`` calls it once on the 15 points ``a + (k/16)
-    h`` of every bracket and keeps the first true point and its left
-    neighbour, 1/16 of the bracket, or ``[a + 15/16 h, b]`` where none is
-    true.  An element is frozen once ``b - a <= tol``; ``max_iter`` caps the
-    rounds.  Returns the final ``b``: pred(b) holds, and pred(a) fails
-    unless a is lo, for any pred.  Scalar bounds return a float.
-    """
-    a = np.asarray(lo, dtype=float)
-    b = np.where(np.asarray(pred(a), dtype=bool), a, hi)  # [lo, lo]: done
-    b = _search(pred, _first_true, a, b, tol, max_iter)[1]
-    return b if b.ndim else float(b)
-
-
 def sublevel_end(pred: Callable[[np.ndarray], np.ndarray], anchor, sign):
     """End of the run of pred going out from ``anchor`` (``sign`` < 0: left,
     > 0: right), elementwise; sign broadcasts to anchor's shape, and a 0-d
@@ -202,11 +181,13 @@ def sublevel_end(pred: Callable[[np.ndarray], np.ndarray], anchor, sign):
     One call of ``pred`` on the doubling column: the anchor, ``x_1 = anchor
     + sign`` and ``x_{k+1} = anchor + 2 (x_k - anchor)`` out to
     ``SUBLEVEL_CAP``.  The first column point off pred and the anchor bound
-    one ``_search`` stack (``bisect_predicate``'s rounds) to 1e-12 for pred
-    where sign < 0 (its leftmost point found), for not pred where sign > 0
-    (the first point found off pred).  An element off pred at the anchor
-    returns it, one on pred along the whole column ``sign * inf``; both keep
-    zero-width brackets, so pred always gets ``(k,) + anchor.shape``.
+    one ``_search`` stack to 1e-12, whose rounds keep the first true point
+    and its left neighbour (1/16 of the bracket; the last point and ``b``
+    where none is true) of pred where sign < 0 (its leftmost point found),
+    of not pred where sign > 0 (the first point found off pred).  An element
+    off pred at the anchor returns it, one on pred along the whole column
+    ``sign * inf``; both keep zero-width brackets, so pred always gets
+    ``(k,) + anchor.shape``.
     """
     anchor = np.asarray(anchor, dtype=float)
     # a 0-d column runs on Python floats: the same IEEE double arithmetic,
@@ -222,16 +203,7 @@ def sublevel_end(pred: Callable[[np.ndarray], np.ndarray], anchor, sign):
     flip = np.asarray(sign) > 0.0
     b = _search(lambda x: pred(x) != flip, _first_true,
                 np.where(flip, anchor, end), np.where(flip, end, anchor),
-                1e-12, 200)[1]
+                1e-12)[1]
     b = np.where(on.all(axis=0), sign * math.inf, b)
     return b if b.ndim else float(b)
 
-
-def bisect_root(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                tol: float = 1e-10, max_iter: int = 200) -> float:
-    """Root of a decreasing function with f(lo) > 0 > f(hi): the midpoint of
-    the final bracket of ``bisect_predicate``'s search for ``not f > 0``.
-    ``f`` maps an array of points to their values, element by element."""
-    a, b = _search(lambda x: ~(np.asarray(f(x)) > 0.0), _first_true, lo, hi,
-                   tol, max_iter)
-    return float(0.5 * (a + b))

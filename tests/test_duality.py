@@ -311,14 +311,14 @@ SYMMETRIC = ("zero_one", "hinge", "eq10_nonconvex", "exponential",
 
 
 def counted_searches(monkeypatch) -> list:
-    """The argument tuples of every fixed-point search (``bisect_root``)."""
-    calls, search = [], duality.bisect_root
+    """The argument tuples of every fixed-point search (``sublevel_end``)."""
+    calls, search = [], duality.sublevel_end
 
     def counting(*args, **kw):
         calls.append(args)
         return search(*args, **kw)
 
-    monkeypatch.setattr(duality, "bisect_root", counting)
+    monkeypatch.setattr(duality, "sublevel_end", counting)
     return calls
 
 
@@ -491,6 +491,30 @@ class TestPsiFromF:
         assert len(searches) == 1 and calls > 2
         # Psi(beta) = exp(-1 - beta): u* = W(1/e)
         assert psi.u_star == pytest.approx(0.2784645427610738, abs=1e-10)
+
+    @pytest.mark.parametrize("numeric", [False, True])
+    @given(st.floats(0.1, 10.0), st.floats(-5.0, 5.0))
+    def test_searched_fixed_point(self, numeric, c, a):
+        # f = c u log u + a (u - 1) is asymmetric, with Psi(beta) =
+        # c exp((-beta - a) / c - 1) + a; u* is searched on each route's
+        # evaluator and lands within 1e-12 right of the sign change of
+        # s = Psi - beta.  The true bounds (-inf, inf) are passed, since
+        # _locate_beta1 reads a finite slope where a / c < -24 (the chord
+        # slopes of f are still negative at u = 1e10)
+        kl = catalog_generator("kl")
+        f = Generator(lambda u: c * kl.fn(u) + a * (u - 1.0),
+                      name="c f[kl] + a (u - 1)",
+                      conjugate_fn=lambda v: c * kl.conjugate_fn((v - a) / c)
+                      + a)
+        psi = duality._psi_eval(f, numeric)
+        u_star = duality._locate_fixed_point(psi, -INF, INF, -f(1.0) / 2.0)
+
+        def s(beta):
+            return psi(beta) - beta
+
+        assert s(u_star) <= 0.0 < s(u_star - 1e-12)
+        closed = c * math.exp((-u_star - a) / c - 1.0) + a
+        assert abs(u_star - closed) <= 1e-9
 
 
 def _arr(u):

@@ -4,8 +4,10 @@ The oracles below are the scalar 15-point recurrences of its two pick rules
 (the last of the equal minima, the first true point), one call of f or pred
 per point, and the k-point round with one call of f per point; the kernels
 must reproduce them bit for bit, element by element.  The one-midpoint
-bisection loops ``scalar_bisect`` and ``scalar_bisect_root`` stay as
-references the bisections must land within ``tol`` of.
+bisection loop ``scalar_bisect`` stays as a reference the bisections must
+land within ``tol`` of.  ``scalar_predicate`` and ``scalar_root`` write out
+the deleted ``bisect_predicate`` and ``bisect_root`` for the frozen copies of
+other test files.
 """
 
 import math
@@ -16,8 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fdual import duality, losses, optimize
-from fdual.optimize import (SUBLEVEL_CAP, bisect_predicate, bisect_root,
-                            bracket_min, sublevel_end)
+from fdual.optimize import SUBLEVEL_CAP, bracket_min, sublevel_end
 
 K = 15  # interior points per bracket_min round
 
@@ -51,20 +52,6 @@ def scalar_bisect(pred, lo, hi, tol=1e-10, max_iter=200):
         else:
             a = m
     return b
-
-
-def scalar_bisect_root(f, lo, hi, tol=1e-10, max_iter=200):
-    a, b = float(lo), float(hi)
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm > 0.0:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
 
 
 def scalar_first_true(pred, lo, hi, tol=1e-10, max_iter=200):
@@ -104,24 +91,33 @@ def scalar_sublevel_end(pred, anchor, sign):
 
 
 def scalar_predicate(pred, lo, hi, tol=1e-10, max_iter=200):
-    """bisect_predicate's scalar recurrence and its number of rounds."""
+    """The smallest x in [lo, hi] with pred(x) (lo where pred(lo) holds, the
+    final b of the 15-point recurrence else) and the number of rounds."""
     if pred(float(lo)):
         return float(lo), 0
     return scalar_first_true(pred, lo, hi, tol, max_iter)[1:]
 
 
 def scalar_root(f, lo, hi, tol=1e-10, max_iter=200):
-    """bisect_root's scalar recurrence and its number of rounds."""
+    """The root of a decreasing f with f(lo) > 0 > f(hi): the midpoint of the
+    final bracket of the recurrence for ``not f > 0``, and its rounds."""
     a, b, rounds = scalar_first_true(lambda x: not f(x) > 0.0, lo, hi, tol,
                                      max_iter)
     return 0.5 * (a + b), rounds
 
 
-def search_bracket(pred, lo, hi, tol, max_iter=200):
+def search_bracket(pred, lo, hi, tol):
     """The final brackets (a, b) of the predicate search, whose b
-    bisect_predicate reports where pred(lo) fails."""
-    return optimize._search(pred, optimize._first_true, lo, hi, tol,
-                            max_iter)
+    sublevel_end reports."""
+    return optimize._search(pred, optimize._first_true, lo, hi, tol)
+
+
+def min_at_tol(f, lo, hi, tol):
+    """bracket_min's rounds to ``tol`` in place of its 1e-10: the final
+    midpoints and their values."""
+    a, b = optimize._search(f, optimize._last_min, lo, hi, tol)
+    mid = 0.5 * (a + b)
+    return mid, f(mid)
 
 
 def rounds16(width, tol):
@@ -212,7 +208,7 @@ class TestGoldenMin:
             calls[0] += 1
             return np.abs(x - CENTRE)
 
-        bracket_min(f, LO, HI, tol=1e-6)
+        min_at_tol(f, LO, HI, 1e-6)
         assert calls[0] == _rounds(max(evals)) + 1
 
     def test_bracket_within_tol_reports_midpoint(self):
@@ -230,9 +226,9 @@ class TestGoldenMin:
         a, v = scalar_bracket(lambda x: np.square(x - 0.3), -1.0, 2.0)
         assert _same(arg, a) and _same(val, v)
 
-    def test_max_iter_caps_each_element(self):
-        arg, _ = bracket_min(lambda x: np.square(x - CENTRE), LO, HI,
-                             max_iter=2)
+    def test_max_iter_caps_each_element(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_ROUNDS", 2)
+        arg, _ = bracket_min(lambda x: np.square(x - CENTRE), LO, HI)
         for z in range(LO.size):
             a, _ = scalar_bracket(lambda x, z=z: np.square(x - CENTRE[z]),
                                   LO[z], HI[z], max_iter=2)
@@ -257,7 +253,7 @@ class TestGoldenMin:
             calls[0] += 1
             return _bowl(x)
 
-        arg, val = bracket_min(f, MIXED_LO, MIXED_HI, tol=tol)
+        arg, val = min_at_tol(f, MIXED_LO, MIXED_HI, tol)
         assert calls[0] == _rounds(max(counts)) + 1
         for z, (_, a, v) in enumerate(evals):
             assert _same(arg[z], a) and _same(val[z], v), z
@@ -282,7 +278,7 @@ class TestGoldenMin:
         def f(x):
             return np.where((x == 3.0) | (x == 10.0), 0.0, 1.0)
 
-        arg, _ = bracket_min(f, 0.0, 16.0, tol=2.5)
+        arg, _ = min_at_tol(f, 0.0, 16.0, 2.5)
         assert arg == 10.0
 
     def test_right_end_is_kept_exactly(self):
@@ -323,8 +319,7 @@ class TestGoldenMin:
             calls[0] += 1
             return np.square(x - 0.3 * h0)
 
-        bracket_min(f, np.array([0.0, -h0 / 2]), np.array([h0, h0 / 2]),
-                    tol=tol)
+        bracket_min(f, np.array([0.0, -h0 / 2]), np.array([h0, h0 / 2]))
         assert calls[0] == math.ceil(rounds) + 1
 
     @pytest.mark.parametrize("seed", range(3))
@@ -390,86 +385,16 @@ class TestGoldenMinVec:
         assert set(shapes[:-1]) == {(K,) + lo.shape}
 
 
-class TestBisectPredicate:
-    def test_array_equals_scalar_bisection(self):
-        # each element gets the scalar recurrence's bits, within tol of the
-        # one-midpoint bisection
-        roots = np.array([0.7, 0.2, -13.0, 1.0, 8.9, 6.0, 29.0])
-        got = bisect_predicate(lambda x: x >= roots, LO, HI, tol=1e-12)
-        for z in range(LO.size):
-            def pz(x, z=z):
-                return x >= roots[z]
-            assert _same(got[z], scalar_predicate(pz, LO[z], HI[z],
-                                                  tol=1e-12)[0]), z
-            assert abs(got[z] - scalar_bisect(pz, LO[z], HI[z],
-                                              tol=1e-12)) <= 1e-12, z
-
-    def test_pred_true_at_lo_reports_lo(self):
-        # an element true at lo is frozen at once: it adds no round
-        lo = np.array([-1.0, 0.0, 2.0])
-        hi = np.array([1.0, 1.0, 3.0])
-        calls = [0]
-
-        def pred(x):
-            calls[0] += 1
-            return x >= np.array([-5.0, 0.5, 2.0])
-
-        got = bisect_predicate(pred, lo, hi)
-        assert got[0] == -1.0 and got[2] == 2.0
-        want, rounds = scalar_predicate(lambda x: x >= 0.5, 0.0, 1.0)
-        assert _same(got[1], want)
-        assert calls[0] == 1 + rounds
-
-    def test_bracket_within_tol_reports_hi(self):
-        lo = np.array([-1.0, 0.0])
-        hi = np.array([-1.0 + 1e-13, 1.0])
-        got = bisect_predicate(lambda x: x >= 0.25, lo, hi, tol=1e-12)
-        assert got[0] == hi[0]
-        assert _same(got[1], scalar_predicate(lambda x: x >= 0.25, 0.0, 1.0,
-                                              tol=1e-12)[0])
-
-    def test_scalar_bounds_give_a_float(self):
-        got = bisect_predicate(lambda x: x * x >= 2.0, 0.0, 2.0, tol=1e-12)
-        assert type(got) is float
-        assert _same(got, scalar_predicate(lambda x: x * x >= 2.0, 0.0, 2.0,
-                                           tol=1e-12)[0])
-        assert 0.0 <= got - math.sqrt(2.0) <= 1e-12
-
-    @pytest.mark.parametrize("shift", (0.0, 1.5),
-                             ids=("all_active_first", "some_true_at_lo"))
-    def test_mixed_brackets_equal_scalar_bisection(self, shift):
-        # shift moves some roots left of their lo, where pred(lo) holds
-        roots = np.array([0.7, 0.2 + 5e-4, -13.0, 1.0 + 1e-8, 8.9, 6.0,
-                          29.0])
-        roots[::3] -= shift * (MIXED_HI - MIXED_LO)[::3]
-        at_lo = MIXED_LO >= roots
-        assert at_lo.any() == (shift > 0.0) and not at_lo.all()
-        want = [scalar_predicate(lambda x, z=z: x >= roots[z], MIXED_LO[z],
-                                 MIXED_HI[z], tol=1e-12)
-                for z in range(MIXED_LO.size)]
-        rounds = [r for _, r in want]
-        calls = [0]
-
-        def pred(x):
-            calls[0] += 1
-            return x >= roots
-
-        got = bisect_predicate(pred, MIXED_LO, MIXED_HI, tol=1e-12)
-        assert calls[0] == 1 + max(rounds) and len(set(rounds)) > 2
-        for z, (b, _) in enumerate(want):
-            assert _same(got[z], b), z
-
-
 class TestOneSearchRound:
     """What both pick rules share: a stack gives each element its bits
     alone, every returned bracket keeps the predicate's contract, a round
-    cuts the bracket to 1/16 (predicate) and ``max_iter`` counts rounds."""
+    cuts the bracket to 1/16 (predicate) and ``_ROUNDS`` caps the rounds."""
 
     @pytest.mark.parametrize("mode", ("minimize", "predicate"))
     @pytest.mark.parametrize("seed", range(3))
     def test_stack_equals_per_element_loop(self, mode, seed):
         # widths 1e-13 to 1e3 (some already within tol); a quarter of the
-        # predicate roots lie left of lo, where pred(lo) holds; each
+        # predicate roots lie left of lo, where every point is true; each
         # element alone is searched on 0-d bounds
         rng = np.random.default_rng(seed)
         lo = rng.uniform(-100.0, 100.0, 40)
@@ -479,11 +404,11 @@ class TestOneSearchRound:
             # arithmetic only: numpy's pow may round a 0-d value apart from
             # an array's, so the objective itself would differ
             def search(c, lo, hi):
-                return bracket_min(lambda x: np.abs(x - c) + np.square(x - c),
-                                   lo, hi, tol=1e-12)
+                return min_at_tol(lambda x: np.abs(x - c) + np.square(x - c),
+                                  lo, hi, 1e-12)
         else:
             def search(c, lo, hi):
-                return bisect_predicate(lambda x: x >= c, lo, hi, tol=1e-12)
+                return search_bracket(lambda x: x >= c, lo, hi, 1e-12)
         got = search(centre, lo, hi)
         for z in range(lo.size):
             alone = search(centre[z], lo[z], hi[z])
@@ -508,16 +433,14 @@ class TestOneSearchRound:
         a, b = search_bracket(pred, lo, hi, tol)
         assert pred(b).all() and not (pred(a) & (a != lo)).any()
         assert (b - a <= tol).all() and (lo <= a).all() and (b <= hi).all()
-        got = bisect_predicate(pred, lo, hi, tol=tol)
-        assert _same(got, np.where(pred(lo), lo, b))
 
     @pytest.mark.parametrize("width, tol", ((1.0, 1e-12), (3.0, 1e-12),
                                             (100.0, 1e-12), (0.02, 1e-12),
                                             (2.0 ** 21, 1e-6)))
     def test_calls_per_solve(self, width, tol):
-        # the pred(lo) probe, then ceil(log16(width / tol)) rounds of one
-        # call on (15,) + shape, wherever the root lies; a bracket must not
-        # be so far out that tol is below the spacing of its floats
+        # ceil(log16(width / tol)) rounds of one call on (15,) + shape,
+        # wherever the root lies; a bracket must not be so far out that tol
+        # is below the spacing of its floats
         roots = np.array([0.3, 1.0, 0.01, 0.5 + 1e-7]) * width
         lo = np.zeros(4)
         shapes = []
@@ -526,79 +449,130 @@ class TestOneSearchRound:
             shapes.append(np.shape(x))
             return x >= roots
 
-        got = bisect_predicate(pred, lo, lo + width, tol=tol)
-        assert shapes[0] == (4,) and set(shapes[1:]) == {(K, 4)}
-        assert len(shapes) == 1 + rounds16(width, tol)
+        got = search_bracket(pred, lo, lo + width, tol)[1]
+        assert set(shapes) == {(K, 4)}
+        assert len(shapes) == rounds16(width, tol)
         assert np.all((got >= roots) & (got - roots <= tol))
 
     def test_search_ends_at_a_fixed_point(self):
         # tol is below the spacing of the floats near 1e6 (1.2e-10), so the
-        # bracket stops shrinking: the pred(lo) probe and 15 rounds, the
-        # last of which moves no bracket, rather than max_iter = 200 rounds
+        # bracket stops shrinking: 15 rounds, the last of which moves no
+        # bracket, rather than _ROUNDS = 200 rounds
         calls = [0]
 
         def pred(x):
             calls[0] += 1
             return x >= 1e6 + 0.3
 
-        got = bisect_predicate(pred, 0.0, 2e6, tol=1e-12)
-        assert got == 1e6 + 0.3 and calls[0] == 16
+        got = search_bracket(pred, 0.0, 2e6, 1e-12)[1]
+        assert got == 1e6 + 0.3 and calls[0] == 15
         # stacked with a bracket that still moves after it stopped (16
         # rounds from width 1e7), both keep their bits
-        both = bisect_predicate(lambda x: x >= np.array([1e6 + 0.3, 0.1]),
-                                np.array([0.0, -1e7]), np.array([2e6, 1.0]),
-                                tol=1e-12)
-        alone = bisect_predicate(lambda x: x >= 0.1, -1e7, 1.0, tol=1e-12)
+        both = search_bracket(lambda x: x >= np.array([1e6 + 0.3, 0.1]),
+                              np.array([0.0, -1e7]), np.array([2e6, 1.0]),
+                              1e-12)[1]
+        alone = search_bracket(lambda x: x >= 0.1, -1e7, 1.0, 1e-12)[1]
         assert _same(both, [got, alone])
 
-    def test_max_iter_caps_rounds(self):
+    def test_max_iter_caps_rounds(self, monkeypatch):
         for max_iter in (1, 2, 3):
+            monkeypatch.setattr(optimize, "_ROUNDS", max_iter)
             calls = [0]
 
             def pred(x):
                 calls[0] += 1
                 return x >= 0.3
 
-            got = bisect_predicate(pred, np.zeros(2), np.ones(2),
-                                   max_iter=max_iter)
-            want, rounds = scalar_predicate(lambda x: x >= 0.3, 0.0, 1.0,
-                                            max_iter=max_iter)
-            assert rounds == max_iter and calls[0] == 1 + max_iter
+            got = search_bracket(pred, np.zeros(2), np.ones(2), 1e-10)[1]
+            want, rounds = scalar_first_true(lambda x: x >= 0.3, 0.0, 1.0,
+                                             max_iter=max_iter)[1:]
+            assert rounds == max_iter and calls[0] == max_iter
             assert _same(got, [want, want])
+
+
+# TestBisectPredicate, TestBisectRoot and TestScalarPredicateDescent keep
+# their names, as TestGoldenMin does, and test the predicate round in the
+# roles of the deleted functions: the array search (whose b sublevel_end
+# reports), the fixed point's search and the search on 0-d bounds.
+class TestBisectPredicate:
+    def test_array_equals_scalar_bisection(self):
+        # each element gets the scalar recurrence's bits, within tol of the
+        # one-midpoint bisection
+        roots = np.array([0.7, 0.2, -13.0, 1.0, 8.9, 6.0, 29.0])
+        got = search_bracket(lambda x: x >= roots, LO, HI, 1e-12)[1]
+        for z in range(LO.size):
+            def pz(x, z=z):
+                return x >= roots[z]
+            assert _same(got[z], scalar_first_true(pz, LO[z], HI[z],
+                                                   1e-12)[1]), z
+            assert abs(got[z] - scalar_bisect(pz, LO[z], HI[z],
+                                              tol=1e-12)) <= 1e-12, z
+
+    def test_bracket_within_tol_reports_hi(self):
+        lo = np.array([-1.0, 0.0])
+        hi = np.array([-1.0 + 1e-13, 1.0])
+        got = search_bracket(lambda x: x >= 0.25, lo, hi, 1e-12)[1]
+        assert got[0] == hi[0]
+        assert _same(got[1], scalar_first_true(lambda x: x >= 0.25, 0.0,
+                                               1.0, 1e-12)[1])
+
+    @pytest.mark.parametrize("shift", (0.0, 1.5),
+                             ids=("all_active_first", "some_true_at_lo"))
+    def test_mixed_brackets_equal_scalar_bisection(self, shift):
+        # shift moves some roots left of their lo, where every point is true
+        roots = np.array([0.7, 0.2 + 5e-4, -13.0, 1.0 + 1e-8, 8.9, 6.0,
+                          29.0])
+        roots[::3] -= shift * (MIXED_HI - MIXED_LO)[::3]
+        at_lo = MIXED_LO >= roots
+        assert at_lo.any() == (shift > 0.0) and not at_lo.all()
+        want = [scalar_first_true(lambda x, z=z: x >= roots[z], MIXED_LO[z],
+                                  MIXED_HI[z], 1e-12)[1:]
+                for z in range(MIXED_LO.size)]
+        rounds = [r for _, r in want]
+        calls = [0]
+
+        def pred(x):
+            calls[0] += 1
+            return x >= roots
+
+        got = search_bracket(pred, MIXED_LO, MIXED_HI, 1e-12)[1]
+        assert calls[0] == max(rounds) and len(set(rounds)) > 2
+        for z, (b, _) in enumerate(want):
+            assert _same(got[z], b), z
 
 
 class TestBisectRoot:
     @staticmethod
-    def _kernel(f, lo, hi, **kw):
-        """bisect_root's root and the shapes of its calls of f."""
+    def _counted(f):
         calls = []
 
         def batched(x):
-            calls.append(x.shape)
+            calls.append(np.shape(x))
             return f(x)
-        return bisect_root(batched, lo, hi, **kw), calls
+        return batched, calls
 
     def test_random_brackets_match_scalar_loop(self, rng):
-        # the recurrence's bits, within tol of the one-midpoint bisection
+        # the fixed point's search, inf {x : f(x) <= 0} from 0, for a
+        # decreasing f: the scalar recurrence's bits, the first point at or
+        # right of the root, from one call at 0, the column and the rounds
         for _ in range(200):
             root = float(rng.uniform(-50.0, 50.0))
-            lo = root - float(rng.uniform(1e-9, 100.0))
-            hi = root + float(rng.uniform(1e-9, 100.0))
-            tol = float(10.0 ** rng.uniform(-13, -2))
 
             def f(x, root=root):
                 return np.tanh(root - np.asarray(x)) ** 3
 
-            want, rounds = scalar_root(f, lo, hi, tol=tol)
-            got, calls = self._kernel(f, lo, hi, tol=tol)
+            batched, calls = self._counted(f)
+            got = duality._sublevel_inf(batched, 0.0, np.array(0.0))
+            inside = f(0.0) <= 0.0
+            want = scalar_sublevel_end(lambda x: (f(x) <= 0.0) == inside,
+                                       0.0, -1.0 if inside else 1.0)
             assert type(got) is float and _same(got, want)
-            assert abs(got - scalar_bisect_root(f, lo, hi, tol=tol)) <= tol
-            # one call per round, on the 15 points of the bracket
-            assert len(calls) == rounds and set(calls) <= {(15,)}
+            assert 0.0 <= got - root <= 1e-12
+            assert calls[:2] == [(), (42,)] and set(calls[2:]) <= {(15,)}
 
     def test_non_monotone_function_keeps_the_contract(self, rng):
-        # the root is the midpoint of a bracket within tol whose ends keep
-        # f(a) > 0 and f(b) <= 0 (a sign change) unless they are lo and hi
+        # the final bracket is within tol and keeps f(a) > 0 and f(b) <= 0
+        # (a sign change) unless b is hi
         def f(x):
             x = np.asarray(x)
             return np.sin(7.0 * x) + 0.3 * np.cos(31.0 * x) - 0.1 * x
@@ -607,43 +581,34 @@ class TestBisectRoot:
                     if lo < hi and f(lo) > 0.0 > f(hi)]
         assert len(brackets) > 10
         for lo, hi in brackets:
-            root, calls = self._kernel(f, lo, hi, tol=1e-12)
             a, b = search_bracket(lambda x: ~(f(x) > 0.0), lo, hi, 1e-12)
-            assert _same(root, 0.5 * (a + b)) and b - a <= 1e-12
+            assert b - a <= 1e-12
             assert f(a) > 0.0 and (b == hi or not f(b) > 0.0)
-            assert _same(root, scalar_root(f, lo, hi, tol=1e-12)[0])
+            assert _same(b, scalar_first_true(lambda x: not f(x) > 0.0, lo,
+                                              hi, 1e-12)[1])
 
     def test_bracket_within_tol_makes_no_call(self):
-        got, calls = self._kernel(lambda x: 1.0 - x, 1.0, 1.0 + 1e-13,
-                                     tol=1e-12)
-        assert calls == [] and _same(got, 0.5 * (1.0 + (1.0 + 1e-13)))
+        batched, calls = self._counted(lambda x: 1.0 - np.asarray(x) <= 0.0)
+        a, b = search_bracket(batched, 1.0, 1.0 + 1e-13, 1e-12)
+        assert calls == [] and a == 1.0 and b == 1.0 + 1e-13
 
-    def test_max_iter_caps_rounds(self):
-        def f(x):
-            return 0.3 - np.asarray(x)
+    def test_max_iter_caps_rounds(self, monkeypatch):
+        def pred(x):
+            return ~(0.3 - np.asarray(x) > 0.0)
 
         for max_iter in (1, 2, 3):
-            want, rounds = scalar_root(f, 0.0, 1.0, max_iter=max_iter)
-            got, calls = self._kernel(f, 0.0, 1.0, max_iter=max_iter)
-            assert rounds == max_iter and _same(got, want)
+            monkeypatch.setattr(optimize, "_ROUNDS", max_iter)
+            batched, calls = self._counted(pred)
+            got = search_bracket(batched, 0.0, 1.0, 1e-10)
+            a, b, rounds = scalar_first_true(lambda x: bool(pred(x)), 0.0,
+                                             1.0, max_iter=max_iter)
+            assert rounds == max_iter and _same(got, [a, b])
             assert len(calls) == max_iter
 
 
 class TestScalarPredicateDescent:
-    """Scalar bounds: bisect_predicate searches a 0-d stack of one, one call
-    of pred per round on its 15 points, and returns a float."""
-
-    @staticmethod
-    def _both(pred, lo, hi, **kw):
-        calls = []
-
-        def batched(x):
-            calls.append(np.shape(x))
-            return pred(x)
-
-        got = bisect_predicate(batched, lo, hi, **kw)
-        want, rounds = scalar_predicate(pred, lo, hi, **kw)
-        return got, want, calls, rounds
+    """Scalar bounds: the search runs a 0-d stack of one, one call of pred
+    per round on its 15 points."""
 
     def test_random_brackets_match_scalar_loop(self, rng):
         for _ in range(200):
@@ -651,26 +616,19 @@ class TestScalarPredicateDescent:
             lo = root - float(rng.uniform(1e-9, 100.0))
             hi = root + float(rng.uniform(1e-9, 100.0))
             tol = float(10.0 ** rng.uniform(-13, -2))
+            calls = []
 
             def pred(x, root=root):
+                calls.append(np.shape(x))
                 return np.asarray(x) >= root
 
-            got, want, calls, rounds = self._both(pred, lo, hi, tol=tol)
-            assert type(got) is float and _same(got, want)
+            got = search_bracket(pred, lo, hi, tol)[1]
+            n = len(calls)
+            want, rounds = scalar_first_true(pred, lo, hi, tol)[1:]
+            assert np.ndim(got) == 0 and _same(got, want)
             assert abs(got - scalar_bisect(pred, lo, hi, tol=tol)) <= tol
-            # pred(lo), then one call per round on its 15 points
-            assert calls[0] == () and len(calls) == 1 + rounds
-            assert set(calls[1:]) <= {(15,)}
-
-    def test_pred_true_at_lo_and_max_iter(self):
-        got, want, calls, _ = self._both(lambda x: np.asarray(x) >= -1.0,
-                                         0.0, 1.0)
-        assert got == want == 0.0 and calls == [()]
-        for max_iter in (1, 2, 3):
-            got, want, calls, rounds = self._both(
-                lambda x: np.asarray(x) >= 0.3, 0.0, 1.0, max_iter=max_iter)
-            assert rounds == max_iter and _same(got, want)
-            assert len(calls) == 1 + max_iter
+            # one call per round on its 15 points
+            assert n == rounds and set(calls[:n]) <= {(15,)}
 
 
 class TestSublevelEnd:

@@ -47,15 +47,11 @@ def test_traced_bench_hooks_are_own_attributes():
 
 
 def test_traced_search_kernels_are_module_functions():
-    # the tracer wraps public functions defined in their layer's module and
-    # names the bisection spans after bisect_predicate and bisect_root; the
-    # four search wrappers must stay such functions for it to see them
+    # the tracer wraps public functions defined in their layer's module; the
+    # two public searches must stay such functions for it to see them
     tracing = _load_tracing()
     assert optimize in tracing.LAYERS
-    for name in ("bracket_min", "bisect_predicate", "bisect_root",
-                 "sublevel_end"):
+    for name in ("bracket_min", "sublevel_end"):
         fn = optimize.__dict__.get(name)
         assert inspect.isfunction(fn), name
         assert fn.__module__ == optimize.__name__, name
-    assert {"optimize.bisect_predicate",
-            "optimize.bisect_root"} <= set(tracing.RENAMED)

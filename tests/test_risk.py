@@ -13,19 +13,19 @@ from fdual.errors import InfiniteRisk, MismatchedPair
 from fdual.losses import LOSS_NAMES, catalog_generator, catalog_loss
 from fdual.measures import (JointMeasure, Priors, bayes_risk, f_divergence,
                             named_divergence, random_measure)
-from fdual.optimize import SUBLEVEL_CAP, bisect_predicate, zero_safe
+from fdual.optimize import SUBLEVEL_CAP, zero_safe
 from fdual.risk import (RiskReport, closed_form_discriminant, min_per_bin,
                         optimal_phi_risk, phi_risk, verify_correspondence,
                         zero_one_risk)
-from test_optimize import scalar_bracket
+from test_optimize import scalar_bracket, scalar_predicate
 
 CONVEX_NAMES = ("hinge", "exponential", "logistic", "least_squares", "sym_kl")
 
 
 def scalar_tie_rule(phi, m, args, vals):
-    """The per-bin tie-rule loop that the masked pass replaced: one
-    bisect_predicate search per bin, on 0-d bounds; -inf where the plateau
-    holds out to the cap."""
+    """The per-bin tie-rule loop that the masked pass replaced: one scalar
+    15-point predicate search per bin; -inf where the plateau holds out to
+    the cap."""
     args = args.copy()
     for z in range(m.z_count):
         a, v = float(args[z]), float(vals[z])
@@ -40,7 +40,7 @@ def scalar_tie_rule(phi, m, args, vals):
             while on_plateau(lo) and a - lo < SUBLEVEL_CAP:
                 lo = a - 2.0 * (a - lo)
             args[z] = (-math.inf if on_plateau(lo) else
-                       bisect_predicate(on_plateau, lo, a, tol=1e-12))
+                       scalar_predicate(on_plateau, lo, a, tol=1e-12)[0])
     return args
 
 
