@@ -6,9 +6,9 @@ Subcommands:
   equiv     pairwise affine-equivalence verdicts for the generator catalog
   erm       consistency sweeps, mismatch witnesses, excess-risk inequality draws
 
-Exit codes: 0 success, 1 assertion failure, 2 usage/config error.  All file
-output is plain CSV with pinned headers; a rerun with the same configuration
-and seeds is byte-identical (timing columns are opt-in via --timings).
+Exit codes: 0 success, 1 assertion failure, 2 usage/config error.  Files
+and the catalog table are plain CSV with pinned headers; a rerun with the
+same configuration and seeds is byte-identical (--timings opts into timing).
 """
 
 from __future__ import annotations
@@ -18,11 +18,13 @@ import configparser
 import math
 import os
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 
 from . import equivalence, erm, losses, measures, risk
+from ._csvfmt import row, text
 from .duality import check_theorem1_conditions, psi_from_f
 from .errors import ConfigError, FdualError, NonConvexLoss, NoWitnessFound
 
@@ -105,15 +107,12 @@ def load_config(path: str) -> dict:
             if key not in schema:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             typ = schema[key]
-            try:
-                if typ is bool:
-                    value = raw.strip().lower() in ("1", "true", "yes", "on")
-                else:
-                    value = typ(raw)
+            try:  # a bool is one of ConfigParser.BOOLEAN_STATES
+                out[section][key] = (parser.getboolean(section, key)
+                                     if typ is bool else typ(raw))
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for {section}.{key}: {raw!r}") from exc
-            out[section][key] = value
     return out
 
 
@@ -121,11 +120,16 @@ def _cfg(config: dict, section: str, key: str, default):
     return config.get(section, {}).get(key, default)
 
 
-def _opt(args, config: dict, section: str, key: str, default):
+def _opt(args, config: dict, section: str, key: str, default, least=None):
     """An option from the command line if given (0 and "" count), else from
-    the config, else the default."""
+    the config, else the default; a value below ``least`` is an error."""
     value = getattr(args, key)
-    return value if value is not None else _cfg(config, section, key, default)
+    if value is None:
+        value = _cfg(config, section, key, default)
+    if least is not None and value < least:
+        raise ConfigError(f"{section}.{key} must be at least {least}, "
+                          f"got {value}")
+    return value
 
 
 def _resolve_out_dir(args, config: dict) -> Path:
@@ -135,8 +139,8 @@ def _resolve_out_dir(args, config: dict) -> Path:
     return path
 
 
-def _parse_loss_list(text: str) -> list:
-    names = [s.strip() for s in text.split(",") if s.strip()]
+def _parse_loss_list(spec: str) -> list:
+    names = [s.strip() for s in spec.split(",") if s.strip()]
     if not names:
         raise ConfigError("empty loss list")
     for nm in names:
@@ -173,10 +177,8 @@ def cmd_catalog(args, config: dict) -> int:
             print(f"UnknownLoss: {args.name!r}", file=sys.stderr)
             return EXIT_USAGE
         names = (args.name,)
-    print("loss,phi,generator,psi,u_star,link")
-    for nm in names:
-        phi_s, f_s, psi_s, ustar, link = _CATALOG_TABLE[nm]
-        print(f"{nm},{phi_s},{f_s},{psi_s},{ustar!r},{link}")
+    print(text("loss,phi,generator,psi,u_star,link",
+               (row(nm, *_CATALOG_TABLE[nm]) for nm in names)), end="")
     if args.curves:
         out = Path(args.curves)
         out.mkdir(parents=True, exist_ok=True)
@@ -195,15 +197,13 @@ def cmd_catalog(args, config: dict) -> int:
 def cmd_verify(args, config: dict) -> int:
     loss_list = _parse_loss_list(
         _opt(args, config, "verify", "losses", ",".join(VERIFY_LOSSES)))
-    n_measures = _opt(args, config, "verify", "measures", 100)
-    seed = _opt(args, config, "verify", "seed", 0)
+    n_measures = _opt(args, config, "verify", "measures", 100, least=1)
+    seed = _opt(args, config, "verify", "seed", 0, least=0)
     tol = _opt(args, config, "verify", "tol", 1e-6)
     out_dir = _resolve_out_dir(args, config)
 
     all_pass = True
-    corr_lines = [risk.RiskReport.csv_header()]
-    cond_lines = ["loss,condition,pass,witness_beta,residual"]
-    check_lines = ["check,loss,value,threshold,pass"]
+    corr_rows, cond_rows, check_rows = [], [], []
     for phi in loss_list:
         loss_pass = True
         f = losses.catalog_generator(phi.name)
@@ -214,28 +214,29 @@ def cmd_verify(args, config: dict) -> int:
             rep = risk.verify_correspondence(phi, f, m, tol=tol,
                                              precheck=(k == 0))
             loss_pass &= rep.passed
-            corr_lines.append(rep.to_csv_row())
+            corr_rows.append(rep.to_csv_row())
         psi = psi_from_f(f)
         conditions = check_theorem1_conditions(psi, tol=1e-6)
         for c in conditions.checks:
             loss_pass &= c.passed
-            cond_lines.append(f"{phi.name},{c.to_csv_row()}")
+            cond_rows.append(row(phi.name, *astuple(c)))
         sym = equivalence.symmetry_check(f)
         loss_pass &= sym
-        check_lines.append(f"symmetry,{phi.name},-,1e-9,{str(sym).lower()}")
+        check_rows.append(row("symmetry", phi.name, "-", "1e-9", sym))
         coer = equivalence.coercivity_check(f)
         expected_coercive = phi.name == "sym_kl"
         ok = coer == expected_coercive
         loss_pass &= ok
-        check_lines.append(
-            f"coercivity,{phi.name},{str(coer).lower()},"
-            f"expect_{str(expected_coercive).lower()},{str(ok).lower()}")
+        check_rows.append(row("coercivity", phi.name, coer,
+                              f"expect_{row(expected_coercive)}", ok))
         all_pass &= loss_pass
         print(f"verify {phi.name}: {'ok' if loss_pass else 'FAIL'}")
     (out_dir / "verify_correspondence.csv").write_text(
-        "\n".join(corr_lines) + "\n")
-    (out_dir / "verify_conditions.csv").write_text("\n".join(cond_lines) + "\n")
-    (out_dir / "verify_checks.csv").write_text("\n".join(check_lines) + "\n")
+        text(risk.RiskReport.csv_header(), corr_rows))
+    (out_dir / "verify_conditions.csv").write_text(
+        text("loss,condition,pass,witness_beta,residual", cond_rows))
+    (out_dir / "verify_checks.csv").write_text(
+        text("check,loss,value,threshold,pass", check_rows))
     return EXIT_OK if all_pass else EXIT_ASSERTION
 
 
@@ -243,24 +244,23 @@ def cmd_equiv(args, config: dict) -> int:
     tol = _opt(args, config, "equiv", "tol", 1e-6)
     out_dir = _resolve_out_dir(args, config)
     names = list(_EQUIV_CLASSES)
-    lines = ["f1,f2,c,a,b,residual,verdict"]
-    ok = True
+    pair_rows, var_rows, ok = [], [], True
     for n1, n2 in [(a, b) for a in names for b in names if a != b]:
         rep = equivalence.affine_fit(losses.catalog_generator(n1),
                                      losses.catalog_generator(n2), tol=tol)
         expected = _EQUIV_CLASSES[n1] == _EQUIV_CLASSES[n2]
         ok &= rep.verdict == expected
-        lines.append(f"{n1},{n2},{rep.to_csv_row()}")
-    (out_dir / "equiv_pairs.csv").write_text("\n".join(lines) + "\n")
-
-    var_lines = ["loss,c,a,b,residual,verdict"]
+        pair_rows.append(row(n1, n2, *astuple(rep)[:5]))  # drops tol
     for nm in names:
         rep = equivalence.variational_family_check(losses.catalog_generator(nm),
                                                    tol=tol)
         expected = _EQUIV_CLASSES[nm] == "variational"
         ok &= rep.verdict == expected
-        var_lines.append(f"{nm},{rep.to_csv_row()}")
-    (out_dir / "equiv_varfam.csv").write_text("\n".join(var_lines) + "\n")
+        var_rows.append(row(nm, *astuple(rep)[:5]))
+    (out_dir / "equiv_pairs.csv").write_text(
+        text("f1,f2,c,a,b,residual,verdict", pair_rows))
+    (out_dir / "equiv_varfam.csv").write_text(
+        text("loss,c,a,b,residual,verdict", var_rows))
     print(f"equiv: {'ok' if ok else 'FAIL'} "
           f"({len(names) * (len(names) - 1)} pairs)")
     return EXIT_OK if ok else EXIT_ASSERTION
@@ -273,11 +273,12 @@ def cmd_erm(args, config: dict) -> int:
         n_list = [int(s) for s in str(n_text).split(",") if s.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad sample-size list: {n_text!r}") from exc
-    n_seeds = _opt(args, config, "erm", "seeds", 20)
-    if n_seeds < 1:
-        raise ConfigError(f"need at least one replicate seed, got {n_seeds}")
-    seed_base = _opt(args, config, "erm", "seed_base", 0)
-    grid_n = _opt(args, config, "erm", "grid", 101)
+    if min(n_list, default=0) < 1:
+        raise ConfigError(f"erm.n needs sample sizes >= 1, got {n_text!r}")
+    n_seeds = _opt(args, config, "erm", "seeds", 20, least=1)
+    seed_base = _opt(args, config, "erm", "seed_base", 0, least=0)
+    grid_n = _opt(args, config, "erm", "grid", 101, least=1)
+    lemma2_n = _opt(args, config, "erm", "lemma2", 0, least=0)
     bound = _opt(args, config, "erm", "bound", 4.0)
     timings = _opt(args, config, "erm", "timings", False)
     src = _source_from(args, config)
@@ -325,7 +326,6 @@ def cmd_erm(args, config: dict) -> int:
               f"t_var={wit.t_opt_1!r} t_alt={wit.t_opt_2!r} "
               f"bayes_gap={wit.bayes_gap!r}")
 
-    lemma2_n = _opt(args, config, "erm", "lemma2", 0)
     if lemma2_n:
         hinge = losses.catalog_loss("hinge")
         fit = equivalence.variational_family_check(

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._csvfmt import row, text
 from .errors import GridTooNarrow, NoFixedPoint, UnconfirmedBound
 from .optimize import sublevel_end
 
@@ -396,8 +397,7 @@ class ConditionCheck:
     residual: float
 
     def to_csv_row(self) -> str:
-        return (f"{self.name},{str(self.passed).lower()},"
-                f"{self.witness_beta!r},{self.residual!r}")
+        return row(*astuple(self))
 
 
 @dataclass(frozen=True)
@@ -417,10 +417,8 @@ class ConditionReport:
         return all(c.passed for c in self.checks)
 
     def to_csv(self) -> str:
-        lines = ["condition,pass,witness_beta,residual"]
-        for c in self.checks:
-            lines.append(c.to_csv_row())
-        return "\n".join(lines) + "\n"
+        return text("condition,pass,witness_beta,residual",
+                    (c.to_csv_row() for c in self.checks))
 
 
 def check_theorem1_conditions(psi: PsiFunction, tol: float) -> ConditionReport:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvfmt import row, text
 from .duality import _locate_beta1
 from .errors import DegenerateFit
 from .measures import (JointMeasure, Priors, Quantizer, SourceSpec,
@@ -47,14 +48,6 @@ class EquivalenceReport:
     residual: float
     verdict: bool
     tol: float
-
-    @staticmethod
-    def csv_header() -> str:
-        return "c,a,b,residual,verdict"
-
-    def to_csv_row(self) -> str:
-        return (f"{self.c!r},{self.a!r},{self.b!r},{self.residual!r},"
-                f"{str(self.verdict).lower()}")
 
 
 def affine_fit(f1, f2, tol: float = 1e-6) -> EquivalenceReport:
@@ -133,12 +126,11 @@ class DominanceReport:
         return self.dominance_by_prior == self.dominance_by_divergence
 
     def to_csv(self) -> str:
-        lines = ["criterion,point,value_q1,value_q2"]
-        for q, b1, b2 in zip(self.q_grid, self.bayes_1, self.bayes_2):
-            lines.append(f"bayes_at_prior,{float(q)!r},{float(b1)!r},{float(b2)!r}")
-        for c, d1, d2 in zip(self.c_grid, self.div_1, self.div_2):
-            lines.append(f"divergence_at_c,{float(c)!r},{float(d1)!r},{float(d2)!r}")
-        return "\n".join(lines) + "\n"
+        return text("criterion,point,value_q1,value_q2", [
+            *(row("bayes_at_prior", *v)
+              for v in zip(self.q_grid, self.bayes_1, self.bayes_2)),
+            *(row("divergence_at_c", *v)
+              for v in zip(self.c_grid, self.div_1, self.div_2))])
 
 
 def _clipped_divergences(m: JointMeasure) -> np.ndarray:

@@ -18,10 +18,11 @@ import itertools
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
+from ._csvfmt import row, text
 from .equivalence import variational_family_check
 from .errors import (EmptySample, IncompatibleQuantizer, NonConvexLoss,
                      NotVariationalFamily, NoWitnessFound, ZeroMassBin)
@@ -365,28 +366,14 @@ class ConsistencyTable:
         return float(np.median(vals))
 
     def to_csv(self, include_runtime: bool = False) -> str:
-        head = "loss,n,seed,excess_bayes,t_selected"
-        if include_runtime:
-            head += ",runtime_ms"
-        lines = [head]
-        for r in self.rows:
-            line = (f"{r.loss},{r.n},{r.seed},{r.excess_bayes!r},"
-                    f"{r.t_selected!r}")
-            if include_runtime:
-                line += f",{r.runtime_ms!r}"
-            lines.append(line)
-        return "\n".join(lines) + "\n"
+        k = 6 if include_runtime else 5  # runtime_ms, the last field
+        head = "loss,n,seed,excess_bayes,t_selected,runtime_ms".split(",")
+        return text(row(*head[:k]), (row(*astuple(r)[:k]) for r in self.rows))
 
     def summary_csv(self) -> str:
-        lines = ["loss,n,median_excess_bayes"]
-        seen = []
-        for r in self.rows:
-            key = (r.loss, r.n)
-            if key not in seen:
-                seen.append(key)
-        for loss, n in seen:
-            lines.append(f"{loss},{n},{self.median_excess(loss, n)!r}")
-        return "\n".join(lines) + "\n"
+        keys = dict.fromkeys((r.loss, r.n) for r in self.rows)  # in order
+        return text("loss,n,median_excess_bayes",
+                    (row(*key, self.median_excess(*key)) for key in keys))
 
 
 def consistency_sweep(losses_list: list[SurrogateLoss], n_list: list[int],
@@ -428,12 +415,8 @@ class MismatchWitness:
     bayes_gap: float
 
     def to_csv(self) -> str:
-        lines = ["t,risk_f1,risk_f2,bayes"]
-        for t, r1, r2, rb in zip(self.thresholds, self.risk_1, self.risk_2,
-                                 self.bayes):
-            lines.append(f"{float(t)!r},{float(r1)!r},{float(r2)!r},"
-                         f"{float(rb)!r}")
-        return "\n".join(lines) + "\n"
+        return text("t,risk_f1,risk_f2,bayes", map(
+            row, self.thresholds, self.risk_1, self.risk_2, self.bayes))
 
 
 def default_mismatch_grid() -> list[UniformPairSource]:

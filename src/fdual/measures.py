@@ -13,6 +13,7 @@ from typing import Callable, Union
 
 import numpy as np
 
+from ._csvfmt import row, text
 from .errors import IncompatibleQuantizer, InfiniteValue, ZeroMassBin
 
 MASS_TOL = 1e-12
@@ -95,10 +96,7 @@ class JointMeasure:
         return JointMeasure(mu, pi, self.priors)
 
     def to_csv(self) -> str:
-        lines = ["z,mu,pi"]
-        for z in range(self.z_count):
-            lines.append(f"{z},{float(self.mu[z])!r},{float(self.pi[z])!r}")
-        return "\n".join(lines) + "\n"
+        return text("z,mu,pi", map(row, range(self.z_count), self.mu, self.pi))
 
 
 @dataclass(frozen=True)

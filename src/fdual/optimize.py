@@ -27,6 +27,7 @@ BRACKET = 50.0
 # a run of a predicate this far from its anchor is read as unbounded
 SUBLEVEL_CAP = 2.0 ** 40
 _ROUNDS = 200  # cap on the rounds of a search
+_GRID_BITS = 14  # a non-convex scan's lattice: 2**14 steps per half-width
 
 
 def _search(f, pick, lo, hi, tol: float):
@@ -100,7 +101,7 @@ def zero_safe(pos, neg, w_pos, w_neg):
 
 
 @np.errstate(all="ignore")  # the one guard of the kernel's evaluations
-def weighted_min(phi, w_pos, w_neg, b, grid_bits: int = 14):
+def weighted_min(phi, w_pos, w_neg, b):
     """Minimize phi(a)*w_pos + phi(-a)*w_neg per element on [-b, b].
 
     The one per-element search of the package: the optimal risk takes it
@@ -108,11 +109,11 @@ def weighted_min(phi, w_pos, w_neg, b, grid_bits: int = 14):
     with the empirical weights.  Weights and half-widths broadcast together.
     A convex ``phi`` (``phi.convex``) is searched by ``bracket_min`` on
     [-b, b].  Any other is scanned on the exact lattice ``k 2**e`` (e =
-    ceil(log2 b) - grid_bits, |k| <= ceil(b / 2**e), at most 2**(grid_bits
-    + 1) + 1 points; one phi call per step, on the widest window, also
-    gives phi(-a), reversed), and each element's best cell is refined by
-    one ``bracket_min``; the lattice point is kept when its value is ``<=``
-    the refined one.  An evaluation at ``a`` is one call of ``phi.fn`` (or
+    ceil(log2 b) - 14, |k| <= ceil(b / 2**e), at most 2**15 + 1 points; one
+    phi call per step, on the widest window, also gives phi(-a), reversed),
+    and each element's best cell is refined by one ``bracket_min``; the
+    lattice point is kept when its value is ``<=`` the refined one.  An
+    evaluation at ``a`` is one call of ``phi.fn`` (or
     phi without one), elementwise over leading axes, on ``phi_pair(fn, a)``
     of shape ``(2,) + a.shape``, under the kernel's one ``np.errstate``.
 
@@ -144,7 +145,7 @@ def weighted_min(phi, w_pos, w_neg, b, grid_bits: int = 14):
         # one element at a time in one reused buffer (an elements x lattice
         # matrix costs memory and time), on the middle of its step's window
         mant, ex = np.frexp(b)  # ceil(log2 b) is ex, or ex - 1 at a power
-        step = np.ldexp(1.0, np.maximum(ex - (mant == 0.5) - grid_bits, -1074))
+        step = np.ldexp(1.0, np.maximum(ex - (mant == 0.5) - _GRID_BITS, -1074))
         n = np.ceil(b / step).astype(int)
         i, grid_val = np.empty(b.shape, int), np.empty(b.shape)
         for s in np.unique(step):

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvfmt import row
 from .errors import InfiniteRisk, MismatchedPair
 from .losses import SurrogateLoss, f_from_loss
 from .measures import JointMeasure, bayes_risk, f_divergence
@@ -53,7 +54,7 @@ def min_per_bin(phi: SurrogateLoss, mu: np.ndarray, pi: np.ndarray
     ``weighted_min`` on the per-bin bracket [-b_z, b_z], b_z = BRACKET +
     |log(mu_z/pi_z)| with the ratio clipped to [1e-300, 1e300] (a bin with
     one zero mass gets its mirror bin's bracket; a non-convex loss is scanned
-    on the lattice of ``grid_bits=14``, step 2**-8 where 32 < b_z <= 64).
+    on the lattice of step 2**-8 where 32 < b_z <= 64).
     Returns (argmins, values); a flat minimizer set's argmin is the point
     where ``bracket_min`` ends, the set's right end where its values are
     exactly equal.
@@ -141,9 +142,9 @@ class RiskReport:
         return "loss,divergence,R_phi_opt,I_f,residual,pass"
 
     def to_csv_row(self) -> str:
-        return (f"{self.loss_name},{self.generator_name},"
-                f"{self.optimal_phi_risk!r},{self.divergence_value!r},"
-                f"{self.correspondence_residual!r},{str(self.passed).lower()}")
+        return row(self.loss_name, self.generator_name, self.optimal_phi_risk,
+                   self.divergence_value, self.correspondence_residual,
+                   self.passed)
 
 
 def verify_correspondence(phi: SurrogateLoss, f, m: JointMeasure,

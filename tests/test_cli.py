@@ -1,9 +1,10 @@
+import csv
 import hashlib
 from pathlib import Path
 
 import pytest
 
-from fdual.cli import main
+from fdual.cli import load_config, main
 
 
 def run_cli(argv, capsys):
@@ -14,6 +15,11 @@ def run_cli(argv, capsys):
 
 def read_dir(path: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def cell_counts(data: str) -> list:
+    """The number of cells csv.reader reads in each row, header first."""
+    return [len(r) for r in csv.reader(data.splitlines())]
 
 
 class TestCatalog:
@@ -35,6 +41,62 @@ class TestCatalog:
         code, _, err = run_cli(["catalog", "--name", "nope"], capsys)
         assert code == 2
         assert "UnknownLoss" in err
+
+    def test_table_parses_as_csv(self, capsys):
+        # cells such as max(0,1-alpha) hold commas, so they are quoted
+        code, out, _ = run_cli(["catalog"], capsys)
+        assert code == 0
+        rows = list(csv.reader(out.splitlines()))
+        assert [len(r) for r in rows] == [6] * 8
+        hinge = [r for r in rows if r[0] == "hinge"][0]
+        assert hinge == ["hinge", "max(0,1-alpha)", "-2*min(u,1)",
+                         "2-beta on [0,2]", "1.0", "identity"]
+
+    # sha256 of catalog stdout and of every curve file it writes
+    CURVES = {
+        "stdout": "50def62c7ca6ec55517611e123144641"
+                  "ad9a2972d48eab72e9d84474122945a9",
+        "generator_eq10_nonconvex.csv": "e0960bc71f810c55bc8ca7eee2d50c8e"
+                                        "ada1abd4781fc724299ba480986f3b1b",
+        "generator_exponential.csv": "da188bdcd08937dce660d4c319de8b51"
+                                     "ddac40a65360c8301143edbc61fdd9f5",
+        "generator_hinge.csv": "e0960bc71f810c55bc8ca7eee2d50c8e"
+                               "ada1abd4781fc724299ba480986f3b1b",
+        "generator_least_squares.csv": "69a9174fe3407d01925a4909ab5562ff"
+                                       "7e57944315fa8972b0c274d5b905060d",
+        "generator_logistic.csv": "ed18a3e0f4b19f3e60ed8ba6f00130ea"
+                                  "077629d3bb253acef6f575aa280a67cd",
+        "generator_sym_kl.csv": "dab74630e47a4bfa164ea3a72e0c54eb"
+                                "c936fb64418bbc3a4c8fe729a04830aa",
+        "generator_zero_one.csv": "4dc382f33368f59f219a8a80bc8e466c"
+                                  "5bb2a33288ce59a310f09b4767538d11",
+        "loss_eq10_nonconvex.csv": "007a826b59796250e75a2e26721a032a"
+                                   "b855dce59dcb78b9f16668e5780abd6d",
+        "loss_exponential.csv": "f72dc8f07538100c5157bd018a38cea6"
+                                "45388c43476a1e60a954124f9467f984",
+        "loss_hinge.csv": "351aa50fa2f38b667a80303aab4909b1"
+                          "16e04486704b859bc4331de42c446ece",
+        "loss_least_squares.csv": "5f438f23370d4d0e844c44ae95d01f02"
+                                  "8bb97c081ed0f0f14697a68de366a6b2",
+        "loss_logistic.csv": "1194cc19d9ca0c4e8a966c32279679c8"
+                             "af71b224ba45fb6493b81c2e0e3accaa",
+        "loss_sym_kl.csv": "95a20a42f2fe810b4c2b36253b0526b8"
+                           "ba56cac176c9c0b2e673e019b8dd8314",
+        "loss_zero_one.csv": "5e711999c854a7a0884debf5a061d9c7"
+                             "2b15e13a3702f2c29cd98e6ffda2f7da",
+    }
+
+    def test_curves_match_pinned_sha256(self, tmp_path, capsys):
+        code, out, _ = run_cli(["catalog", "--curves", str(tmp_path)], capsys)
+        assert code == 0
+        files = read_dir(tmp_path)
+        for name, data in files.items():
+            points = 161 if name.startswith("loss_") else 121
+            assert cell_counts(data.decode()) == [2] * (1 + points)
+        got = {"stdout": hashlib.sha256(out.encode()).hexdigest()}
+        got.update((k, hashlib.sha256(v).hexdigest())
+                   for k, v in files.items())
+        assert got == self.CURVES
 
 
 class TestVerify:
@@ -59,6 +121,36 @@ class TestVerify:
         code, _, err = run_cli(["verify", "--config", str(cfg)], capsys)
         assert code == 2
         assert "bad value" in err
+
+    def test_malformed_config_bool_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad_bool.cfg"
+        cfg.write_text("[erm]\ntimings = maybe\n")
+        code, _, err = run_cli(["erm", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "bad value for erm.timings: 'maybe'" in err
+
+    @pytest.mark.parametrize("raw,want", [("yes", True), ("On", True),
+                                          ("1", True), ("off", False),
+                                          ("false", False), ("0", False)])
+    def test_config_bool_states(self, tmp_path, raw, want):
+        cfg = tmp_path / "bool.cfg"
+        cfg.write_text(f"[erm]\ntimings = {raw}\n")
+        assert load_config(str(cfg)) == {"erm": {"timings": want}}
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--measures", "0"], "verify.measures must be at least 1, got 0"),
+        (["--measures", "-2"], "verify.measures must be at least 1, got -2"),
+        (["--seed", "-1"], "verify.seed must be at least 0, got -1"),
+    ])
+    def test_bad_count_is_usage_error(self, tmp_path, capsys, argv,
+                                      message):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(["verify", "--losses", "hinge"] + argv
+                                 + ["--out", str(out_dir)], capsys)
+        assert code == 2
+        assert message in err
+        assert "verify hinge" not in out
+        assert not out_dir.exists()
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad2.cfg"
@@ -142,8 +234,27 @@ class TestErm:
                                 "--grid", "11", "--out", str(tmp_path)],
                                capsys)
         assert code == 2
-        assert "replicate" in err
+        assert "erm.seeds must be at least 1, got 0" in err
         assert not (tmp_path / "erm_consistency.csv").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--lemma2", "-3"], "erm.lemma2 must be at least 0, got -3"),
+        (["--n", "0"], "erm.n needs sample sizes >= 1, got '0'"),
+        (["--n", "100,-5"], "erm.n needs sample sizes >= 1, got '100,-5'"),
+        (["--n", ""], "erm.n needs sample sizes >= 1, got ''"),
+        (["--grid", "-2"], "erm.grid must be at least 1, got -2"),
+        (["--grid", "0"], "erm.grid must be at least 1, got 0"),
+        (["--seed-base", "-1"], "erm.seed_base must be at least 0, got -1"),
+    ])
+    def test_bad_count_is_usage_error(self, tmp_path, capsys, argv, message):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(["erm", "--seeds", "2", "--grid", "11",
+                                  "--n", "100"] + argv
+                                 + ["--out", str(out_dir)], capsys)
+        assert code == 2
+        assert message in err
+        assert out == ""
+        assert not out_dir.exists()
 
     def test_nonpositive_bound_is_usage_error(self, tmp_path, capsys):
         for bound in ("0", "-1.5"):
@@ -275,7 +386,11 @@ class TestPinnedDigests:
         argv, want = self.COMMANDS[name]
         code, out, _ = run_cli(argv + ["--out", str(tmp_path)], capsys)
         assert code == 0
+        files = read_dir(tmp_path)
+        for data in files.values():
+            counts = cell_counts(data.decode())
+            assert counts == counts[:1] * len(counts)
         got = {"stdout": hashlib.sha256(out.encode()).hexdigest()}
         got.update((k, hashlib.sha256(v).hexdigest())
-                   for k, v in read_dir(tmp_path).items())
+                   for k, v in files.items())
         assert got == want

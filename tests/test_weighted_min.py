@@ -246,7 +246,7 @@ class TestKernel:
         assert sizes == [2 * math.ceil((50.0 + math.log(4.0)) * 2**8) + 1]
         sizes.clear()
         f_from_loss(phi, np.geomspace(1e-2, 1e2, 21))
-        assert sizes == [2 * 50 * 2**10 + 1]
+        assert sizes == [2 * 50 * 2**8 + 1]
 
     def test_two_octaves_cost_two_lattice_calls(self):
         # b in (32, 64] has step 2**-8, b in (64, 128] step 2**-7; the
