@@ -38,9 +38,18 @@ _GRID_TOP, _GRID_HALF, _GRID_LO = 1e3, 10_000, 1e-9
 _COND_N, _COND_WINDOW = 201, 15.0  # Theorem 1 check grid on [-15, 15] at most
 
 
-def _as_float_array(x) -> tuple[np.ndarray, bool]:
+def _evaluate(self, x):
+    """self._eval on a float array, every floating-point warning ignored; a
+    float for a scalar (the ``__call__`` of losses, links, generators and
+    Psi functions)."""
     arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
+    with np.errstate(all="ignore"):
+        vals = self._eval(arr)
+    return float(vals) if arr.ndim == 0 else vals
+
+
+def _fn_eval(self, arr: np.ndarray) -> np.ndarray:
+    return np.asarray(self.fn(arr), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -60,15 +69,11 @@ class Generator:
     conjugate_fn: Callable[[np.ndarray], np.ndarray] | None = None
     table: tuple[np.ndarray, np.ndarray] | None = None
 
-    def __call__(self, u):
-        arr, scalar = _as_float_array(u)
-        with np.errstate(all="ignore"):
-            vals = self._eval(arr)
-        return float(vals) if scalar else vals
+    __call__ = _evaluate
 
     def _eval(self, arr: np.ndarray) -> np.ndarray:
         """f on a float ndarray, for a caller that ignores every warning."""
-        vals = np.asarray(self.fn(arr), dtype=float)
+        vals = _fn_eval(self, arr)
         return np.where(arr < 0.0, INF, vals) if self.halfline else vals
 
     @classmethod
@@ -283,10 +288,7 @@ class PsiFunction:
     u_star: float
     name: str = ""
 
-    def __call__(self, beta):
-        arr, scalar = _as_float_array(beta)
-        out = np.asarray(self.fn(arr), dtype=float)
-        return float(out) if scalar else out
+    __call__, _eval = _evaluate, _fn_eval
 
 
 def _psi_eval(f: Generator, numeric: bool) -> Callable:

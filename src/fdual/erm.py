@@ -211,8 +211,7 @@ def joint_erm(phi: SurrogateLoss, s: SampleSet,
 
 def _erm_thresholds(phi: SurrogateLoss, s: SampleSet,
                     fc: FunctionClassSpec) -> ErmResult:
-    if not isinstance(s.src, UniformPairSource):
-        raise IncompatibleQuantizer("threshold ERM needs a uniform-pair source")
+    _check_route(ThresholdQuantizer, s.src)
     ts = fc.thresholds
     w_pos, w_neg = _threshold_weights(s, ts)
     gam, val = _gamma_step(phi, w_pos.ravel(), w_neg.ravel(), fc.gamma_bound)
@@ -228,8 +227,7 @@ def _erm_thresholds(phi: SurrogateLoss, s: SampleSet,
 
 def _erm_table(phi: SurrogateLoss, s: SampleSet,
                fc: FunctionClassSpec) -> ErmResult:
-    if not isinstance(s.src, BinnedSource):
-        raise IncompatibleQuantizer("table ERM needs a binned source")
+    _check_route(TableQuantizer, s.src)
     k, nb = fc.table_bins, s.src.n_bins
     c_pos, c_neg = _table_counts(s, nb)
     n = s.n
@@ -301,27 +299,16 @@ def excess_bayes_risk(r: ErmResult, src: SourceSpec,
 
 # --- excess-risk inequality ---------------------------------------------------
 
-def _thresholds_with(q: ThresholdQuantizer, src: UniformPairSource,
-                     thresholds: np.ndarray | None) -> np.ndarray:
-    if thresholds is None:
-        base = threshold_grid(src, 101)
-    else:
-        base = np.asarray(thresholds, dtype=float)
-    return np.unique(np.append(base, q.t))
-
-
 def lemma2_gap(phi: SurrogateLoss, gamma: np.ndarray, q: ThresholdQuantizer,
-               src: UniformPairSource,
-               thresholds: np.ndarray | None = None,
-               family_fit=None) -> tuple[float, float]:
+               src: UniformPairSource, family_fit=None) -> tuple[float, float]:
     """Both sides of the excess-risk inequality
 
         (c/2) * [R01(gamma, Q) - R01*]  <=  Rphi(gamma, Q) - Rphi*
 
     for a loss in the -c*min(u,1)+a*u+b family with a = b.  The starred
-    quantities sweep the threshold family (always including Q itself); each
-    side is computed by its own route.  Raises NotVariationalFamily when the
-    induced generator is outside the family or a != b.
+    quantities sweep the 101-point ``threshold_grid`` of src and Q itself;
+    each side is computed by its own route.  Raises NotVariationalFamily
+    when the induced generator is outside the family or a != b.
     """
     fit = family_fit
     if fit is None:
@@ -334,7 +321,8 @@ def lemma2_gap(phi: SurrogateLoss, gamma: np.ndarray, q: ThresholdQuantizer,
         raise NotVariationalFamily(
             "the inequality is exercised only for a = b "
             f"(got a={fit.a:.3e}, b={fit.b:.3e})")
-    mu, pi = _interior_masses(src, _thresholds_with(q, src, thresholds))
+    mu, pi = _interior_masses(
+        src, np.unique(np.append(threshold_grid(src, 101), q.t)))
     r01_star = float(np.minimum(mu, pi).sum(axis=1).min())
     m_q = induce_measures(q, src)
     lhs = 0.5 * fit.c * (zero_one_risk(gamma, m_q) - r01_star)

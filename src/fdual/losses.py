@@ -10,13 +10,13 @@ numeric machinery can be validated against them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ._csvfmt import row, text
-from .duality import (Generator, check_convex_sampled,
+from .duality import (Generator, _evaluate, _fn_eval, check_convex_sampled,
                       check_theorem1_conditions, psi_from_f)
 from .errors import BadLink, NotConvex, Unbounded, UnrealizableDivergence
 from .optimize import BRACKET, phi_pair, sublevel_end, weighted_min
@@ -25,15 +25,6 @@ INF = math.inf
 
 LOSS_NAMES = ("zero_one", "hinge", "exponential", "logistic",
               "least_squares", "sym_kl", "eq10_nonconvex")
-
-
-def _evaluate(self, x):
-    """self.fn on a float array, every floating-point warning ignored; a float
-    for a scalar (the ``__call__`` of losses and links)."""
-    arr = np.asarray(x, dtype=float)
-    with np.errstate(all="ignore"):
-        vals = np.asarray(self.fn(arr), dtype=float)
-    return float(vals) if arr.ndim == 0 else vals
 
 
 @dataclass(frozen=True)
@@ -63,7 +54,7 @@ class SurrogateLoss:
         if self.strictly_convex and not self.convex:
             raise ValueError("a strictly convex loss must be flagged convex")
 
-    __call__ = _evaluate
+    __call__, _eval = _evaluate, _fn_eval
 
     @property
     def u_star(self) -> float:
@@ -80,7 +71,7 @@ class GLink:
     u_star: float
     name: str = ""
 
-    __call__ = _evaluate
+    __call__, _eval = _evaluate, _fn_eval
 
     def validate(self) -> None:
         """Raise BadLink unless anchor, monotonicity, convexity (sampled at
@@ -328,32 +319,34 @@ def f_from_loss(phi: SurrogateLoss, u):
 
     Accepts a scalar or an array of nonnegative u, and minimizes with
     ``weighted_min`` at weights (u, 1) on [-BRACKET, BRACKET].  For a convex
-    loss the bracket doubles while a minimizer sits on its edge and the
-    values still move; a non-convex loss is scanned once, on the lattice of
-    step 2**-8, where minimizer sets such as zero_one's half-lines may reach
-    the edge.  Where the infimum diverges, f(0) is +inf (the zero weight
-    leaves -inf phi, as sym_kl's) and any u > 0 raises Unbounded.
+    loss each element's bracket doubles, and only that element is solved
+    again, while its minimizer sits on the edge and its value still moves,
+    so f(u) does not depend on the rest of the stack; a non-convex loss is
+    scanned once, on the lattice of step 2**-8, where minimizer sets such as
+    zero_one's half-lines may reach the edge.  Where the infimum diverges,
+    f(0) is +inf (the zero weight leaves -inf phi, as sym_kl's) and any
+    u > 0 raises Unbounded.
     """
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(u_arr < 0.0):
         raise ValueError("u must be nonnegative")
-    b, prev = BRACKET, None
-    for _ in range(12):
-        _, vals, at_edge = weighted_min(phi, u_arr, 1.0, b)
+    vals = np.full(u_arr.shape, np.nan)
+    live = np.arange(u_arr.size)  # the elements whose bracket still widens
+    for k in range(12):
+        prev = vals[live]
+        _, vals[live], at_edge = weighted_min(phi, u_arr[live], 1.0,
+                                              BRACKET * 2.0 ** k)
         # an infimum approached asymptotically settles as the bracket grows
-        falling = at_edge if prev is None else ~(
-            np.abs(vals - prev) <= 1e-12 * (1.0 + np.abs(prev)))
-        if not (phi.convex and at_edge.any() and falling.any()):
+        moving = ~(np.abs(vals[live] - prev) <= 1e-12 * (1.0 + np.abs(prev)))
+        live = live[at_edge & moving & phi.convex]
+        if not live.size:
             break
-        prev = vals
-        b *= 2.0
     else:
         # every expansion left these minimizers at the edge with their values
         # still falling: their infimum is -inf
-        falling &= at_edge
-        if np.any(falling & (u_arr > 0.0)):
+        if np.any(u_arr[live] > 0.0):
             raise Unbounded("objective of the forward map diverges to -inf")
-        vals = np.where(falling, -INF, vals)
+        vals[live] = -INF
     return float(-vals[0]) if np.ndim(u) == 0 else -vals
 
 
@@ -400,14 +393,12 @@ def loss_from_f(f: Generator, g: GLink) -> SurrogateLoss:
     alpha_star = INF if not math.isfinite(psi.beta2) else sublevel_end(
         lambda x: g_anchored(x + u_star) < psi.beta2, 0.0, 1.0)
     inf_value = -f(0.0) if math.isfinite(f(0.0)) else -INF
+    loss = SurrogateLoss(fn, f"recipe[{f.name},{g.name}]", convex=True,
+                         decreasing=True, alpha_star=alpha_star,
+                         inf_value=inf_value)
     probe = np.linspace(-6.0, 6.0, 401)
-    loss_name = f"recipe[{f.name},{g.name}]"
-    tmp = SurrogateLoss(fn, loss_name, convex=True, decreasing=True,
-                        alpha_star=alpha_star, inf_value=inf_value)
-    convex = check_convex_sampled(tmp, probe)
-    decreasing = bool(np.all(np.diff(tmp(probe)) <= 1e-9))
-    return SurrogateLoss(fn, loss_name, convex=convex, decreasing=decreasing,
-                         alpha_star=alpha_star, inf_value=inf_value)
+    return replace(loss, convex=check_convex_sampled(loss, probe),
+                   decreasing=bool(np.all(np.diff(loss(probe)) <= 1e-9)))
 
 
 # --- calibration and shape checks --------------------------------------------

@@ -235,6 +235,20 @@ class TestJointErm:
         with pytest.raises(NonConvexLoss):
             joint_erm(catalog_loss("zero_one"), s, fc_default)
 
+    def test_threshold_family_needs_a_uniform_pair(self, fc_default):
+        src = BinnedSource([0.6, 0.4], [0.2, 0.8], Priors(0.5, 0.5))
+        s = generate_samples(src, 100, 0)
+        with pytest.raises(IncompatibleQuantizer, match="threshold "
+                           "quantizers apply only to uniform-pair sources"):
+            joint_erm(catalog_loss("hinge"), s, fc_default)
+
+    def test_table_family_needs_a_binned_source(self, src_default):
+        fc = FunctionClassSpec(gamma_bound=4.0, table_bins=2)
+        s = generate_samples(src_default, 100, 0)
+        with pytest.raises(IncompatibleQuantizer, match="table quantizers "
+                           "apply only to binned sources"):
+            joint_erm(catalog_loss("hinge"), s, fc)
+
     def test_selected_threshold_near_population_optimum(self, src_default,
                                                         fc_default):
         s = generate_samples(src_default, 10_000, (0, 10_000))
@@ -467,7 +481,7 @@ class TestLemma2:
         m = induce_measures(ThresholdQuantizer(t_best), src_default)
         gamma = np.where(m.mu - m.pi > 0, 1.0, -1.0)
         lhs, rhs = lemma2_gap(hinge, gamma, ThresholdQuantizer(t_best),
-                              src_default, thresholds=ts)
+                              src_default)
         assert lhs == pytest.approx(0.0, abs=1e-10)
         assert rhs == pytest.approx(0.0, abs=1e-9)
 
@@ -476,11 +490,10 @@ class TestLemma2:
         # with the per-bin sign rule in place the loss-excess equals the
         # scaled 0-1 excess, so the right side is exactly twice the left
         hinge = catalog_loss("hinge")
-        ts = threshold_grid(src_default, 101)
         q = ThresholdQuantizer(1.25)
         m = induce_measures(q, src_default)
         gamma = np.where(m.mu - m.pi > 0, 1.0, -1.0)
-        lhs, rhs = lemma2_gap(hinge, gamma, q, src_default, thresholds=ts)
+        lhs, rhs = lemma2_gap(hinge, gamma, q, src_default)
         assert rhs == pytest.approx(2.0 * lhs, abs=1e-8)
         assert lhs > 0
 
@@ -489,9 +502,8 @@ class TestLemma2:
         fit = variational_family_check(induced_generator(hinge))
         for bad in (0.5, 2.0):
             with pytest.raises(ZeroMassBin):
-                lemma2_gap(hinge, np.zeros(2),
-                           ThresholdQuantizer(1.5), src_default,
-                           thresholds=np.array([1.2, bad]), family_fit=fit)
+                lemma2_gap(hinge, np.zeros(2), ThresholdQuantizer(bad),
+                           src_default, family_fit=fit)
 
     def test_non_member_rejected(self, src_default):
         q = ThresholdQuantizer(1.5)

@@ -17,8 +17,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from fdual import optimize
+from fdual import losses, optimize
 from fdual.errors import (FdualError, InfiniteObjective, NanObjective,
                           Unbounded)
 from fdual.erm import (FunctionClassSpec, _gamma_step, _table_counts,
@@ -95,6 +97,15 @@ def old_gamma_step(phi, w_pos, w_neg, bound):
     return gam, val
 
 
+# e^(a/40) + u e^(-a/40) is least at a = 20 log u, off [-50, 50] for small
+# or large u: the forward map must widen its bracket
+SLOW = SurrogateLoss(lambda a: np.exp(-np.asarray(a) / 40.0), "slow",
+                     convex=True, decreasing=True, alpha_star=math.inf,
+                     inf_value=0.0)
+CONVEX_LOSSES = [phi for phi in map(catalog_loss, LOSS_NAMES)
+                 if phi.convex] + [SLOW]
+
+
 def _same(x, y):
     return np.asarray(x).tobytes() == np.asarray(y).tobytes()
 
@@ -154,17 +165,46 @@ class TestForwardMapOracle:
         assert np.all(np.abs(got[1:] - want) <= 1e-9 * (1.0 + np.abs(want)))
 
     def test_edge_doubling_matches_old_route(self):
-        # e^(a/40) + u e^(-a/40) is least at a = 20 log u = -138 for
-        # u = 1e-3: the bracket doubles 50 -> 100 -> 200 before it is inside
-        slow = SurrogateLoss(lambda a: np.exp(-np.asarray(a) / 40.0), "slow",
-                             convex=True, decreasing=True,
-                             alpha_star=math.inf, inf_value=0.0)
+        # the minimizer of SLOW is at a = 20 log u = -138 for u = 1e-3: the
+        # bracket doubles 50 -> 100 -> 200 before it is inside
         us = np.array([1e-3, 0.5, 2.0])
-        _, _, at_edge = weighted_min(slow, us, 1.0, 50.0)
+        _, _, at_edge = weighted_min(SLOW, us, 1.0, 50.0)
         assert at_edge.tolist() == [True, False, False]
-        got = f_from_loss(slow, us)
-        assert _same(got, old_f_from_loss(slow, us))
+        got = f_from_loss(SLOW, us)
+        assert _same(got, old_f_from_loss(SLOW, us))
         np.testing.assert_allclose(got, -2.0 * np.sqrt(us), rtol=1e-9)
+
+
+class TestPerElementBracket:
+    """Each element of a stack widens its own bracket, so f(u) does not
+    depend on what else is in the stack."""
+
+    @pytest.mark.parametrize("phi", CONVEX_LOSSES, ids=lambda p: p.name)
+    @given(us=st.lists(st.one_of(
+        st.just(0.0), st.floats(-30.0, 30.0).map(lambda e: 10.0 ** e)),
+        min_size=2, max_size=6))
+    # sym_kl's bracket for f(0) = +inf widens eleven times; the other
+    # element's must not follow it
+    @example(us=[0.0, 0.01135733358343105])
+    def test_stack_equals_each_element_alone(self, phi, us):
+        got = f_from_loss(phi, np.array(us))
+        assert _same(got, [f_from_loss(phi, u) for u in us])
+
+    @pytest.mark.parametrize("name,solves", [
+        ("sym_kl", 212), ("exponential", 202), ("logistic", 202),
+        ("hinge", 201)])
+    def test_only_widening_elements_are_solved_again(self, monkeypatch,
+                                                     name, solves):
+        seen, kernel = [], losses.weighted_min
+
+        def counted(phi, u, *rest):
+            seen.append(np.size(u))
+            return kernel(phi, u, *rest)
+
+        monkeypatch.setattr(losses, "weighted_min", counted)
+        f_from_loss(catalog_loss(name),
+                    np.append(0.0, np.geomspace(1e-3, 1e3, 200)))
+        assert sum(seen) == solves
 
 
 class TestGammaStepOracle:
