@@ -303,19 +303,24 @@ def _psi_eval(f: Generator, numeric: bool) -> Callable:
     return lambda beta: fstar(-np.asarray(beta, dtype=float))
 
 
+def _fails_to_decay(d0: float, d1: float, s1: float) -> bool:
+    """Increments d0 > 1e-7 (1 + |s1|) and d1 >= d0 / 5 fail to decay."""
+    return d0 > 1e-7 * (1.0 + abs(s1)) and d1 >= 0.2 * d0
+
+
 def _locate_beta1(f: Callable) -> float:
     """beta1 = -f'_inf = -lim f(u)/u: dom f* is bounded by the recession
     slope (Rockafellar 1970, Sec. 8 and Thm 13.3), so f is read, never Psi.
 
     Chord slopes between the _TAIL nodes rise (f is convex).  Increments that
-    fail to decay (the test of _locate_beta2) with a positive last slope mean
+    fail to decay (``_fails_to_decay``) with a positive last slope mean
     a 1-coercive f and beta1 = -inf.  A sequence still <= 0 is read as
     converging (slowly for -u**0.9) and Aitken-extrapolated.
     """
     fs = np.asarray(f(_TAIL), dtype=float)
     s0, s1, s2 = np.diff(fs) / np.diff(_TAIL)
     d0, d1 = s1 - s0, s2 - s1
-    if d0 > 1e-7 * (1.0 + abs(s1)) and d1 >= 0.2 * d0 and s2 > 0.0:
+    if _fails_to_decay(d0, d1, s1) and s2 > 0.0:
         return -INF
     if d1 == d0:  # an affine tail, or no decay to extrapolate
         return float(0.0 - s2)
@@ -333,7 +338,7 @@ def _locate_beta2(f: Generator, psi: Callable) -> float:
     # sequence has decrements shrinking like the step ratio).
     s0, s1, s2 = [(f(h) - f0) / h for h in (1e-4, 1e-6, 1e-8)]
     d0, d1 = s0 - s1, s1 - s2
-    if d0 > 1e-7 * (1.0 + abs(s1)) and d1 >= 0.2 * d0:
+    if _fails_to_decay(d0, d1, s1):
         return INF
     # Psi reaches inf Psi exactly where -beta passes the right derivative of
     # f at 0; Richardson-extrapolate the 1e-6 and 1e-8 quotients for it.

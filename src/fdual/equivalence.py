@@ -19,23 +19,12 @@ import numpy as np
 from ._csvfmt import row, text
 from .duality import _locate_beta1
 from .errors import DegenerateFit
-from .measures import (JointMeasure, Priors, Quantizer, SourceSpec,
-                       _masses, _routing, induce_measures)
+from .measures import Quantizer, SourceSpec, induce_measures
 
 # 201 log-spaced points on [1e-2, 1e2]; the kink of min(u,1) at u=1 is
 # exactly on the grid
 FIT_GRID = np.geomspace(1e-2, 1e2, 201)
-
-# priors q and clip levels c of the dominance comparison
-Q_GRID = np.linspace(0.05, 0.95, 19)
-C_GRID = np.geomspace(0.1, 10.0, 25)
-# reports hand these arrays out; a write through one must not move the grid
-for _grid in (FIT_GRID, Q_GRID, C_GRID):
-    _grid.flags.writeable = False
-# the exact prior pairs of Q_GRID as (19, 1) columns, one row per prior
-_PRIORS = [Priors.from_q(q) for q in Q_GRID.tolist()]
-_P_COL = np.array([[pr.p] for pr in _PRIORS])
-_Q_COL = np.array([[pr.q] for pr in _PRIORS])
+FIT_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -106,10 +95,10 @@ def coercivity_check(f) -> bool:
 class DominanceReport:
     """Blackwell comparison of two quantizers on a common source.
 
-    Condition (a): Bayes risks compared under every prior in q_grid
-    (Q_GRID).  Condition (b): divergences of the class-conditionals under
-    every clipped-linear generator -min(u, c) for c in c_grid (C_GRID).  The
-    two verdicts must agree, each read with slack 1e-12.
+    Condition (a): Bayes risks at every prior in q_grid; condition (b):
+    divergences of the class-conditionals under -min(u, c) for every c in
+    c_grid.  The grids hold both quantizers' kinks and the ends, so each
+    verdict (slack 1e-12) holds for every prior and c; the two must agree.
     """
 
     q_grid: np.ndarray
@@ -133,30 +122,36 @@ class DominanceReport:
               for v in zip(self.c_grid, self.div_1, self.div_2))])
 
 
-def _clipped_divergences(m: JointMeasure) -> np.ndarray:
-    """I_f of the class-conditionals for f(u) = -min(u, c), per c of C_GRID."""
-    p1, p_1 = m.conditionals()
-    return -np.minimum(p1, C_GRID[:, None] * p_1).sum(axis=1)
+def _kinks(ratios, end: float) -> np.ndarray:
+    """Sorted read-only union of the ends 0, end and every ratio."""
+    grid = np.array(sorted({0.0, end}.union(*(r.tolist() for r in ratios))))
+    grid.flags.writeable = False
+    return grid
 
 
 def dominance_check(q1: Quantizer, q2: Quantizer,
                     src: SourceSpec) -> DominanceReport:
-    """Evaluate both sides of the Blackwell dominance equivalence.
+    """Decide both sides of the Blackwell dominance equivalence exactly.
 
-    Builds both induced measures first, so a quantizer that empties a bin
-    raises ZeroMassBin; the Bayes risks at every prior then come from one
-    array of raw masses per quantizer, a row per prior.
+    With (P1, P0) a quantizer's class-conditionals, the Bayes risk
+    sum_z min((1-q) P1_z, q P0_z) kinks only at q_z = P1_z / (P1_z + P0_z)
+    and the clipped divergence -sum_z min(P1_z, c P0_z) only at
+    c_z = P1_z / P0_z (DeGroot 1962): two such curves compared at the union
+    of their kinks and the ends are compared everywhere.  Both induced
+    measures are built first, so a quantizer that empties a bin raises
+    ZeroMassBin and every ratio is finite and positive.
     """
-    m1 = induce_measures(q1, src)
-    m2 = induce_measures(q2, src)
-    b1, b2 = (np.minimum(*_masses(src, _routing(q, src), _P_COL, _Q_COL))
-              .sum(axis=1) for q in (q1, q2))
-    d1 = _clipped_divergences(m1)
-    d2 = _clipped_divergences(m2)
+    conds = [induce_measures(q, src).conditionals() for q in (q1, q2)]
+    q_grid = _kinks([p1 / (p1 + p0) for p1, p0 in conds], 1.0)
+    c_grid = _kinks([p1 / p0 for p1, p0 in conds], np.inf)
+    qs, cs = q_grid[:, None], c_grid[:, None]
+    b1, b2 = (np.minimum((1.0 - qs) * p1, qs * p0).sum(axis=1)
+              for p1, p0 in conds)
+    d1, d2 = (-np.minimum(p1, cs * p0).sum(axis=1) for p1, p0 in conds)
     eps = 1e-12
     dom_a = (bool(np.all(b1 <= b2 + eps)), bool(np.all(b2 <= b1 + eps)))
     dom_b = (bool(np.all(d1 >= d2 - eps)), bool(np.all(d2 >= d1 - eps)))
-    return DominanceReport(q_grid=Q_GRID, bayes_1=b1, bayes_2=b2,
-                           c_grid=C_GRID, div_1=d1, div_2=d2,
+    return DominanceReport(q_grid=q_grid, bayes_1=b1, bayes_2=b2,
+                           c_grid=c_grid, div_1=d1, div_2=d2,
                            dominance_by_prior=dom_a,
                            dominance_by_divergence=dom_b)

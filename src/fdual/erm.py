@@ -279,7 +279,7 @@ def optimal_family_bayes(fc: FunctionClassSpec, src: SourceSpec) -> float:
         if k ** nb > 100_000:
             raise ValueError("table family too large to sweep exhaustively")
         rows = np.eye(k)[list(itertools.product(range(k), repeat=nb))]
-        mu, pi = _masses(src, rows, src.priors.p, src.priors.q)
+        mu, pi = _masses(src, rows)
     return float(np.minimum(mu, pi).sum(axis=1).min())
 
 

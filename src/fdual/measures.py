@@ -181,11 +181,10 @@ class BinnedSource:
 SourceSpec = Union[UniformPairSource, BinnedSource]
 
 
-def _masses(src: SourceSpec, cut: np.ndarray, p, q_
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """The mass formulas: ``cut`` is a threshold column (uniform pair) or
-    table rows (..., n_bins, z) (binned source), and the priors p, q_ are
-    floats or (m, 1) columns, one row of masses per prior pair."""
+def _masses(src: SourceSpec, cut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mass formulas at the source's priors: ``cut`` is a threshold
+    column (uniform pair) or table rows (..., n_bins, z) (binned source)."""
+    p, q_ = src.priors.p, src.priors.q
     if isinstance(src, UniformPairSource):
         a, b, c = src.a, src.b, src.c
         return (np.hstack([p * (cut - a) / (c - a), p * (c - cut) / (c - a)]),
@@ -221,8 +220,7 @@ def threshold_masses(src: SourceSpec, ts) -> tuple[np.ndarray, np.ndarray]:
     negative mass.  Raises IncompatibleQuantizer unless src is a uniform pair.
     """
     _check_route(ThresholdQuantizer, src)
-    return _masses(src, np.asarray(ts, dtype=float).reshape(-1, 1),
-                   src.priors.p, src.priors.q)
+    return _masses(src, np.asarray(ts, dtype=float).reshape(-1, 1))
 
 
 def _routing(q: Quantizer, src: SourceSpec) -> np.ndarray:
@@ -249,7 +247,7 @@ def quantizer_masses(q: Quantizer, src: SourceSpec
     still be scored.  Raises IncompatibleQuantizer on a quantizer/source kind
     mismatch or a table whose row count is not the source's bin count.
     """
-    return _masses(src, _routing(q, src), src.priors.p, src.priors.q)
+    return _masses(src, _routing(q, src))
 
 
 def induce_measures(q: Quantizer, src: SourceSpec) -> JointMeasure:

@@ -516,6 +516,13 @@ class TestPsiFromF:
         closed = c * math.exp((-u_star - a) / c - 1.0) + a
         assert abs(u_star - closed) <= 1e-9
 
+    def test_certificate_needs_a_sign_change_left_of_the_probe(self):
+        # s = Psi - beta = -2 beta - 2 is < 0 on both sides of the probe 0,
+        # so the probe is no fixed point and the search finds u* = -1
+        psi = lambda beta: -np.asarray(beta, dtype=float) - 2.0
+        u_star = duality._locate_fixed_point(psi, -INF, INF, 0.0)
+        assert abs(u_star + 1.0) <= 1e-12
+
 
 def _arr(u):
     return np.asarray(u, dtype=float)

@@ -1,42 +1,61 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fdual.duality import psi_from_f
-from fdual.equivalence import (C_GRID, Q_GRID, affine_fit, coercivity_check,
-                               dominance_check, symmetry_check,
-                               variational_family_check)
+from fdual.equivalence import (affine_fit, coercivity_check, dominance_check,
+                               symmetry_check, variational_family_check)
 from fdual.errors import DegenerateFit, ZeroMassBin
 from fdual.losses import catalog_generator, catalog_loss, induced_generator
 from fdual.measures import (BinnedSource, Priors, TableQuantizer,
-                            ThresholdQuantizer, UniformPairSource, bayes_risk,
+                            ThresholdQuantizer, UniformPairSource,
                             f_divergence, induce_measures, random_measure)
 from fdual.risk import optimal_phi_risk
 
 REALIZABLE = ("hinge", "exponential", "least_squares", "logistic", "sym_kl")
 
 
-def old_dominance_sides(q1, q2, src):
-    """Frozen copy of the route dominance_check replaced: one induced
-    JointMeasure per quantizer and prior for the Bayes risks, and one
-    clipped divergence per c."""
-    b1 = np.empty_like(Q_GRID)
-    b2 = np.empty_like(Q_GRID)
-    for i, q in enumerate(Q_GRID):
-        priors = Priors.from_q(float(q))
-        b1[i] = bayes_risk(induce_measures(q1, replace(src, priors=priors)))
-        b2[i] = bayes_risk(induce_measures(q2, replace(src, priors=priors)))
+# the dense reference: 1e5 + 1 priors on [0, 1]; a margin is a near-tie when
+# a sample between two of them could still cross the 1e-12 slack
+DENSE_Q = np.linspace(0.0, 1.0, 100_001)
+NEAR_TIE = 1e-4
 
-    def clipped(m):
-        p1, p_1 = m.conditionals()
-        return np.array([-float(np.minimum(p1, c * p_1).sum())
-                         for c in C_GRID])
 
-    return (b1, b2, clipped(induce_measures(q1, src)),
-            clipped(induce_measures(q2, src)))
+def cells(q, src):
+    """Class-conditionals (P1, P0) of q's cells, written out from src."""
+    if isinstance(q, ThresholdQuantizer):
+        a, b, c, t = src.a, src.b, src.c, q.t
+        return np.array([t - a, c - t]) / (c - a), np.array([t, b - t]) / b
+    return src.pos_masses @ q.rows, src.neg_masses @ q.rows
+
+
+def bayes_at(qs, p1, p0):
+    """sum_z min((1-q) P1_z, q P0_z) at each prior q of qs."""
+    return np.minimum(np.outer(p1, 1.0 - qs), np.outer(p0, qs)).sum(axis=0)
+
+
+def assert_matches_dense_reference(rep, q1, q2, src):
+    """Both curves at the report's points, and both verdicts against the
+    dense priors: Q1 dominates Q2 for every prior exactly when it does for
+    every clipped divergence (Blackwell), so the priors decide both."""
+    (p1, p0), (r1, r0) = cells(q1, src), cells(q2, src)
+    for got, (a, b) in ((rep.bayes_1, (p1, p0)), (rep.bayes_2, (r1, r0))):
+        np.testing.assert_allclose(got, bayes_at(rep.q_grid, a, b),
+                                   rtol=0, atol=1e-15)
+    for got, (a, b) in ((rep.div_1, (p1, p0)), (rep.div_2, (r1, r0))):
+        want = -np.minimum(a, rep.c_grid[:, None] * b).sum(axis=1)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    diff = bayes_at(DENSE_Q, p1, p0) - bayes_at(DENSE_Q, r1, r0)
+    at_kinks = rep.bayes_1 - rep.bayes_2
+    for sign, k in ((1.0, 0), (-1.0, 1)):
+        dense = float(np.max(sign * diff))
+        exact = float(np.max(sign * at_kinks))
+        # no prior between the kinks does worse than the kinks show
+        assert dense <= exact + 1e-12
+        if not 1e-12 < exact <= NEAR_TIE:
+            assert rep.dominance_by_prior[k] == (dense <= 1e-12)
+            assert rep.dominance_by_divergence[k] == (dense <= 1e-12)
 
 
 class TestAffineFit:
@@ -197,9 +216,9 @@ class TestDominance:
         assert rep.dominance_by_prior == (False, False)
         assert rep.agreement
 
-    def test_matches_old_route_bit_for_bit(self, rng):
+    def test_matches_dense_reference(self, rng):
         cases = []
-        for _ in range(200):
+        for _ in range(60):
             a = float(rng.uniform(0.2, 2.0))
             b = a + float(rng.uniform(0.1, 2.0))
             c = b + float(rng.uniform(0.1, 3.0))
@@ -207,7 +226,7 @@ class TestDominance:
             src = UniformPairSource(a, b, c, Priors.from_q(q))
             t1, t2 = (float(t) for t in rng.uniform(a, b, 2))
             cases.append((ThresholdQuantizer(t1), ThresholdQuantizer(t2), src))
-        for k in range(30):
+        for k in range(12):
             nb, z = 3 + k % 10, 2 + k % 11  # up to 12 letters per sum
             pos, neg = rng.uniform(0.05, 1.0, (2, nb))
             src = BinnedSource(pos / pos.sum(), neg / neg.sum(),
@@ -217,10 +236,34 @@ class TestDominance:
                       for r in rows)
             cases.append((q1, q2, src))
         for q1, q2, src in cases:
-            rep = dominance_check(q1, q2, src)
-            got = (rep.bayes_1, rep.bayes_2, rep.div_1, rep.div_2)
-            for x, y in zip(got, old_dominance_sides(q1, q2, src)):
-                assert x.tobytes() == y.tobytes()
+            assert_matches_dense_reference(dominance_check(q1, q2, src),
+                                           q1, q2, src)
+
+    def test_grid_blind_witness(self):
+        # every kink of both Bayes risk curves lies in [0.45, 0.51], so a
+        # prior grid with step 0.05 reads the curves as equal; R1 - R2
+        # reaches +0.0037 near q = 0.506 and -0.0077 near q = 0.488
+        src = BinnedSource([0.58, 0.33, 0.09], [0.56, 0.33, 0.11],
+                           Priors(0.5, 0.5))
+        q1 = TableQuantizer([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        q2 = TableQuantizer([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        rep = dominance_check(q1, q2, src)
+        assert rep.dominance_by_prior == (False, False)
+        assert rep.dominance_by_divergence == (False, False)
+        assert_matches_dense_reference(rep, q1, q2, src)
+
+    @given(st.integers(3, 6).flatmap(lambda n: st.lists(
+        st.floats(0.05, 1.0), min_size=6 * n, max_size=6 * n)),
+        st.floats(0.15, 0.85))
+    def test_random_tables_match_dense_reference(self, draws, q):
+        nb = len(draws) // 6
+        pos, neg = np.array(draws[:2 * nb]).reshape(2, nb)
+        src = BinnedSource(pos / pos.sum(), neg / neg.sum(), Priors.from_q(q))
+        rows = np.array(draws[2 * nb:]).reshape(2, nb, 2)
+        q1, q2 = (TableQuantizer(r / r.sum(axis=1, keepdims=True))
+                  for r in rows)
+        assert_matches_dense_reference(dominance_check(q1, q2, src),
+                                       q1, q2, src)
 
     def test_emptied_bin_still_raises(self, src_default):
         with pytest.raises(ZeroMassBin):
@@ -237,14 +280,17 @@ class TestDominance:
         for grid in (rep.q_grid, rep.c_grid):
             with pytest.raises(ValueError):
                 grid[0] = 0.5
-        assert rep.q_grid[0] == 0.05
+        assert (rep.q_grid[0], rep.q_grid[-1]) == (0.0, 1.0)
+        assert (rep.c_grid[0], rep.c_grid[-1]) == (0.0, np.inf)
 
     def test_csv_layout(self, src_default):
         rep = dominance_check(ThresholdQuantizer(1.4),
                               ThresholdQuantizer(1.6), src_default)
         lines = rep.to_csv().strip().split("\n")
         assert lines[0] == "criterion,point,value_q1,value_q2"
-        assert len(lines) == 1 + 19 + 25
+        assert len(lines) == 1 + len(rep.q_grid) + len(rep.c_grid)
+        # two distinct thresholds: two kinks each and the two ends
+        assert len(rep.q_grid) == len(rep.c_grid) == 6
 
 
 class TestOrderingAgreement:

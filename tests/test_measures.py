@@ -155,8 +155,7 @@ class TestThresholdMasses:
                 assert pi[k].tobytes() == m.pi.tobytes()
 
     def test_closed_forms_bit_for_bit(self, rng):
-        # the docstring formulas in their operation order, which the prior
-        # columns of dominance_check must also keep
+        # the docstring formulas in their operation order
         for _ in range(50):
             a = float(rng.uniform(0.2, 2.0))
             b = a + float(rng.uniform(0.1, 2.0))
