@@ -40,8 +40,7 @@ _COND_N, _COND_WINDOW = 201, 15.0  # Theorem 1 check grid on [-15, 15] at most
 
 def _evaluate(self, x):
     """self._eval on a float array, every floating-point warning ignored; a
-    float for a scalar (the ``__call__`` of losses, links, generators and
-    Psi functions)."""
+    float for a scalar (the ``__call__`` of losses, links and generators)."""
     arr = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
         vals = self._eval(arr)
@@ -277,9 +276,9 @@ class PsiFunction:
 
     Decreasing and convex; +inf below beta1 = -f'_inf (may be -inf);
     involutive on (beta1, beta2) with Psi(u_star) = u_star when the generator
-    is loss-realizable.  ``fn`` maps an array of betas to the array of values
-    in one call.  A numeric Psi is also +inf where its maximizer lies beyond
-    _WIDEN_CAP (numeric exponential Psi(1e-5), truly 1e5).
+    is loss-realizable.  ``fn`` maps betas to values in one call, under its
+    own warning guard.  A numeric Psi is also +inf where its maximizer lies
+    beyond _WIDEN_CAP (numeric exponential Psi(1e-5), truly 1e5).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -288,11 +287,14 @@ class PsiFunction:
     u_star: float
     name: str = ""
 
-    __call__, _eval = _evaluate, _fn_eval
+    def __call__(self, x):  # a float for a scalar; fn holds the guard
+        vals = _fn_eval(self, np.asarray(x, dtype=float))
+        return float(vals) if vals.ndim == 0 else vals
 
 
 def _psi_eval(f: Generator, numeric: bool) -> Callable:
-    """Psi(beta) = f*(-beta) for a scalar or an array, one conjugate call.
+    """Psi(beta) = f*(-beta) for a scalar or an array, as a convex function
+    on the line: one ``fstar._eval`` call under the one guard of its call.
 
     Without a closed form in use, the conjugate is the numeric one
     (never the tabulated one), and it never reads ``conjugate_fn``.
@@ -300,7 +302,7 @@ def _psi_eval(f: Generator, numeric: bool) -> Callable:
     if numeric or f.conjugate_fn is None:
         f = Generator(f.fn, name=f.name, halfline=f.halfline)
     fstar = conjugate(f)
-    return lambda beta: fstar(-np.asarray(beta, dtype=float))
+    return Generator(lambda beta: fstar._eval(-beta), halfline=False)
 
 
 def _fails_to_decay(d0: float, d1: float, s1: float) -> bool:
@@ -449,7 +451,8 @@ def check_theorem1_conditions(psi: PsiFunction, tol: float) -> ConditionReport:
         return ConditionReport(tuple(empty))
 
     grid = np.linspace(lo, hi, _COND_N)
-    vals = psi(grid)
+    vals = psi(np.append(grid, psi.u_star))  # and Psi(u*): rows independent
+    vals, psi_u = vals[:-1], float(vals[-1])
 
     with np.errstate(invalid="ignore"):  # inf - inf: an infinite residual
         diffs = np.diff(vals)
@@ -470,9 +473,8 @@ def check_theorem1_conditions(psi: PsiFunction, tol: float) -> ConditionReport:
     checks.append(ConditionCheck("involution", bool(inv_res[k] <= tol),
                                  float(grid[k]), float(inv_res[k])))
 
-    fp_res = abs(psi(psi.u_star) - psi.u_star) if math.isfinite(psi.u_star) else INF
-    fp_ok = (math.isfinite(psi.u_star) and fp_res <= tol
-             and psi.beta1 < psi.u_star < psi.beta2)
+    fp_res = abs(psi_u - psi.u_star) if math.isfinite(psi.u_star) else INF
+    fp_ok = fp_res <= tol and psi.beta1 < psi.u_star < psi.beta2
     checks.append(ConditionCheck("fixed_point", fp_ok, psi.u_star, fp_res))
     return ConditionReport(tuple(checks))
 
@@ -518,9 +520,14 @@ def psi_tilde_from_loss(phi) -> PsiFunction:
 
 
 def check_convex_sampled(f: Callable, grid: np.ndarray) -> bool:
-    """Midpoint convexity test on a sampled grid, with slack 1e-9."""
+    """Midpoint convexity test on a sampled grid, with slack 1e-9; one call
+    of ``f`` on the grid and one on its midpoints."""
     grid = np.asarray(grid, dtype=float)
-    vals = np.asarray(f(grid), dtype=float)
+    return _convex_at_mids(f, grid, np.asarray(f(grid), dtype=float))
+
+
+def _convex_at_mids(f: Callable, grid: np.ndarray, vals: np.ndarray) -> bool:
+    """``check_convex_sampled`` given vals = f(grid)."""
     mids = 0.5 * (grid[:-1] + grid[1:])
     vmids = np.asarray(f(mids), dtype=float)
     with np.errstate(invalid="ignore"):

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._csvfmt import row, text
-from .duality import (Generator, _evaluate, _fn_eval, check_convex_sampled,
+from .duality import (Generator, _convex_at_mids, _evaluate, _fn_eval,
                       check_theorem1_conditions, psi_from_f)
 from .errors import BadLink, NotConvex, Unbounded, UnrealizableDivergence
 from .optimize import BRACKET, phi_pair, sublevel_end, weighted_min
@@ -76,18 +76,19 @@ class GLink:
     def validate(self) -> None:
         """Raise BadLink unless anchor, monotonicity, convexity (sampled at
         201 points of [u_star, u_star + 10]) and the right derivative at the
-        anchor all check out."""
-        if abs(self(self.u_star) - self.u_star) > 1e-12:
-            raise BadLink(f"g({self.u_star}) != {self.u_star} "
-                          f"(got {self(self.u_star)})")
-        grid = np.linspace(self.u_star, self.u_star + 10.0, 201)
+        anchor (read with the anchor, at anchor + 1e-6) all check out; three
+        calls of the link: those two points, the grid and its midpoints."""
+        u, h = self.u_star, 1e-6
+        g0, g1 = self(np.array([u, u + h])).tolist()
+        if abs(g0 - u) > 1e-12:
+            raise BadLink(f"g({u}) != {u} (got {g0})")
+        grid = np.linspace(u, u + 10.0, 201)
         vals = self(grid)
         if np.any(np.diff(vals) < -1e-12):
             raise BadLink("link is not increasing on the sampled range")
-        if not check_convex_sampled(self, grid):
+        if not _convex_at_mids(self, grid, vals):
             raise BadLink("link fails the sampled midpoint convexity test")
-        h = 1e-6
-        if (self(self.u_star + h) - self(self.u_star)) / h <= 0.0:
+        if (g1 - g0) / h <= 0.0:
             raise BadLink("right derivative of the link at its anchor "
                           "must be positive")
 
@@ -361,10 +362,12 @@ def induced_generator(phi: SurrogateLoss) -> Generator:
 def loss_from_f(f: Generator, g: GLink) -> SurrogateLoss:
     """Build the decreasing-branch loss realizing the divergence of f.
 
-        phi(alpha) = u*             at alpha = 0
+        phi(alpha) = u*             at alpha = 0 (and at NaN)
                      Psi(g(alpha + u*))   for alpha > 0
                      g(-alpha + u*)       for alpha < 0
 
+    A loss call reads each branch once, on its points, through ``psi.fn`` and
+    the link's closed form; ``convex`` and ``decreasing`` share one call.
     Raises UnrealizableDivergence when Psi fails the decreasing/involution/
     fixed-point conditions and BadLink when g violates its contract at the
     fixed point of Psi.
@@ -381,24 +384,24 @@ def loss_from_f(f: Generator, g: GLink) -> SurrogateLoss:
     g_anchored.validate()
 
     def fn(alpha):
-        a = np.asarray(alpha, dtype=float)
-        return np.piecewise(
-            a.astype(float),
-            [a > 0.0, a < 0.0],
-            [lambda x: psi(g_anchored(x + u_star)),
-             lambda x: g_anchored(-x + u_star),
-             u_star])
+        out = np.full(alpha.shape, u_star)
+        pos, neg = alpha > 0.0, alpha < 0.0
+        out[pos] = psi.fn(g_anchored._eval(alpha[pos] + u_star))
+        out[neg] = g_anchored._eval(u_star - alpha[neg])
+        return out
 
     # the first alpha >= 0 with g(alpha + u*) >= beta2, +inf beyond the cap
-    alpha_star = INF if not math.isfinite(psi.beta2) else sublevel_end(
-        lambda x: g_anchored(x + u_star) < psi.beta2, 0.0, 1.0)
-    inf_value = -f(0.0) if math.isfinite(f(0.0)) else -INF
+    with np.errstate(all="ignore"):  # one guard for the search's link calls
+        alpha_star = INF if not math.isfinite(psi.beta2) else sublevel_end(
+            lambda x: g_anchored._eval(x + u_star) < psi.beta2, 0.0, 1.0)
+    f0 = f(0.0)
     loss = SurrogateLoss(fn, f"recipe[{f.name},{g.name}]", convex=True,
                          decreasing=True, alpha_star=alpha_star,
-                         inf_value=inf_value)
+                         inf_value=-f0 if math.isfinite(f0) else -INF)
     probe = np.linspace(-6.0, 6.0, 401)
-    return replace(loss, convex=check_convex_sampled(loss, probe),
-                   decreasing=bool(np.all(np.diff(loss(probe)) <= 1e-9)))
+    vals = loss(probe)
+    return replace(loss, convex=_convex_at_mids(loss, probe, vals),
+                   decreasing=bool(np.all(np.diff(vals) <= 1e-9)))
 
 
 # --- calibration and shape checks --------------------------------------------

@@ -54,6 +54,19 @@ def _search(f, pick, lo, hi, tol: float):
     return a, b
 
 
+def _search_floats(f, a: float, b: float, tol: float) -> float:
+    """``b`` of ``_search(f, _first_true, a, b, tol)`` on Python floats, bit
+    for bit: the same points, picks, stop, stall exit and round cap."""
+    stall, a0, b0 = tol < 2.0**-46 * max(-a, b, 0.0), math.nan, math.nan
+    for _ in range(_ROUNDS):
+        h = b - a
+        if not h > tol or stall and a == a0 and b == b0:
+            break
+        p, q = map(float, _first_true(f(a + _FRAC * h)))
+        a, b, a0, b0 = a + p * h, (a + q * h if q < 1.0 else b), a, b
+    return b
+
+
 def _last_min(y):
     """The neighbours of the last of the equal minima: 1/8 of the bracket."""
     j = _K - 1 - y[::-1].argmin(axis=0)
@@ -188,23 +201,24 @@ def sublevel_end(pred: Callable[[np.ndarray], np.ndarray], anchor, sign):
     of not pred where sign > 0 (the first point found off pred).  An element
     off pred at the anchor returns it, one on pred along the whole column
     ``sign * inf``; both keep zero-width brackets, so pred always gets
-    ``(k,) + anchor.shape``.
+    ``(k,) + anchor.shape``.  A 0-d anchor runs on Python floats (the same
+    IEEE arithmetic and calls of pred, without numpy's cost per 0-d step).
     """
     anchor = np.asarray(anchor, dtype=float)
-    # a 0-d column runs on Python floats: the same IEEE double arithmetic,
-    # without numpy's cost per call
     a, s = (anchor, sign) if anchor.ndim else (float(anchor), float(sign))
     col = [a, a + s]
     for _ in range(int(math.log2(SUBLEVEL_CAP))):
         col.append(a + 2.0 * (col[-1] - a))
     col = np.array(col)
     on = pred(col)
+    flip = np.asarray(sign) > 0.0
     # the first point off pred; the anchor where pred holds throughout
     end = col[(on.argmin(axis=0), *np.indices(anchor.shape, sparse=True))]
-    flip = np.asarray(sign) > 0.0
+    if not anchor.ndim:
+        lo, hi = (a, float(end)) if flip else (float(end), a)
+        return s * math.inf if on.all() else _search_floats(
+            lambda x: pred(x) != flip, lo, hi, 1e-12)
     b = _search(lambda x: pred(x) != flip, _first_true,
                 np.where(flip, anchor, end), np.where(flip, end, anchor),
                 1e-12)[1]
-    b = np.where(on.all(axis=0), sign * math.inf, b)
-    return b if b.ndim else float(b)
-
+    return np.where(on.all(axis=0), sign * math.inf, b)

@@ -587,6 +587,36 @@ class TestTheorem1Conditions:
         assert not report["involution"].passed
         assert report["fixed_point"].passed
 
+    @pytest.mark.parametrize("numeric", [False, True])
+    def test_two_psi_calls(self, numeric):
+        # the grid with Psi(u*) appended, then Psi at the grid's values
+        psi = psi_from_f(catalog_generator("logistic"), numeric=numeric)
+        shapes = []
+
+        def counting(beta):
+            shapes.append(beta.shape)
+            return psi.fn(beta)
+
+        report = check_theorem1_conditions(replace(psi, fn=counting),
+                                           tol=1e-6)
+        assert shapes == [(202,), (201,)]
+        assert report == check_theorem1_conditions(psi, tol=1e-6)
+
+    @pytest.mark.parametrize("name", ["hinge", "exponential", "least_squares",
+                                      "logistic", "sym_kl"])
+    def test_a_psi_call_enters_one_errstate(self, monkeypatch, name):
+        psi, entries = psi_from_f(catalog_generator(name)), []
+
+        class Counting(np.errstate):
+            def __enter__(self):
+                entries.append(self)
+                return super().__enter__()
+
+        monkeypatch.setattr(np, "errstate", Counting)
+        psi(np.linspace(-20.0, 20.0, 41))
+        psi(0.5)
+        assert len(entries) == 2
+
     def test_csv_shape(self):
         psi = psi_from_f(catalog_generator("hinge"))
         text = check_theorem1_conditions(psi, tol=1e-6).to_csv()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fdual.duality import conjugate, psi_from_f
+from fdual.duality import check_theorem1_conditions, conjugate, psi_from_f
 from fdual.errors import BadLink, NotConvex, UnrealizableDivergence
 from fdual.losses import (_SYM_KL_ROUNDS, GLink, SurrogateLoss,
                           _sym_kl_log_u, catalog_generator,
@@ -245,6 +245,53 @@ class TestConstructiveMap:
             np.testing.assert_allclose(f_from_loss(rec, us),
                                        catalog_generator(name)(us), atol=1e-6)
 
+    # one digest per recipe over the rebuilt loss at POINTS (one array call
+    # and a scalar call per point), its alpha_star, inf_value, convex and
+    # decreasing, and the Theorem 1 report of the recipe's Psi on the
+    # closed-form route (tol 1e-6) and the numeric one (tol 1e-4)
+    POINTS = np.array([-INF, -1e3, -1.0, -1e-12, -0.0, 0.0, 1e-12, 1.0, 1e3,
+                       INF, math.nan])
+    DIGESTS = {
+        "exponential": "8cbfb6d2e2f3859eff5d06c40064ab60"
+                       "80df0197d56cebb07e0faee4ea03e376",
+        "hinge": "74c0e2199045efbbb64c7e10318c5c29"
+                 "96801aaca4955c277183b2bf2c67a7bb",
+        "least_squares": "820cab1bc7c7d898ae1c34798c3fc417"
+                         "7387dd97df101881197edf09e30893de",
+        "logistic": "63e1e2776e9b3fa650906feac4a877f8"
+                    "c0fdda5beb7af1ca61ee939c6e0b1416",
+        "sym_kl": "1e7cdcb68ad41d3bbb7a0bc99afb0d02"
+                  "45b795f38b483ce952fefb654b22868e",
+    }
+
+    @pytest.mark.parametrize("name,link", sorted(RECIPE_LINKS.items()))
+    def test_recipe_bits_are_pinned(self, name, link):
+        f = catalog_generator(name)
+        rec = loss_from_f(f, catalog_link(link))
+        arr = rec(self.POINTS)
+        one = np.array([rec(float(x)) for x in self.POINTS])
+        meta = np.array([rec.alpha_star, rec.inf_value, rec.convex,
+                         rec.decreasing], dtype=float)
+        csv = "".join(check_theorem1_conditions(
+            psi_from_f(f, numeric=numeric), tol=1e-4 if numeric else 1e-6
+        ).to_csv() for numeric in (False, True))
+        digest = hashlib.sha256(arr.tobytes() + one.tobytes() + meta.tobytes()
+                                + csv.encode()).hexdigest()
+        assert digest == self.DIGESTS[name]
+
+    @pytest.mark.parametrize("name,link", sorted(RECIPE_LINKS.items()))
+    def test_build_calls_the_loss_twice(self, monkeypatch, name, link):
+        # one call on the probe for both flags, one on its midpoints
+        shapes, evaluate = [], SurrogateLoss._eval
+
+        def counting(self, arr):
+            shapes.append(arr.shape)
+            return evaluate(self, arr)
+
+        monkeypatch.setattr(SurrogateLoss, "_eval", counting)
+        loss_from_f(catalog_generator(name), catalog_link(link))
+        assert shapes == [(401,), (400,)]
+
 
 class TestCalibrationConvex:
     def test_hinge_slope_minus_one(self):
@@ -320,6 +367,18 @@ class TestLinkValidation:
         for name in ("identity", "exp_shift", "square", "logistic_link",
                      "symkl_link"):
             catalog_link(name).validate()
+
+    @pytest.mark.parametrize("name", sorted(set(RECIPE_LINKS.values())))
+    def test_three_calls_of_the_link(self, name):
+        # the anchor with anchor + 1e-6, the grid, and its midpoints
+        shapes, fn = [], catalog_link(name).fn
+
+        def counting(u):
+            shapes.append(u.shape)
+            return fn(u)
+
+        GLink(counting, u_star=catalog_link(name).u_star).validate()
+        assert shapes == [(2,), (201,), (200,)]
 
     @given(shift=st.floats(-0.5, 0.5))
     def test_anchor_violations_are_caught(self, shift):

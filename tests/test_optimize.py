@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdual import duality, losses, optimize
@@ -658,6 +658,37 @@ class TestSublevelEnd:
             assert _same(got[z], want)
             if dist[z] == math.inf:
                 assert got[z] == s * math.inf
+
+    # one anchor, a direction and the distance out to the run's end, as in
+    # ELEMENT; the examples cover both signs, an anchor off pred, a run past
+    # SUBLEVEL_CAP and a stalled bracket (1e-12 is below the spacing at 1e6)
+    @settings(max_examples=20)
+    @given(st.floats(-100.0, 100.0), st.sampled_from((-1.0, 1.0)),
+           st.one_of(st.floats(-5.0, 5.0),
+                     st.floats(0.0, 2.0 * SUBLEVEL_CAP), st.just(math.inf)))
+    @example(2.5, -1.0, 3.25)
+    @example(-7.0, 1.0, -0.5)
+    @example(0.0, -1.0, math.inf)
+    @example(1e6, 1.0, 0.3)
+    @example(1e6, -1.0, 7.1)
+    def test_scalar_anchor_equals_stack_of_one(self, anchor, sign, dist):
+        end, calls = anchor + sign * dist, []
+
+        def pred(x):
+            calls.append(x.copy())
+            return sign * (end - x) >= 0.0
+
+        got = sublevel_end(pred, anchor, sign)
+        n = len(calls)
+        stack = sublevel_end(pred, np.array([anchor]), np.array([sign]))
+        assert isinstance(got, float) and _same(got, stack[0])
+        # the same calls of pred, on the same points
+        assert [x.shape for x in calls[:n]] == [(42,)] + [(15,)] * (n - 1)
+        assert len(calls) == 2 * n
+        assert all(_same(x, y[:, 0]) for x, y in zip(calls, calls[n:]))
+        assert n <= 22  # ceil(log16(2**41 / 1e-12)) rounds at most
+        if dist == math.inf:
+            assert got == sign * math.inf
 
     def test_scalar_anchor_returns_a_float(self):
         got = sublevel_end(lambda x: x <= 3.0, 0.0, 1.0)
