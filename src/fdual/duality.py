@@ -30,7 +30,9 @@ INF = math.inf
 
 _WIDEN_CAP = 1e9
 _HULL_PASSES = 32  # vectorized hull passes before the monotone chain
-_ZOOM_ROUNDS, _ZOOM_PTS = 11, 33  # each round shrinks the bracket 16-fold
+_ZOOM_ROUNDS, _ZOOM_PTS, _ZOOM_TOL = 11, 33, 1e-13  # see _sup_batch
+_ZOOM_FRAC = np.r_[-2:_ZOOM_PTS + 2, 0] / (_ZOOM_PTS - 1.0)  # 2 steps out
+_NEAR = np.array([[-2], [-1], [1], [2]])  # an argmax's outer neighbours
 _TAIL = np.array([1e4, 1e6, 1e8, 1e10])  # chord nodes for the recession slope
 # numeric suprema scan _grid_points(top) for top = _GRID_TOP, ten times wider
 # per level up to _WIDEN_CAP
@@ -118,23 +120,26 @@ def _hull(pts: np.ndarray, fpts: np.ndarray) -> tuple:
     pass) stays linear.  A node with f = -inf is the lone vertex (the sup is
     +inf), and with no finite node node 0 is (every value is -inf).
     """
-    keep = np.flatnonzero(fpts == -INF)[:1]
-    if keep.size:
-        return keep, fpts[keep], np.empty(0)
-    keep = np.flatnonzero(np.isfinite(fpts))
-    if not keep.size:
-        return np.zeros(1, dtype=np.intp), fpts[:1], np.empty(0)
+    keep = slice(None)  # every node, while all are finite and none dropped
+    if not np.isfinite(fpts).all():
+        keep = np.flatnonzero(fpts == -INF)[:1]
+        if keep.size:
+            return keep, fpts[keep], np.empty(0)
+        keep = np.flatnonzero(np.isfinite(fpts))
+        if not keep.size:
+            return np.zeros(1, dtype=np.intp), fpts[:1], np.empty(0)
     for _ in range(_HULL_PASSES):
         slopes = np.diff(fpts[keep]) / np.diff(pts[keep])
         bad = slopes[1:] <= slopes[:-1]
         if not bad.any():
             break
-        keep = keep[np.concatenate(([True], ~bad, [True]))]
+        ok = np.concatenate(([True], ~bad, [True]))
+        keep = np.flatnonzero(ok) if isinstance(keep, slice) else keep[ok]
     else:
         pos, slopes = _monotone_chain(pts[keep].tolist(),
                                       fpts[keep].tolist())
         keep = keep[pos]
-    return None if keep.size == pts.size else keep, fpts[keep], slopes
+    return None if isinstance(keep, slice) else keep, fpts[keep], slopes
 
 
 def _monotone_chain(us: list, fs: list) -> tuple[list, np.ndarray]:
@@ -179,23 +184,27 @@ def _scan(pts: np.ndarray, hull: tuple,
     return np.where(best == -INF, 0, idx), best
 
 
-def _sup_batch(f: Generator, vs: np.ndarray, cache: dict) -> np.ndarray:
-    """sup_u (u*v - f(u)) for each v of a 1-D array, in one batched pass.
+def _sup_batch(f: Generator, vs: np.ndarray, cache: dict) -> tuple:
+    """sup_u (u*v - f(u)) and its certified width for each v of a 1-D
+    array, in one batched pass of independent rows under one warning guard.
 
-    It runs under the conjugate's one warning guard, so it reads f by
-    ``f._eval``, without the wrapper of ``Generator.__call__``.  Each
-    widening level's points (``_grid_points``) and the lower hull of f on
-    them (``_hull``, which keeps f at its vertices only) are computed once
-    and kept in ``cache`` (owned by the caller); ``_scan`` then finds each
-    row's grid maximizer.  Only rows whose maximizer sits on a grid edge
-    move on to the next, ten times wider level; rows still on the edge at
-    _WIDEN_CAP are +inf, rows with f = +inf on the whole grid -inf.  All
-    other rows are refined together by a bracket zoom around their grid
-    maximizer, each round one call of f on every row.  Every step works row
-    by row, so a row's value does not depend on the rest of the batch.
+    Each widening level's points (``_grid_points``) and the lower hull of f
+    on them (``_hull``) are computed once and kept in ``cache`` (owned by
+    the caller); ``_scan`` finds each row's grid maximizer.  Only rows whose
+    maximizer sits on a grid edge move on to the next, ten times wider
+    level; rows still on the edge at _WIDEN_CAP are +inf, rows with f = +inf
+    on the whole grid -inf (both of width +inf).  The others are zoomed by
+    one ``f.fn`` call on all live rows per round, each shrinking a row's
+    bracket 16-fold and bounding its sup by [L, U]: L is its best sample, U
+    the peak of the lower of the outer secants through k-2, k-1 and k+1, k+2
+    around its sampled argmax k (one at u = 0), which lie above the concave
+    u*v - f(u) there.  Their crossing (a piecewise-linear f's kink) is
+    sampled next round.  A row freezes with width max(U - L, 0) once U - L
+    <= _ZOOM_TOL (1 + |L|), sound for f convex as evaluated (a non-convex f
+    is conjugated as its envelope); one that never closes keeps its
+    _ZOOM_ROUNDS-th width, unreported.
     """
-    out = np.empty(vs.size)
-    lo, hi = np.empty(vs.size), np.empty(vs.size)
+    out, lo, hi, width = np.full((4, vs.size), INF)
     todo = np.arange(vs.size)
     top = _GRID_TOP
     while todo.size:
@@ -214,22 +223,31 @@ def _sup_batch(f: Generator, vs: np.ndarray, cache: dict) -> np.ndarray:
         top *= 10.0
 
     rows = np.flatnonzero(np.isfinite(out))
-    if not rows.size:
-        return out
-    v, a, b, best = vs[rows, None], lo[rows], hi[rows], out[rows]
-    frac = np.linspace(0.0, 1.0, _ZOOM_PTS)
-    base = np.arange(rows.size) * _ZOOM_PTS  # flat index of each row's start
-    last = base + (_ZOOM_PTS - 1)
+    v, a, b, x, lb = vs[rows, None], lo[rows], hi[rows], lo[rows], out[rows]
+    base = np.arange(rows.size) * _ZOOM_FRAC.size + 2  # flat index of grid 0
+    floor = 0.0 if f.halfline else -INF  # a half-line zoom stays at u >= 0
     for _ in range(_ZOOM_ROUNDS):
-        us = a[:, None] + (b - a)[:, None] * frac
-        vals = v * us - f._eval(us.ravel()).reshape(us.shape)
+        if not rows.size:
+            break
+        us = np.maximum(a[:, None] + (b - a)[:, None] * _ZOOM_FRAC, floor)
+        us[:, -1] = x  # the free sample: last round's secant crossing
+        vals = v * us - _fn_eval(f, us.ravel()).reshape(us.shape)
         vals[np.isnan(vals)] = -INF
-        k = base + np.argmax(vals, axis=1)
-        best = np.maximum(best, vals.ravel()[k])
-        us = us.ravel()
-        a, b = us[np.maximum(k - 1, base)], us[np.minimum(k + 1, last)]
-    out[rows] = best
-    return out
+        lb = np.maximum(lb, vals.max(axis=1))
+        k = base[:v.size] + np.argmax(vals[:, 2:-3], axis=1) + _NEAR
+        (u0, a, b, u3), (g0, g1, g2, g3) = us.ravel()[k], vals.ravel()[k]
+        du = b - a
+        p = (g1 - g0) / (a - u0) * du  # left outer secant's rise over [a, b]
+        q = (g2 - g3) / (u3 - b) * du  # and the right one's fall
+        gap = g2 - g1 + q  # the right secant at a, over g1
+        tau = gap / (p + q)  # where the two cross, as a fraction of [a, b]
+        w = g1 + np.fmin(np.fmin(p * tau, gap), p) - lb
+        x = a + np.minimum(np.fmax(tau, 0.0), 1.0) * du
+        out[rows], width[rows] = lb, w
+        done = w <= _ZOOM_TOL * (1.0 + np.abs(lb))
+        if done.any():
+            rows, v, a, b, x, lb = (e[~done] for e in (rows, v, a, b, x, lb))
+    return out, np.maximum(width, 0.0)
 
 
 def conjugate(f: Generator) -> Generator:
@@ -239,9 +257,11 @@ def conjugate(f: Generator) -> Generator:
     directly.  Tabulated generators take the supremum over their own nodes
     (exact for piecewise-linear f) and raise GridTooNarrow, naming the first
     offending v, when the maximizing node sits on the table boundary.
-    Anything else falls back to the numeric supremum of ``_sup_batch``.  Both
-    evaluate a whole array by a slope search on a lower hull (``_scan``),
-    built here once per table and, numerically, once per grid level.
+    Anything else falls back to the numeric supremum of ``_sup_batch``,
+    certified within 1e-13 (1 + |value|) for f convex as evaluated (else for
+    its envelope) or else its 11-round value, unreported.  Both evaluate an
+    array by a slope search on a lower hull (``_scan``), built once per
+    table and, numerically, once per grid level.
     """
     if f.conjugate_fn is not None:
         return Generator(fn=f.conjugate_fn, name=f"{f.name}*",
@@ -265,7 +285,7 @@ def conjugate(f: Generator) -> Generator:
     cache: dict = {}
 
     def eval_numeric(v):
-        return _sup_batch(f, v.reshape(-1), cache).reshape(v.shape)
+        return _sup_batch(f, v.reshape(-1), cache)[0].reshape(v.shape)
 
     return Generator(fn=eval_numeric, name=f"{f.name}*", halfline=False)
 
@@ -277,8 +297,10 @@ class PsiFunction:
     Decreasing and convex; +inf below beta1 = -f'_inf (may be -inf);
     involutive on (beta1, beta2) with Psi(u_star) = u_star when the generator
     is loss-realizable.  ``fn`` maps betas to values in one call, under its
-    own warning guard.  A numeric Psi is also +inf where its maximizer lies
-    beyond _WIDEN_CAP (numeric exponential Psi(1e-5), truly 1e5).
+    own warning guard.  A numeric Psi is +inf for maximizers past _WIDEN_CAP
+    (exponential Psi(1e-5), truly 1e5), else certified within 1e-13 (1 +
+    |Psi|) for f convex as evaluated (else its envelope) or its 11-round
+    value, unreported.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -320,6 +342,8 @@ def _locate_beta1(f: Callable) -> float:
     converging (slowly for -u**0.9) and Aitken-extrapolated.
     """
     fs = np.asarray(f(_TAIL), dtype=float)
+    if np.isinf(fs).any():  # f = +inf out there (a table): f'_inf = +inf
+        return -INF
     s0, s1, s2 = np.diff(fs) / np.diff(_TAIL)
     d0, d1 = s1 - s0, s2 - s1
     if _fails_to_decay(d0, d1, s1) and s2 > 0.0:
@@ -329,19 +353,19 @@ def _locate_beta1(f: Callable) -> float:
     return float(d1 * d1 / (d1 - d0) - s2)
 
 
-def _locate_beta2(f: Generator, psi: Callable) -> float:
-    f0 = f(0.0)
+def _locate_beta2(f: Generator, psi: Callable, extra: np.ndarray) -> tuple:
+    f0, *fh = f(np.array([0.0, 1e-4, 1e-6, 1e-8])).tolist()
     if not math.isfinite(f0):
-        return INF
+        return INF, psi(extra)
     inf_psi = -f0
     # If the right derivative of f at 0 diverges, inf Psi is only asymptotic
     # and beta2 = +inf.  Divergence shows up as difference quotients whose
     # decrements fail to decay as the step shrinks (a convergent quotient
     # sequence has decrements shrinking like the step ratio).
-    s0, s1, s2 = [(f(h) - f0) / h for h in (1e-4, 1e-6, 1e-8)]
+    s0, s1, s2 = [(fv - f0) / h for fv, h in zip(fh, (1e-4, 1e-6, 1e-8))]
     d0, d1 = s0 - s1, s1 - s2
     if _fails_to_decay(d0, d1, s1):
-        return INF
+        return INF, psi(extra)
     # Psi reaches inf Psi exactly where -beta passes the right derivative of
     # f at 0; Richardson-extrapolate the 1e-6 and 1e-8 quotients for it.
     est = -(s2 - (s1 - s2) / (1e-6 - 1e-8) * 1e-8)
@@ -350,30 +374,24 @@ def _locate_beta2(f: Generator, psi: Callable) -> float:
     # least where that clears 1e-12 scale
     half_curv = max(d0, 0.0) / (1e-4 - 1e-6)  # f''(0) / 2
     gap = max(0.1 * scale, 2e-6 * math.sqrt(half_curv * scale))
-    above, below = psi(np.array([est + 1e-6 * scale, est - gap]))
+    vals = psi(np.concatenate(([est + 1e-6 * scale, est - gap], extra)))
+    above, below = vals[:2]
     # Psi is flat beyond beta2 and above inf Psi before it, so `below` must
     # clear `above` (by 45 ulps of scale), however flat Psi leaves inf Psi
     if above <= inf_psi + 1e-6 * scale and below > above + 1e-14 * scale:
-        return est
+        return est, vals[2:]
     raise UnconfirmedBound(f"Psi does not confirm the beta2 estimate {est}: "
                            f"{below} before it, {above} after")
 
 
-def _locate_fixed_point(psi: Callable[[np.ndarray], np.ndarray],
-                        beta1: float, beta2: float, probe: float) -> float:
+def _locate_fixed_point(psi: Callable, beta1: float, beta2: float,
+                        probe: float, s_pair: np.ndarray) -> float:
     """u* = inf {beta : s(beta) <= 0} for the decreasing s = Psi - beta:
-    ``probe`` (-0.0 as +0.0) when it lies in (beta1, beta2) and one 2-row
-    Psi call sees s(probe - eps) > 0 >= s(probe + eps), eps = 1e-12 max(1,
-    |probe|) (the search's resolution); else ``_sublevel_inf`` from 0."""
-    def s(beta):
-        return psi(beta) - beta
-
-    if beta1 < probe < beta2:
-        eps = 1e-12 * max(1.0, abs(probe))
-        s_left, s_right = s(np.array([probe - eps, probe + eps]))
-        if s_left > 0.0 >= s_right:
-            return probe + 0.0
-    return _sublevel_inf(s, 0.0, np.array(0.0))
+    ``probe`` (-0.0 as +0.0) in (beta1, beta2) where s_pair = s(probe -+
+    1e-12 max(1, |probe|)) changes sign; else ``_sublevel_inf`` from 0."""
+    if beta1 < probe < beta2 and s_pair[0] > 0.0 >= s_pair[1]:
+        return probe + 0.0
+    return _sublevel_inf(lambda beta: psi(beta) - beta, 0.0, np.array(0.0))
 
 
 def psi_from_f(f: Generator, numeric: bool = False) -> PsiFunction:
@@ -384,14 +402,16 @@ def psi_from_f(f: Generator, numeric: bool = False) -> PsiFunction:
     machinery against closed forms).  beta1 = -f'_inf comes from the
     recession slope of f (-inf for sym_kl).  A symmetric f has f(1)/2 in
     its subdifferential at 1, so u* = -f(1)/2 (Rockafellar 1970, Thm 23.5);
-    ``_locate_fixed_point`` certifies it from f alone, else searches.  Raises
-    NoFixedPoint when u* is not in (beta1, beta2) (the divergence is not
+    ``_locate_fixed_point`` certifies it (in beta2's Psi call), else
+    searches.  Raises NoFixedPoint when u* is not in (beta1, beta2) (not
     loss-realizable) and UnconfirmedBound when Psi does not confirm beta2.
     """
     ev = _psi_eval(f, numeric)
     beta1 = _locate_beta1(f)
-    beta2 = _locate_beta2(f, ev)
-    u_star = _locate_fixed_point(ev, beta1, beta2, -f(1.0) / 2.0)
+    probe = -f(1.0) / 2.0
+    pair = probe + 1e-12 * max(1.0, abs(probe)) * np.array([-1.0, 1.0])
+    beta2, psi_pair = _locate_beta2(f, ev, pair)
+    u_star = _locate_fixed_point(ev, beta1, beta2, probe, psi_pair - pair)
     if not (beta1 < u_star < beta2):
         raise NoFixedPoint(f"fixed point {u_star} outside ({beta1}, {beta2})")
     return PsiFunction(fn=ev, beta1=beta1, beta2=beta2, u_star=u_star,

@@ -432,6 +432,18 @@ class TestPsiFromF:
         grid = np.linspace(1e-3, 2.0 - 1e-3, 1000)
         np.testing.assert_allclose(psi(grid), 2.0 - grid, atol=1e-4)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tabulated_generator_reaches_the_converse(self):
+        # f is +inf at the chord nodes 1e4-1e10, past the table: an infinite
+        # tail, so f'_inf = +inf and beta1 = -inf (it read inf - inf = NaN)
+        us = np.geomspace(1e-3, 1e3, 400)
+        f = Generator.from_table(us, catalog_generator("hinge")(us))
+        assert _locate_beta1(f) == -INF
+        psi = psi_from_f(f)
+        assert psi.u_star == -f(1.0) / 2.0
+        assert psi.u_star == pytest.approx(0.9913438812700031, abs=1e-15)
+        assert check_theorem1_conditions(psi, 1e-4).all_pass
+
     def test_no_fixed_point_for_degenerate_generator(self):
         lin = Generator(lambda u: 2.0 * np.asarray(u, dtype=float),
                         name="linear")
@@ -449,7 +461,7 @@ class TestPsiFromF:
             return np.square(np.maximum(kink - np.asarray(beta), 0.0))
 
         with pytest.raises(UnconfirmedBound, match="estimate 2.0"):
-            duality._locate_beta2(f, psi)
+            duality._locate_beta2(f, psi, np.empty(0))
 
     @pytest.mark.parametrize("c", [1e12, 1e14])
     def test_flat_beta2_is_confirmed(self, c):
@@ -472,13 +484,14 @@ class TestPsiFromF:
     @pytest.mark.parametrize("name", SYMMETRIC)
     def test_symmetric_generator_takes_at_most_two_psi_calls(
             self, monkeypatch, name):
-        # one 2-row call confirms beta2 (none when beta2 = +inf), one
-        # certifies u* = -f(1)/2; the fixed-point search never runs
+        # exactly one: the two rows that certify u* = -f(1)/2 ride in the
+        # call that confirms beta2 (alone when beta2 = +inf); the
+        # fixed-point search never runs
         f = catalog_generator(name)
         searches = counted_searches(monkeypatch)
         psi, calls = counted_psi_from_f(monkeypatch, f, numeric=True)
         assert psi.u_star == -f(1.0) / 2.0
-        assert calls <= 2 and not searches
+        assert calls == 1 and not searches
 
     @pytest.mark.parametrize("numeric", [False, True])
     def test_asymmetric_generator_reaches_the_search(self, monkeypatch,
@@ -507,10 +520,13 @@ class TestPsiFromF:
                       conjugate_fn=lambda v: c * kl.conjugate_fn((v - a) / c)
                       + a)
         psi = duality._psi_eval(f, numeric)
-        u_star = duality._locate_fixed_point(psi, -INF, INF, -f(1.0) / 2.0)
 
         def s(beta):
             return psi(beta) - beta
+
+        probe = -f(1.0) / 2.0
+        u_star = duality._locate_fixed_point(
+            psi, -INF, INF, probe, s(probe + np.array([-1e-12, 1e-12])))
 
         assert s(u_star) <= 0.0 < s(u_star - 1e-12)
         closed = c * math.exp((-u_star - a) / c - 1.0) + a
@@ -520,7 +536,8 @@ class TestPsiFromF:
         # s = Psi - beta = -2 beta - 2 is < 0 on both sides of the probe 0,
         # so the probe is no fixed point and the search finds u* = -1
         psi = lambda beta: -np.asarray(beta, dtype=float) - 2.0
-        u_star = duality._locate_fixed_point(psi, -INF, INF, 0.0)
+        s_pair = psi(np.array([-1e-12, 1e-12])) - np.array([-1e-12, 1e-12])
+        u_star = duality._locate_fixed_point(psi, -INF, INF, 0.0, s_pair)
         assert abs(u_star + 1.0) <= 1e-12
 
 

@@ -1,20 +1,31 @@
-"""The numeric Legendre route, bit for bit against frozen copies.
+"""The numeric Legendre route against frozen copies.
 
 ``frozen_sup_batch`` is a copy of the numeric conjugate's kernel as it was
-before the kernel called ``f.fn`` under the conjugate's one warning guard
-and built its grid levels once per process; ``frozen_locate_beta2`` and
-``frozen_locate_fixed_point`` probe Psi one point per call, as before the
-probes were batched, and search for the fixed point, as before the
-certificate, with the scalar 15-point recurrences ``scalar_predicate`` and
-``scalar_root`` of ``test_optimize``.  The live numeric ``conjugate`` and
-``psi_from_f(numeric=True)`` must reproduce them bit for bit: values, domain
-bounds, fixed point and raised errors.  The exceptions are fixed points.
-That of a generator with f(1)/2 in its subdifferential at 1 (every symmetric
-one) is certified to be exactly -f(1)/2, where the search stopped within its
-1e-12 tolerance.  Any other is searched by one ``sublevel_end`` stack from
-0, which ends at the first point of its final bracket, not at the frozen
-search's midpoint: within 1e-12 of it.  Nothing in this file reads a
-closed-form conjugate.
+before the kernel called ``f.fn`` under the conjugate's one warning guard,
+built its grid levels once per process and let a zoom row stop once its
+certified bracket closed: every finite row runs all 11 zoom rounds.
+``frozen_locate_beta2`` and ``frozen_locate_fixed_point`` probe Psi one
+point per call, as before the probes were batched, and search for the fixed
+point, as before the certificate, with the scalar 15-point recurrences
+``scalar_predicate`` and ``scalar_root`` of ``test_optimize``.
+
+The live numeric ``conjugate`` and ``psi_from_f(numeric=True)`` must
+reproduce the frozen domain bounds and raised errors bit for bit, and every
+infinite value.  A finite value may sit lower: a live zoom row freezes once
+its bracket [L, U] on the supremum has U - L <= 1e-13 (1 + |L|), after a
+few of the frozen row's rounds (each with two more steps out on both sides
+and the crossing of the outer secants).  So live lies in [frozen - width,
+frozen], up to 4 ulps of the row's scale |v| u* + |value| (the rounding of
+v u - f(u) at the maximizer u*).  A row whose frozen value lies above the
+closed form by more than that read a spike of f's own rounding (logistic's
+f cancels near u = 1e6) and is held to the closed form instead: live is no
+further from it.  Fixed points: that of a generator with
+f(1)/2 in its subdifferential at 1 (every symmetric one) is certified to be
+exactly -f(1)/2, where the search stopped within its 1e-12 tolerance.  Any
+other is searched by one ``sublevel_end`` stack from 0, which ends at the
+first point of its final bracket, not at the frozen search's midpoint:
+within 1e-12 of it.  Only the reference values of the width contract read
+a closed-form conjugate.
 """
 
 import math
@@ -22,6 +33,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fdual import duality
 from fdual.duality import Generator, conjugate, psi_from_f
@@ -78,7 +91,7 @@ def frozen_sup_batch(f, vs, cache):
 
     rows = np.flatnonzero(np.isfinite(out))
     if not rows.size:
-        return out
+        return out, None
     n = duality._ZOOM_PTS
     v, a, b, best = vs[rows, None], lo[rows], hi[rows], out[rows]
     r, frac = np.arange(rows.size), np.linspace(0.0, 1.0, n)
@@ -92,10 +105,14 @@ def frozen_sup_batch(f, vs, cache):
         a = us[r, np.maximum(j - 1, 0)]
         b = us[r, np.minimum(j + 1, n - 1)]
     out[rows] = best
-    return out
+    return out, None
 
 
-def frozen_locate_beta2(f, psi):
+def frozen_locate_beta2(f, psi, extra):
+    return frozen_beta2(f, psi), psi(extra)
+
+
+def frozen_beta2(f, psi):
     beta1 = duality._locate_beta1(f)
     f0 = f(0.0)
     if not math.isfinite(f0):
@@ -126,7 +143,7 @@ def frozen_locate_beta2(f, psi):
     return INF
 
 
-def frozen_locate_fixed_point(psi, beta1, beta2, probe):
+def frozen_locate_fixed_point(psi, beta1, beta2, probe, s_pair):
     def s(beta):
         return psi(beta) - beta
 
@@ -189,24 +206,77 @@ def numeric_psi(f: Generator, betas=BETAS):
     return psi.beta1, psi.beta2, psi.u_star, psi(betas)
 
 
-def assert_certified(live: bytes, frozen: bytes, f: Generator) -> None:
-    """Bounds and Psi values bit for bit; u* exactly -f(1)/2, never -0.0."""
+def zoomed(f: Generator, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The live kernel's values and certified widths at vs."""
+    with np.errstate(all="ignore"):
+        return duality._sup_batch(f, vs, {})
+
+
+def assert_within_width(f: Generator, vs, frozen, fstar=None) -> None:
+    """The live values of sup_u (v u - f(u)) at vs against the frozen ones:
+    infinite ones bit for bit.  A finite one has closed its bracket to
+    1e-13 (1 + |value|) and is within 4 ulps of rounding
+    (of |v| u* + |value|, u* by a central difference of the live values)
+    of [frozen - width, frozen], or, where the frozen value lies above the
+    closed form ``fstar`` by more than those 4 ulps, no further from it."""
+    live, width = zoomed(f, vs)
+    fin = np.isfinite(frozen)
+    assert live[~fin].tobytes() == frozen[~fin].tobytes()
+    vs, live, width, frozen = vs[fin], live[fin], width[fin], frozen[fin]
+    h = 1e-3 * np.abs(vs) + 1e-9
+    with np.errstate(all="ignore"):  # v = 0 may have u* = +inf
+        u_star = (zoomed(f, vs + h)[0] - zoomed(f, vs - h)[0]) / (2.0 * h)
+        vu = np.where(vs == 0.0, 0.0, vs * u_star)
+        exact = np.full(vs.shape, INF) if fstar is None else fstar(vs)
+    slack = 4.0 * np.spacing(np.abs(vu) + np.abs(live))
+    assert not np.isnan(slack).any() and np.all(live <= frozen + slack)
+    assert np.all(width <= 1e-13 * (1.0 + np.abs(live)))  # every row closed
+    spike = frozen > exact + slack
+    held = ((frozen - live <= width + slack)
+            | spike & (np.abs(live - exact) <= frozen - exact))
+    assert held.all(), (vs[~held], live[~held], frozen[~held])
+
+
+# true conjugates where the catalog's closed forms differ: the catalog's
+# logistic conjugate -log1p(-exp(v)) cancels as v -> 0-, and its
+# least-squares one continues (2 - sqrt(-v))^2 past v = -4, where f* is 0
+REFERENCE = {
+    "logistic": lambda v: np.where(v < 0.0, -np.log(-np.expm1(v)), INF),
+    "least_squares": lambda v: np.where(
+        v < -4.0, 0.0, catalog_generator("least_squares").conjugate_fn(v)),
+}
+
+
+def reference(name: str):
+    return REFERENCE.get(name, catalog_generator(name).conjugate_fn)
+
+
+def assert_psi(live: bytes, frozen: bytes, f: Generator, betas=BETAS,
+               fstar=None) -> tuple[float, float]:
+    """Bounds bit for bit and Psi values within the width contract; the
+    live and frozen fixed points."""
     beta1, beta2, u_star, vals = pickle.loads(live)
-    frozen_beta1, frozen_beta2, _, frozen_vals = pickle.loads(frozen)
-    assert (pickle.dumps((beta1, beta2, vals))
-            == pickle.dumps((frozen_beta1, frozen_beta2, frozen_vals)))
+    frozen_beta1, frozen_beta2, frozen_u_star, frozen_vals = pickle.loads(
+        frozen)
+    assert (pickle.dumps((beta1, beta2))
+            == pickle.dumps((frozen_beta1, frozen_beta2)))
+    assert vals.tobytes() == zoomed(stripped(f), -betas)[0].tobytes()
+    assert_within_width(stripped(f), -betas, frozen_vals, fstar)
+    return u_star, frozen_u_star
+
+
+def assert_certified(live: bytes, frozen: bytes, f: Generator,
+                     **kw) -> None:
+    """``assert_psi``, and u* exactly -f(1)/2, never -0.0."""
+    u_star, _ = assert_psi(live, frozen, f, **kw)
     assert u_star == -f(1.0) / 2.0
     assert u_star != 0.0 or math.copysign(1.0, u_star) == 1.0
 
 
-def assert_searched(live: bytes, frozen: bytes) -> None:
-    """Bounds and Psi values bit for bit; u* within 1e-12 of the frozen
-    search's."""
-    beta1, beta2, u_star, vals = pickle.loads(live)
-    frozen_beta1, frozen_beta2, frozen_u_star, frozen_vals = pickle.loads(
-        frozen)
-    assert (pickle.dumps((beta1, beta2, vals))
-            == pickle.dumps((frozen_beta1, frozen_beta2, frozen_vals)))
+def assert_searched(live: bytes, frozen: bytes, f: Generator,
+                    **kw) -> None:
+    """``assert_psi``, and u* within 1e-12 of the frozen search's."""
+    u_star, frozen_u_star = assert_psi(live, frozen, f, **kw)
     assert abs(u_star - frozen_u_star) <= 1e-12
 
 
@@ -226,27 +296,29 @@ def shifted_kl(u):
 
 class TestNumericRouteOracle:
     @pytest.mark.parametrize("name", CATALOG)
-    def test_conjugate(self, monkeypatch, name):
+    def test_conjugate(self, name):
         f = stripped(catalog_generator(name))
-        live, frozen = live_and_frozen(monkeypatch,
-                                       lambda: conjugate(f)(VS))
-        assert live == frozen
+        with np.errstate(all="ignore"):
+            frozen = frozen_sup_batch(f, VS, {})[0]
+        assert conjugate(f)(VS).tobytes() == zoomed(f, VS)[0].tobytes()
+        assert_within_width(f, VS, frozen, reference(name))
 
     @pytest.mark.parametrize("name", CATALOG)
     def test_psi_from_f(self, monkeypatch, name):
         f = catalog_generator(name)
         live, frozen = live_and_frozen(monkeypatch, lambda: numeric_psi(f))
-        if name in SYMMETRIC:
-            assert_certified(live, frozen, f)
-        else:
-            assert_searched(live, frozen)
+        check = assert_certified if name in SYMMETRIC else assert_searched
+        check(live, frozen, f, fstar=reference(name))
 
     def test_row_beyond_the_widening_cap(self, monkeypatch):
         f = catalog_generator("exponential")
-        live, frozen = live_and_frozen(
-            monkeypatch, lambda: numeric_psi(f, np.array([1e-5, 1.0])))
-        assert_certified(live, frozen, f)
-        assert pickle.loads(live)[3].tolist() == [INF, 1.0]
+        betas = np.array([1e-5, 1.0])
+        live, frozen = live_and_frozen(monkeypatch,
+                                       lambda: numeric_psi(f, betas))
+        assert_certified(live, frozen, f, betas=betas, fstar=f.conjugate_fn)
+        vals = pickle.loads(live)[3]
+        assert vals[0] == INF and 1.0 - vals[1] <= zoomed(
+            stripped(f), np.array([-1.0]))[1][0]
 
     def test_row_with_f_infinite_on_the_whole_grid(self, monkeypatch):
         f = Generator(lambda u: np.full(u.shape, INF), name="nowhere")
@@ -255,29 +327,34 @@ class TestNumericRouteOracle:
         assert live == frozen
         assert np.all(pickle.loads(live) == -INF)
 
-    def test_whole_line_conjugate_of_conjugate(self, monkeypatch):
-        f = stripped(catalog_generator("exponential"))
+    def test_whole_line_conjugate_of_conjugate(self):
+        # f** = f for the closed convex f = -2 sqrt(u), +inf below 0
+        f = catalog_generator("exponential")
+        fstar = conjugate(stripped(f))
         us = np.array([-1.0, 0.0, 0.5, 1.0, 2.5])
-        live, frozen = live_and_frozen(
-            monkeypatch, lambda: conjugate(conjugate(f))(us))
-        assert live == frozen
-        assert conjugate(f).halfline is False
+        with np.errstate(all="ignore"):
+            frozen = frozen_sup_batch(fstar, us, {})[0]
+        assert conjugate(fstar)(us).tobytes() == zoomed(fstar, us)[0].tobytes()
+        assert_within_width(fstar, us, frozen, f)
+        assert fstar.halfline is False
 
     def test_fixed_point_bracket_grows_right(self, monkeypatch):
         # 3 f[hinge] has Psi(beta) = 3 Psi_hinge(beta / 3) and u* = 3, so
         # the frozen search's first right end hi = 1 is still left of the
         # fixed point; the certificate returns u* = -f(1)/2 = 3 without a
         # search
-        hinge = catalog_generator("hinge").fn
-        f = Generator(lambda u: 3.0 * hinge(u), name="3 f[hinge]")
+        hinge = catalog_generator("hinge")
+        f = Generator(lambda u: 3.0 * hinge.fn(u), name="3 f[hinge]")
         live, frozen = live_and_frozen(monkeypatch, lambda: numeric_psi(f))
-        assert_certified(live, frozen, f)
+        assert_certified(live, frozen, f,
+                         fstar=lambda v: 3.0 * hinge.conjugate_fn(v / 3.0))
         assert pickle.loads(live)[2] == 3.0
 
     def test_asymmetric_bracket_grows_right(self, monkeypatch):
         f = Generator(shifted_kl, name="shifted_kl")
         live, frozen = live_and_frozen(monkeypatch, lambda: numeric_psi(f))
-        assert_searched(live, frozen)
+        assert_searched(live, frozen, f,
+                        fstar=lambda v: np.exp(v + 5.0) - 6.0)
         u_star = pickle.loads(live)[2]
         assert u_star == pytest.approx(math.exp(5.0 - u_star) - 6.0,
                                        abs=1e-9)
@@ -289,7 +366,7 @@ class TestNumericRouteOracle:
         ls, kl = (catalog_generator(n).fn for n in ("least_squares", "kl"))
         f = Generator(lambda u: ls(u) + 1e-5 * kl(u), name="near_symmetric")
         live, frozen = live_and_frozen(monkeypatch, lambda: numeric_psi(f))
-        assert_searched(live, frozen)
+        assert_searched(live, frozen, f)
         assert pickle.loads(live)[2] == pytest.approx(1.0 + 2.5e-11,
                                                       abs=1e-12)
 
@@ -299,8 +376,50 @@ class TestNumericRouteOracle:
         f = Generator(quadratic_kink, name="quadratic_kink")
         live, frozen = live_and_frozen(monkeypatch, lambda: numeric_psi(f),
                                        FROZEN_SEARCH)
-        assert_searched(live, frozen)
+        assert_searched(live, frozen, f, fstar=lambda v: np.where(
+            v > -2.0, np.square(v + 2.0) / 4e6, 0.0))
         assert pickle.loads(live)[1] == pytest.approx(2.0, abs=1e-9)
+
+
+# --- the certified zoom -------------------------------------------------------
+
+def zoom_rounds(f: Generator, v: float) -> tuple[float, float, int]:
+    """sup_u (v u - f(u)), its certified width and the number of zoom
+    rounds it took (calls of f on one zoom row's points)."""
+    sizes = []
+
+    def counted(u):
+        sizes.append(u.size)
+        return f.fn(u)
+
+    val, width = zoomed(Generator(counted, name=f.name), np.array([v]))
+    return val[0], width[0], sizes.count(duality._ZOOM_FRAC.size)
+
+
+class TestCertifiedZoom:
+    @given(st.one_of(st.floats(-2.0, -1e-6, exclude_min=True),
+                     st.floats(-50.0, -2.0, exclude_max=True)))
+    def test_hinge_rows_close_within_two_rounds(self, v):
+        # -2 min(u, 1): the crossing of the outer secants is the kink u = 1
+        # for v in (-2, 0); beyond beta2 (v < -2) the maximizer is u = 0
+        hinge = catalog_generator("hinge")
+        val, width, rounds = zoom_rounds(hinge, v)
+        assert rounds <= 2
+        assert width <= duality._ZOOM_TOL * (1.0 + abs(val))
+        ulps = 4.0 * np.spacing(2.0)
+        assert -ulps <= hinge.conjugate_fn(v) - val <= width + ulps
+
+    @given(st.sampled_from(CATALOG), st.floats(-30.0, -0.05))
+    def test_closed_forms_lie_within_the_width(self, name, v):
+        # away from logistic's cancellation tail (v -> 0-), the true
+        # conjugate is in [value - 4 ulps, value + width + 4 ulps], ulps of
+        # |v| u* + |f*(v)|
+        exact = reference(name)
+        val, width, _ = zoom_rounds(catalog_generator(name), v)
+        h = 1e-6 * abs(v)
+        u_star = (exact(v + h) - exact(v - h)) / (2.0 * h)
+        slack = 4.0 * np.spacing(abs(v * u_star) + abs(exact(v)))
+        assert -slack <= exact(v) - val <= width + slack
 
 
 # --- one guard per conjugate call ---------------------------------------------

@@ -252,16 +252,16 @@ class TestConstructiveMap:
     POINTS = np.array([-INF, -1e3, -1.0, -1e-12, -0.0, 0.0, 1e-12, 1.0, 1e3,
                        INF, math.nan])
     DIGESTS = {
-        "exponential": "8cbfb6d2e2f3859eff5d06c40064ab60"
-                       "80df0197d56cebb07e0faee4ea03e376",
-        "hinge": "74c0e2199045efbbb64c7e10318c5c29"
-                 "96801aaca4955c277183b2bf2c67a7bb",
-        "least_squares": "820cab1bc7c7d898ae1c34798c3fc417"
-                         "7387dd97df101881197edf09e30893de",
-        "logistic": "63e1e2776e9b3fa650906feac4a877f8"
-                    "c0fdda5beb7af1ca61ee939c6e0b1416",
-        "sym_kl": "1e7cdcb68ad41d3bbb7a0bc99afb0d02"
-                  "45b795f38b483ce952fefb654b22868e",
+        "exponential": "a19ad260e4301917c99ff2aafc63048e"
+                       "fe095f2d03a2a06182342c402ce7ce7b",
+        "hinge": "b2697d22050b1a9ff2c9c4d8e954a993"
+                 "b1eb8a786cbd72cdb8d7bd6901a008b0",
+        "least_squares": "15c05dd7b9efbd55455f8ab6407a178e"
+                         "ba7e1cfd3b71c27e223f25ede7f55adc",
+        "logistic": "de0c6dfc0e9973665a8c04d75c3df273"
+                    "7c129492ce69ae43b3b684aba4b9c3f0",
+        "sym_kl": "effcc26be58935e6dd23ed84154636bc"
+                  "f5cb4ec7a5f35b0bef2a6da49a6da317",
     }
 
     @pytest.mark.parametrize("name,link", sorted(RECIPE_LINKS.items()))
